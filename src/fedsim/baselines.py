@@ -1,10 +1,8 @@
-"""FedAvg / FedProx primitives the hierarchical strategies reduce to."""
+"""FedAvg aggregation, which the hierarchical strategies reduce to."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import nn
 
 
 def fedavg_aggregate(client_params: list[np.ndarray]) -> np.ndarray:
@@ -15,18 +13,3 @@ def fedavg_aggregate(client_params: list[np.ndarray]) -> np.ndarray:
     for p in client_params:
         total += p
     return total / len(client_params)
-
-
-def fedprox_client_loss_grad(
-    m_i: np.ndarray,
-    batch: nn.Batch,
-    global_params: np.ndarray,
-    mu_prox: float,
-    arch: nn.MlpArch,
-) -> tuple[float, np.ndarray]:
-    """mean-CE + (mu_prox/2) ||m_i - global||^2 and its gradient."""
-    if mu_prox < 0:
-        raise ValueError(f"mu_prox must be >= 0, got {mu_prox}")
-    ce_loss, grad = nn.loss_and_grad(m_i, arch, batch)
-    diff = m_i - global_params
-    return ce_loss + 0.5 * mu_prox * float(diff @ diff), grad + mu_prox * diff

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import experiment, verify
-from .strategies import STRATEGY_NAMES
+from .strategies import STRATEGIES
 
 
 def _out_override(flag_value: str | None) -> str | None:
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="override the output directory")
     p.add_argument("--rounds", type=int, help="override the round budget")
     p.add_argument(
-        "--strategy", choices=sorted(STRATEGY_NAMES),
+        "--strategy", choices=sorted(STRATEGIES),
         help="override the aggregation strategy",
     )
     p.set_defaults(fn=_cmd_run)

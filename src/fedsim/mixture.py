@@ -9,11 +9,11 @@ networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import nn, optim
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,6 @@ class MixtureGlobalPosterior:
     @property
     def k(self) -> int:
         return len(self.prototypes)
-
-
-@dataclass(frozen=True)
-class MixClientPosterior:
-    m_i: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def _scaled_sq_dists(m: np.ndarray, prototypes, sigma_sq: float) -> np.ndarray:
@@ -90,31 +80,46 @@ def mix_penalty(
     return value, grad / sigma_sq
 
 
-def mix_client_loss_grad(
-    client: MixClientPosterior,
-    batch: nn.Batch,
-    global_post: MixtureGlobalPosterior,
-    data_size: int,
-    arch: nn.MlpArch,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, np.ndarray]:
-    """mean-CE(batch; m_i) + (1/|D_i|) * mix_penalty(m_i) and gradient.
-
-    The CE term evaluates at the mean m_i of the client's spiky Gaussian
-    (the epsilon noise is far below test tolerances), so rng is accepted
-    only for call-signature symmetry with the other strategy and ignored.
-    """
-    if data_size < 1:
-        raise ValueError(f"data_size must be >= 1, got {data_size}")
-    ce_loss, grad = nn.loss_and_grad(client.m_i, arch, batch)
-    pen, pen_grad = mix_penalty(client.m_i, global_post.prototypes, global_post.sigma_sq)
-    return ce_loss + pen / data_size, grad + pen_grad / data_size
-
-
 def prototype_weights(m: np.ndarray, prototypes, sigma_sq: float) -> np.ndarray:
     """Softmax weights of -||m-r_j||^2/2sigma^2, one responsibility row."""
     _, w = _softmin_weights(_scaled_sq_dists(m, prototypes, sigma_sq))
     return w
+
+
+def mix_objective(
+    global_post: MixtureGlobalPosterior,
+    arch: nn.MlpArch,
+    data_size: int,
+    majorize: bool = True,
+) -> optim.Objective:
+    """The mixture local objective, for `optim.local_train`.
+
+    loss = mean-CE(batch; m) + (1/|D_i|) mix_penalty(m). The CE term
+    evaluates at the mean m_i of the client's spiky Gaussian (the epsilon
+    noise is far below test tolerances). With `majorize` the
+    penalty is handed to the driver as its Jensen majorizer at m (center =
+    responsibility-weighted prototype average, curvature 1/(sigma^2 |D_i|)),
+    which has the same gradient there; otherwise its gradient joins the data
+    gradient and the driver takes plain SGD steps.
+    """
+    if data_size < 1:
+        raise ValueError(f"data_size must be >= 1, got {data_size}")
+    protos, sigma_sq = global_post.prototypes, global_post.sigma_sq
+    quad = 1.0 / (sigma_sq * data_size)
+
+    def objective(m, batch):
+        ce, g = nn.loss_and_grad(m, arch, batch)
+        pen, pen_grad = mix_penalty(m, protos, sigma_sq)
+        loss = ce + pen / data_size
+        if not majorize:
+            return loss, g + pen_grad / data_size, None, 0.0
+        wts = prototype_weights(m, protos, sigma_sq)
+        center = np.zeros_like(m)
+        for j, r in enumerate(protos):
+            center += wts[j] * r
+        return loss, g, center, quad
+
+    return objective
 
 
 def mix_e_step(client_means, prototypes, sigma_sq: float) -> np.ndarray:
@@ -206,7 +211,7 @@ def mix_personalize(
     batch_size: int = 50,
     warm_start: str = "proxy",
 ) -> np.ndarray:
-    """Fine-tune a personal mean on CE + (1/|D^p|) mix_penalty.
+    """Fine-tune a personal mean on CE + (1/|D^p|) mix_penalty by plain SGD.
 
     warm_start="proxy": one epoch of plain fine-tuning from the
     gating-weighted prototype average gives a proxy local mean; start at the
@@ -219,35 +224,18 @@ def mix_personalize(
         raise ValueError("personal training data is empty")
     if warm_start not in ("proxy", "per_prototype"):
         raise ValueError(f"unknown warm_start {warm_start!r}")
+    objective = mix_objective(global_post, arch, n, majorize=False)
 
-    def run_from(start: np.ndarray, local_rng: np.random.Generator) -> np.ndarray:
-        m = start.copy()
-        client = MixClientPosterior(m_i=m, epsilon=global_post.epsilon)
-        for _ in range(epochs):
-            order = local_rng.permutation(n)
-            for lo in range(0, n, batch_size):
-                idx = order[lo : lo + batch_size]
-                batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
-                _, grad = mix_client_loss_grad(
-                    replace(client, m_i=m), batch, global_post, n, arch
-                )
-                m = nn.sgd_step(m, grad, lr)
+    def train(start, obj, run_epochs):
+        m, _ = optim.local_train(
+            start, obj, inputs, labels, batch_size, run_epochs, lr, rng
+        )
         return m
 
-    def objective(m: np.ndarray) -> float:
-        batch = nn.Batch(inputs=inputs, labels=labels)
-        loss, _ = mix_client_loss_grad(
-            MixClientPosterior(m_i=m, epsilon=global_post.epsilon),
-            batch,
-            global_post,
-            n,
-            arch,
-        )
-        return loss
-
     if warm_start == "per_prototype":
-        candidates = [run_from(r, rng) for r in global_post.prototypes]
-        scores = [objective(m) for m in candidates]
+        candidates = [train(r, objective, epochs) for r in global_post.prototypes]
+        full = nn.Batch(inputs=inputs, labels=labels)
+        scores = [objective(m, full)[0] for m in candidates]
         return candidates[int(np.argmin(scores))]
 
     # proxy: plain fine-tune one epoch from the gating-weighted average
@@ -258,11 +246,6 @@ def mix_personalize(
     proxy = np.zeros_like(global_post.prototypes[0])
     for j, r in enumerate(global_post.prototypes):
         proxy += g[j] * r
-    order = rng.permutation(n)
-    for lo in range(0, n, batch_size):
-        idx = order[lo : lo + batch_size]
-        batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
-        _, grad = nn.loss_and_grad(proxy, arch, batch)
-        proxy = nn.sgd_step(proxy, grad, lr)
+    proxy = train(proxy, optim.prox_objective(arch), 1)
     start = global_post.prototypes[nearest_prototype(proxy, global_post.prototypes)]
-    return run_from(start, rng)
+    return train(start, objective, epochs)

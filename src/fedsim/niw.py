@@ -74,19 +74,6 @@ class NiwGlobalPosterior:
         return self.n0 - self.d + 1
 
 
-@dataclass(frozen=True)
-class NiwClientPosterior:
-    m_i: np.ndarray
-    p_keep: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0 < self.p_keep <= 1:
-            raise ValueError(f"p_keep must be in (0, 1], got {self.p_keep}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-
 def niw_init(
     d: int, total_data_size: int, hyper: NiwHyperParams | None = None
 ) -> NiwGlobalPosterior:
@@ -130,35 +117,36 @@ def penalty_weight(
     return (p_keep * scale / data_size) / global_post.v0_diag
 
 
-def niw_client_loss_grad(
-    client: NiwClientPosterior,
-    batch: nn.Batch,
+def niw_objective(
     global_post: NiwGlobalPosterior,
-    data_size: int,
     arch: nn.MlpArch,
-    rng: np.random.Generator | None = None,
-    mask: nn.DropoutMask | None = None,
+    data_size: int,
+    p_keep: float,
     penalty_mode: str = "literal",
-) -> tuple[float, np.ndarray]:
-    """Local objective value and gradient at m_i.
+    mask_rng: np.random.Generator | None = None,
+) -> optim.Objective:
+    """The NIW local objective, for `optim.local_train`.
 
-    loss = mean-CE(batch; mask applied to m_i)
-         + (1/|D_i|) (p/2)(n0+d+1) sum_k (m_i - m0)^2_k / v0_k
-    The CE gradient flows only through kept dropout groups; the penalty
-    gradient covers all coordinates. One fresh mask is drawn from rng per
-    call (pass `mask` explicitly to pin it, e.g. for finite-difference
-    checks).
+    loss = mean-CE(batch; dropout mask applied to m)
+         + (1/2) sum_k w_k (m - m0)_k^2,  w = penalty_weight(...)
+    The CE gradient flows only through kept dropout groups; the quadratic
+    covers all coordinates and is taken by the driver's proximal step. One
+    fresh mask per batch is drawn from mask_rng; None trains without dropout.
     """
-    if mask is None:
-        if rng is None:
-            raise ValueError("either rng or mask must be provided")
-        mask = nn.sample_dropout_mask(client.p_keep, arch, rng)
-    ce_loss, grad = nn.loss_and_grad(client.m_i, arch, batch, mask)
-    w = penalty_weight(global_post, client.p_keep, data_size, penalty_mode)
-    diff = client.m_i - global_post.m0
-    loss = ce_loss + 0.5 * float(w @ (diff * diff))
-    grad = grad + w * diff
-    return loss, grad
+    w = penalty_weight(global_post, p_keep, data_size, penalty_mode)
+    m0 = global_post.m0
+    full = nn.full_mask(arch)
+
+    def objective(m, batch):
+        if mask_rng is None:
+            mask = full
+        else:
+            mask = nn.sample_dropout_mask(p_keep, arch, mask_rng)
+        ce, g = nn.loss_and_grad(m, arch, batch, mask)
+        diff = m - m0
+        return ce + 0.5 * float(w @ (diff * diff)), g, m0, w
+
+    return objective
 
 
 def niw_server_update(
@@ -289,25 +277,18 @@ def niw_personalize(
     p_keep: float = 1.0 - 0.001,
     batch_size: int = 50,
     penalty_mode: str = "literal",
-    penalty_scale: float = 1.0,
 ) -> np.ndarray:
     """Fine-tune a personal mean on local data, head trainable.
 
     Same objective as the client update with 1/|D^p| downweighting of the
-    penalty, warm-started at m0. `penalty_scale` multiplies the quadratic
-    weight (used by tests to probe the strong-prior limit).
+    penalty, warm-started at m0; rng draws both the batch order and the
+    dropout masks.
     """
     n = inputs.shape[0]
     if n < 1:
         raise ValueError("personal training data is empty")
-    m = global_post.m0.copy()
-    w = penalty_scale * penalty_weight(global_post, p_keep, n, penalty_mode)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
-            mask = nn.sample_dropout_mask(p_keep, arch, rng)
-            _, ce_grad = nn.loss_and_grad(m, arch, batch, mask)
-            m = optim.prox_quadratic_step(m, ce_grad, lr, global_post.m0, w)
+    objective = niw_objective(global_post, arch, n, p_keep, penalty_mode, rng)
+    m, _ = optim.local_train(
+        global_post.m0, objective, inputs, labels, batch_size, epochs, lr, rng
+    )
     return m

@@ -1,4 +1,4 @@
-"""Client-side update rules.
+"""Client-side update rules and the one local-training driver.
 
 Strategies whose local objective is `data term + (1/2) sum_k w_k (m_k - c_k)^2`
 use forward-backward splitting: an explicit gradient step on the data term
@@ -7,13 +7,24 @@ objective as plain SGD and coincides with it up to O((lr*w)^2) when lr*w is
 small, but stays stable for arbitrarily stiff quadratic weights (the
 hierarchical-posterior penalty weight scales with the parameter count and can
 exceed 2/lr by orders of magnitude, where explicit SGD diverges).
+
+Every minibatch loop that trains a model runs through `local_train`. A local
+objective maps `(m, batch)` to `(loss, data_grad, quad_center, quad_diag)`:
+the step is `prox_quadratic_step` on that quadratic, or a plain SGD step on
+`data_grad` when `quad_center` is None. Either way the objective's total
+gradient at m is `data_grad + quad_diag * (m - quad_center)`.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import nn
+
+# (m, batch) -> (loss, data_grad, quad_center or None, quad_diag)
+Objective = Callable[[np.ndarray, nn.Batch], tuple]
 
 
 def prox_quadratic_step(
@@ -30,3 +41,63 @@ def prox_quadratic_step(
     """
     half = nn.sgd_step(params, data_grad, lr)
     return (half + lr * quad_diag * center) / (1.0 + lr * quad_diag)
+
+
+def epoch_batches(n: int, batch_size: int, epochs: int, rng: np.random.Generator):
+    """Reshuffled minibatch index arrays, identical across strategies."""
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            yield order[lo : lo + batch_size]
+
+
+def prox_objective(
+    arch: nn.MlpArch, mu: float = 0.0, center: np.ndarray | None = None
+) -> Objective:
+    """FedProx: mean-CE + (mu/2) ||m - center||^2; mu = 0 is FedAvg's plain CE."""
+
+    def objective(m, batch):
+        ce, g = nn.loss_and_grad(m, arch, batch)
+        if mu > 0.0:
+            diff = m - center
+            return ce + 0.5 * mu * float(diff @ diff), g, center, mu
+        return ce, g, None, 0.0
+
+    return objective
+
+
+def total_loss_and_grad(objective: Objective, m: np.ndarray, batch: nn.Batch):
+    """An objective's loss and total gradient at m."""
+    loss, g, center, quad = objective(m, batch)
+    return loss, g if center is None else g + quad * (m - center)
+
+
+def local_train(
+    m: np.ndarray,
+    objective: Objective,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    batch_size: int,
+    epochs: int,
+    lr: float,
+    rng: np.random.Generator,
+    head: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[float]]:
+    """Minibatch epochs of `objective` from m; returns (final m, batch losses).
+
+    `head` masks coordinates whose data gradient is zeroed (a frozen head).
+    m itself is never written to.
+    """
+    losses = []
+    for idx in epoch_batches(inputs.shape[0], batch_size, epochs, rng):
+        batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
+        loss, g, center, quad = objective(m, batch)
+        losses.append(loss)
+        if head is not None:
+            g = g.copy()
+            g[head] = 0.0
+        if center is None:
+            m = nn.sgd_step(m, g, lr)
+        else:
+            m = prox_quadratic_step(m, g, lr, center, quad)
+    return m, losses

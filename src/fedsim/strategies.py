@@ -1,15 +1,17 @@
 """Strategy dispatch: client update, aggregation, prediction, personalization.
 
-Five strategies share one client optimizer, a forward-backward splitting
-step: an explicit gradient step on the data term followed by the exact
-proximal map of a per-step quadratic model of the penalty. For FedProx and
-the NIW strategy the quadratic model is the penalty itself, so the step is
-exact; the mixture strategy uses the Jensen majorizer of its log-sum-exp
-penalty at the current iterate (center = responsibility-weighted prototype
-average, curvature 1/(sigma^2 |D_i|)), which has the same gradient there.
-With one prototype the majorizer is the FedProx penalty, so the K=1
-reduction holds bit for bit. FedAvg has no penalty and takes plain SGD
-steps.
+Every strategy trains through one driver, `optim.local_train`, on one local
+objective: `optim.prox_objective` for FedAvg (mu = 0) and FedProx,
+`niw.niw_objective` and `mixture.mix_objective`. The driver takes a
+forward-backward splitting step: an explicit gradient step on the data term
+followed by the exact proximal map of a per-step quadratic model of the
+penalty. For FedProx and the NIW strategy the quadratic model is the penalty
+itself, so the step is exact; the mixture strategy uses the Jensen majorizer
+of its log-sum-exp penalty at the current iterate, which has the same
+gradient there. With one prototype the majorizer is the FedProx penalty, so
+the K=1 reduction holds bit for bit. FedAvg has no penalty and takes plain
+SGD steps. FedBABU is FedAvg with the head frozen during training (the
+config forces `body_update` for it).
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import numpy as np
 from . import baselines, mixture, niw, nn, optim
 from .rng import stream
 
-STRATEGY_NAMES = ("niw", "mixture", "fedavg", "fedprox", "fedbabu")
-
 
 @dataclass(frozen=True)
 class ClientResult:
@@ -32,12 +32,14 @@ class ClientResult:
     beta: np.ndarray | None = None  # mixture gating parameters
 
 
-def _epoch_batches(n: int, batch_size: int, epochs: int, rng: np.random.Generator):
-    """Reshuffled minibatch index arrays, identical across strategies."""
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            yield order[lo : lo + batch_size]
+def _local_train(m, objective, client_id, inputs, labels, arch, config, lr, round_idx):
+    """The client update's epochs: shared batch stream and head freezing."""
+    head = nn.head_freeze_mask(arch) if config.body_update else None
+    brng = stream(config.seed, "batch", client_id, round_idx)
+    return optim.local_train(
+        m, objective, inputs, labels, config.batch_size, config.local_epochs, lr,
+        brng, head,
+    )
 
 
 def _restore_slice(new: np.ndarray, old: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -48,8 +50,6 @@ def _restore_slice(new: np.ndarray, old: np.ndarray, keep: np.ndarray) -> np.nda
 
 class Strategy:
     """Interface each federated strategy implements."""
-
-    name: str = ""
 
     def init_state(self, arch, init_params, config, total_data_size):
         raise NotImplementedError
@@ -83,9 +83,7 @@ class Strategy:
 
 
 class FedAvgStrategy(Strategy):
-    """Plain parameter averaging; also the base for FedProx and FedBABU."""
-
-    name = "fedavg"
+    """Plain parameter averaging; also the base for FedProx."""
 
     def _mu(self, config) -> float:
         return 0.0
@@ -97,25 +95,10 @@ class FedAvgStrategy(Strategy):
         self, state, client_id, inputs, labels, arch, config, lr, round_idx,
         retained=None,
     ) -> ClientResult:
-        m = state.copy()
-        mu = self._mu(config)
-        head = nn.head_freeze_mask(arch) if config.body_update else None
-        brng = stream(config.seed, "batch", client_id, round_idx)
-        losses = []
-        n = inputs.shape[0]
-        for idx in _epoch_batches(n, config.batch_size, config.local_epochs, brng):
-            batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
-            ce, g = nn.loss_and_grad(m, arch, batch)
-            if head is not None:
-                g = g.copy()
-                g[head] = 0.0
-            if mu > 0.0:
-                diff = m - state
-                losses.append(ce + 0.5 * mu * float(diff @ diff))
-                m = optim.prox_quadratic_step(m, g, lr, state, mu)
-            else:
-                losses.append(ce)
-                m = nn.sgd_step(m, g, lr)
+        objective = optim.prox_objective(arch, self._mu(config), state)
+        m, losses = _local_train(
+            state, objective, client_id, inputs, labels, arch, config, lr, round_idx
+        )
         return ClientResult(client_id=client_id, params=m, loss=float(np.mean(losses)))
 
     def aggregate(self, state, results, config):
@@ -130,31 +113,19 @@ class FedAvgStrategy(Strategy):
         return nn.softmax(nn.forward(state, arch, batch))
 
     def personalize(self, state, inputs, labels, arch, config, epochs, lr, rng):
-        m = state.copy()
-        n = inputs.shape[0]
-        for idx in _epoch_batches(n, config.batch_size, epochs, rng):
-            batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
-            _, g = nn.loss_and_grad(m, arch, batch)
-            m = nn.sgd_step(m, g, lr)
+        m, _ = optim.local_train(
+            state, optim.prox_objective(arch), inputs, labels, config.batch_size,
+            epochs, lr, rng,
+        )
         return m
 
 
 class FedProxStrategy(FedAvgStrategy):
-    name = "fedprox"
-
     def _mu(self, config) -> float:
         return config.mu_prox
 
 
-class FedBabuStrategy(FedAvgStrategy):
-    """FedAvg with the body-update flag forced on (head frozen in training)."""
-
-    name = "fedbabu"
-
-
 class NiwStrategy(Strategy):
-    name = "niw"
-
     def init_state(self, arch, init_params, config, total_data_size):
         post = niw.niw_init(nn.param_count(arch), total_data_size)
         # the broadcast starting point is the usual random network init; the
@@ -165,29 +136,15 @@ class NiwStrategy(Strategy):
         self, state, client_id, inputs, labels, arch, config, lr, round_idx,
         retained=None,
     ) -> ClientResult:
-        n = inputs.shape[0]
-        w = niw.penalty_weight(state, config.p_keep, n, config.penalty_mode)
-        m0 = state.m0
-        m = m0.copy()
-        head = nn.head_freeze_mask(arch) if config.body_update else None
-        brng = stream(config.seed, "batch", client_id, round_idx)
         mrng = stream(config.seed, "mask", client_id, round_idx)
-        full = nn.full_mask(arch)
-        losses = []
-        for idx in _epoch_batches(n, config.batch_size, config.local_epochs, brng):
-            batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
-            mask = (
-                full
-                if config.p_keep >= 1.0
-                else nn.sample_dropout_mask(config.p_keep, arch, mrng)
-            )
-            ce, g = nn.loss_and_grad(m, arch, batch, mask)
-            diff = m - m0
-            losses.append(ce + 0.5 * float(w @ (diff * diff)))
-            if head is not None:
-                g = g.copy()
-                g[head] = 0.0
-            m = optim.prox_quadratic_step(m, g, lr, m0, w)
+        objective = niw.niw_objective(
+            state, arch, inputs.shape[0], config.p_keep, config.penalty_mode,
+            mrng if config.p_keep < 1.0 else None,
+        )
+        m, losses = _local_train(
+            state.m0, objective, client_id, inputs, labels, arch, config, lr,
+            round_idx,
+        )
         return ClientResult(client_id=client_id, params=m, loss=float(np.mean(losses)))
 
     def aggregate(self, state, results, config):
@@ -217,8 +174,6 @@ class NiwStrategy(Strategy):
 
 
 class MixtureStrategy(Strategy):
-    name = "mixture"
-
     def init_state(self, arch, init_params, config, total_data_size):
         protos = tuple(
             init_params
@@ -237,39 +192,25 @@ class MixtureStrategy(Strategy):
 
     def _start(self, state, inputs, labels, arch, config, retained):
         if config.mixture_client_init == "retained" and retained is not None:
-            return retained.copy()
+            return retained
         batch = nn.Batch(inputs=inputs, labels=labels)
         scores = [nn.loss_and_grad(r, arch, batch)[0] for r in state.prototypes]
-        return state.prototypes[int(np.argmin(scores))].copy()
+        return state.prototypes[int(np.argmin(scores))]
 
     def client_update(
         self, state, client_id, inputs, labels, arch, config, lr, round_idx,
         retained=None,
     ) -> ClientResult:
         n = inputs.shape[0]
-        m = self._start(state, inputs, labels, arch, config, retained)
-        head = nn.head_freeze_mask(arch) if config.body_update else None
-        quad = 1.0 / (state.sigma_sq * n)
-        brng = stream(config.seed, "batch", client_id, round_idx)
-        losses = []
-        for idx in _epoch_batches(n, config.batch_size, config.local_epochs, brng):
-            batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
-            ce, g = nn.loss_and_grad(m, arch, batch)
-            pen, _ = mixture.mix_penalty(m, state.prototypes, state.sigma_sq)
-            losses.append(ce + pen / n)
-            # majorizer center: responsibility-weighted prototype average
-            wts = mixture.prototype_weights(m, state.prototypes, state.sigma_sq)
-            center = np.zeros_like(m)
-            for j, r in enumerate(state.prototypes):
-                center += wts[j] * r
-            if head is not None:
-                g = g.copy()
-                g[head] = 0.0
-            m = optim.prox_quadratic_step(m, g, lr, center, quad)
+        m, losses = _local_train(
+            self._start(state, inputs, labels, arch, config, retained),
+            mixture.mix_objective(state, arch, n), client_id, inputs, labels, arch,
+            config, lr, round_idx,
+        )
         # gating learns to route this client's inputs to its nearest prototype
         beta = state.gating
         grng = stream(config.seed, "gate", client_id, round_idx)
-        for idx in _epoch_batches(n, config.batch_size, 1, grng):
+        for idx in optim.epoch_batches(n, config.batch_size, 1, grng):
             beta = mixture.gating_local_update(
                 beta, state.gating_arch, inputs[idx], m, state.prototypes, lr,
                 head_frozen=config.body_update,
@@ -307,13 +248,11 @@ class MixtureStrategy(Strategy):
         )
 
 
+_FEDAVG = FedAvgStrategy()
 STRATEGIES: dict[str, Strategy] = {
-    s.name: s
-    for s in (
-        NiwStrategy(),
-        MixtureStrategy(),
-        FedAvgStrategy(),
-        FedProxStrategy(),
-        FedBabuStrategy(),
-    )
+    "niw": NiwStrategy(),
+    "mixture": MixtureStrategy(),
+    "fedavg": _FEDAVG,
+    "fedprox": FedProxStrategy(),
+    "fedbabu": _FEDAVG,
 }

@@ -10,6 +10,10 @@ Four suites:
     convergence  a seeded 200-round run whose running-average server
                  objective must be non-increasing after burn-in
 
+The client-side checks evaluate the local objectives that
+`optim.local_train` trains with; an objective's total gradient is
+`data_grad + quad_diag * (m - quad_center)`.
+
 Each suite returns a machine-readable report dict. A failed check carries
 the first failing case (trial index and sampled sizes) so it can be
 replayed. `mutation` deliberately tampers with a formula under test and is
@@ -22,7 +26,7 @@ import time
 
 import numpy as np
 
-from . import baselines, data, mixture, niw, nn, runtime
+from . import data, mixture, niw, nn, optim, runtime
 from .rng import stream
 
 SUITES = ("reductions", "oracles", "samplers", "convergence")
@@ -113,13 +117,12 @@ def _reduction_checks(seed: int) -> list[dict]:
             d=d,
         )
         m = post.m0 + rng.normal(size=d) * 0.3
-        client = niw.NiwClientPosterior(m_i=m, p_keep=1.0, epsilon=1e-8)
-        loss_a, grad_a = niw.niw_client_loss_grad(
-            client, batch, post, n_i, arch, mask=nn.full_mask(arch)
+        loss_a, grad_a = optim.total_loss_and_grad(
+            niw.niw_objective(post, arch, n_i, p_keep=1.0), m, batch
         )
         mu = (post.n0 + d + 1) / (v * n_i)
-        loss_b, grad_b = baselines.fedprox_client_loss_grad(
-            m, batch, post.m0, mu, arch
+        loss_b, grad_b = optim.total_loss_and_grad(
+            optim.prox_objective(arch, mu, post.m0), m, batch
         )
         err = max(abs(loss_a - loss_b), float(np.max(np.abs(grad_a - grad_b))))
         case = {"arch": list(arch.layer_sizes), "err": err} if err > REDUCTION_TOL else None
@@ -154,10 +157,11 @@ def _reduction_checks(seed: int) -> list[dict]:
             gating=np.zeros(nn.param_count(gating_arch)),
             gating_arch=gating_arch,
         )
-        client = mixture.MixClientPosterior(m_i=m, epsilon=1e-8)
-        loss_a, grad_a = mixture.mix_client_loss_grad(client, batch, post, n_i, arch)
-        loss_b, grad_b = baselines.fedprox_client_loss_grad(
-            m, batch, g, 1.0 / (sigma_sq * n_i), arch
+        loss_a, grad_a = optim.total_loss_and_grad(
+            mixture.mix_objective(post, arch, n_i), m, batch
+        )
+        loss_b, grad_b = optim.total_loss_and_grad(
+            optim.prox_objective(arch, 1.0 / (sigma_sq * n_i), g), m, batch
         )
         err = max(abs(loss_a - loss_b), float(np.max(np.abs(grad_a - grad_b))))
         case = {"arch": list(arch.layer_sizes), "err": err} if err > REDUCTION_TOL else None
@@ -322,8 +326,7 @@ def _oracle_checks(seed: int, mutation: str | None) -> list[dict]:
         m = rng.normal(size=d) * 0.5
         n_i = int(rng.integers(5, 100))
         if which == "ce":
-            _, g = nn.loss_and_grad(m, arch, batch)
-            f = lambda x: nn.loss_and_grad(x, arch, batch)[0]
+            objectives = [optim.prox_objective(arch)]
         elif which == "niw":
             post = niw.NiwGlobalPosterior(
                 m0=rng.normal(size=d) * 0.5,
@@ -332,14 +335,7 @@ def _oracle_checks(seed: int, mutation: str | None) -> list[dict]:
                 n0=float(d + 2 + rng.uniform(1.0, 50.0)),
                 d=d,
             )
-            client = lambda x: niw.NiwClientPosterior(x, 0.9, 1e-8)
-            mask = nn.full_mask(arch)
-            _, g = niw.niw_client_loss_grad(
-                client(m), batch, post, n_i, arch, mask=mask
-            )
-            f = lambda x: niw.niw_client_loss_grad(
-                client(x), batch, post, n_i, arch, mask=mask
-            )[0]
+            objectives = [niw.niw_objective(post, arch, n_i, p_keep=0.9)]
         elif which == "mixture":
             k = int(rng.integers(1, 4))
             gating_arch = nn.MlpArch((arch.layer_sizes[0], 2, k))
@@ -350,19 +346,22 @@ def _oracle_checks(seed: int, mutation: str | None) -> list[dict]:
                 gating=np.zeros(nn.param_count(gating_arch)),
                 gating_arch=gating_arch,
             )
-            client = lambda x: mixture.MixClientPosterior(x, 1e-8)
-            _, g = mixture.mix_client_loss_grad(client(m), batch, post, n_i, arch)
-            f = lambda x: mixture.mix_client_loss_grad(
-                client(x), batch, post, n_i, arch
-            )[0]
+            # client training takes majorizer steps, personalization SGD steps
+            objectives = [
+                mixture.mix_objective(post, arch, n_i, majorize=flag)
+                for flag in (True, False)
+            ]
         else:  # fedprox
             gp = rng.normal(size=d) * 0.5
             mu = float(rng.uniform(0.001, 1.0))
-            _, g = baselines.fedprox_client_loss_grad(m, batch, gp, mu, arch)
-            f = lambda x: baselines.fedprox_client_loss_grad(
-                x, batch, gp, mu, arch
-            )[0]
-        err = _fd_err(f, m, g)
+            objectives = [optim.prox_objective(arch, mu, gp)]
+        err = max(
+            _fd_err(
+                lambda x: obj(x, batch)[0], m,
+                optim.total_loss_and_grad(obj, m, batch)[1],
+            )
+            for obj in objectives
+        )
         case = {"which": which, "err": err} if err > FD_TOL else None
         return err, case
 

@@ -8,7 +8,8 @@ and single-model prediction at K=1.
 import numpy as np
 import pytest
 
-from fedsim import baselines, mixture, nn
+from fedsim import mixture, nn
+from fedsim.optim import local_train, prox_objective, total_loss_and_grad
 from fedsim.rng import stream
 
 from test_nn import central_diff_grad, make_batch, rel_err
@@ -53,9 +54,9 @@ class TestTypes:
             make_global([np.zeros(3), np.zeros(3)], gating_arch=arch,
                         gating=np.zeros(3))
 
-    def test_client_posterior_needs_positive_epsilon(self):
+    def test_global_posterior_needs_positive_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
-            mixture.MixClientPosterior(m_i=np.zeros(2), epsilon=0.0)
+            make_global([np.zeros(3)], epsilon=0.0)
 
 
 class TestPenalty:
@@ -105,6 +106,9 @@ class TestPenalty:
 
 
 class TestClientLossGrad:
+    """The mixture local objective, in both its step forms: majorizer steps
+    (client training) and plain SGD steps (personalization)."""
+
     def test_at_prototype_penalty_vanishes(self):
         rng = stream(21, "at-proto")
         arch = nn.MlpArch((4, 5, 3))
@@ -112,8 +116,7 @@ class TestClientLossGrad:
         r1 = r0 + 100.0
         gp = make_global([r0, r1], gating_arch=nn.MlpArch((4, 5, 2)))
         batch = make_batch(rng, 6, 4, 3)
-        client = mixture.MixClientPosterior(m_i=r0.copy(), epsilon=1e-4)
-        loss, _ = mixture.mix_client_loss_grad(client, batch, gp, 20, arch)
+        loss, _, _, _ = mixture.mix_objective(gp, arch, 20)(r0.copy(), batch)
         ce, _ = nn.loss_and_grad(r0, arch, batch)
         assert abs(loss - ce) < 1e-12
 
@@ -126,13 +129,30 @@ class TestClientLossGrad:
                          gating_arch=nn.MlpArch((4, 5, 1)))
         batch = make_batch(rng, 6, 4, 3)
         data_size = 25
-        client = mixture.MixClientPosterior(m_i=m, epsilon=1e-4)
-        loss, grad = mixture.mix_client_loss_grad(client, batch, gp,
-                                                  data_size, arch)
         mu = 1.0 / (gp.sigma_sq * data_size)
-        ploss, pgrad = baselines.fedprox_client_loss_grad(m, batch, r, mu, arch)
-        assert abs(loss - ploss) < 1e-12
-        np.testing.assert_allclose(grad, pgrad, atol=1e-12)
+        ploss, pgrad = total_loss_and_grad(prox_objective(arch, mu, r), m, batch)
+        for majorize in (True, False):
+            loss, grad = total_loss_and_grad(
+                mixture.mix_objective(gp, arch, data_size, majorize), m, batch
+            )
+            assert abs(loss - ploss) < 1e-12
+            np.testing.assert_allclose(grad, pgrad, atol=1e-12)
+
+    def test_single_prototype_majorizer_is_the_fedprox_step(self):
+        rng = stream(22, "k1-step")
+        arch = nn.MlpArch((4, 5, 3))
+        r = nn.init_params(arch, rng)
+        gp = make_global([r], sigma_sq=0.3, gating_arch=nn.MlpArch((4, 5, 1)))
+        x = rng.normal(size=(30, 4))
+        y = rng.integers(0, 3, size=30)
+        runs = [
+            local_train(r + 0.1, objective, x, y, 10, 2, 0.1, stream(22, "b"))
+            for objective in (
+                mixture.mix_objective(gp, arch, 30),
+                prox_objective(arch, 1.0 / (0.3 * 30), r),
+            )
+        ]
+        assert np.array_equal(runs[0][0], runs[1][0])
 
     def test_total_gradient_matches_finite_differences(self):
         rng = stream(23, "total-fd")
@@ -142,25 +162,18 @@ class TestClientLossGrad:
                          gating_arch=nn.MlpArch((3, 4, 2)))
         m = nn.init_params(arch, rng)
         batch = make_batch(rng, 8, 3, 3)
-        client = mixture.MixClientPosterior(m_i=m, epsilon=1e-4)
-        _, grad = mixture.mix_client_loss_grad(client, batch, gp, 10, arch)
-
-        def loss_at(x):
-            c = mixture.MixClientPosterior(m_i=x, epsilon=1e-4)
-            return mixture.mix_client_loss_grad(c, batch, gp, 10, arch)[0]
-
-        fd = central_diff_grad(loss_at, m)
-        assert rel_err(grad, fd).max() < 1e-5
+        for majorize in (True, False):
+            objective = mixture.mix_objective(gp, arch, 10, majorize)
+            _, grad = total_loss_and_grad(objective, m, batch)
+            fd = central_diff_grad(lambda x: objective(x, batch)[0], m)
+            assert rel_err(grad, fd).max() < 1e-5
 
     def test_rejects_empty_dataset_size(self):
         arch = nn.MlpArch((4, 5, 3))
         gp = make_global([np.zeros(nn.param_count(arch))],
                          gating_arch=nn.MlpArch((4, 5, 1)))
-        client = mixture.MixClientPosterior(
-            m_i=np.zeros(nn.param_count(arch)), epsilon=1e-4)
-        batch = make_batch(stream(0), 4, 4, 3)
         with pytest.raises(ValueError, match="data_size"):
-            mixture.mix_client_loss_grad(client, batch, gp, 0, arch)
+            mixture.mix_objective(gp, arch, 0)
 
 
 class TestEStep:
@@ -505,16 +518,10 @@ class TestPersonalize:
         good = mixture.mix_personalize(x_p, y_p, gp, arch, epochs=2, lr=0.1,
                                        rng=stream(83, "good"), batch_size=10)
         # same protocol forced to start at the mismatched prototype
-        bad = m_b.copy()
-        bad_rng = stream(83, "bad")
-        for _ in range(2):
-            order = bad_rng.permutation(20)
-            for lo in range(0, 20, 10):
-                idx = order[lo:lo + 10]
-                b = nn.Batch(inputs=x_p[idx], labels=y_p[idx])
-                client = mixture.MixClientPosterior(m_i=bad, epsilon=1e-4)
-                _, g = mixture.mix_client_loss_grad(client, b, gp, 20, arch)
-                bad = nn.sgd_step(bad, g, 0.1)
+        bad, _ = local_train(
+            m_b, mixture.mix_objective(gp, arch, 20, majorize=False), x_p, y_p,
+            10, 2, 0.1, stream(83, "bad"),
+        )
         acc_good, acc_bad = accuracy(good), accuracy(bad)
         assert acc_good >= acc_bad + 0.3, f"good {acc_good} vs bad {acc_bad}"
 

@@ -2,11 +2,13 @@
 prediction, personalization. The server update is checked against an
 independent gradient-descent oracle on the explicit objective."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedsim import nn, niw
-from fedsim.baselines import fedprox_client_loss_grad
+from fedsim.optim import prox_objective, total_loss_and_grad
 from fedsim.rng import stream
 
 from test_nn import central_diff_grad, make_batch, rel_err
@@ -46,6 +48,8 @@ class TestInit:
 
 
 class TestClientLossGrad:
+    """The NIW local objective the client update and personalization train on."""
+
     def setup_method(self):
         self.arch = nn.MlpArch((4, 6, 3))
         self.d = nn.param_count(self.arch)
@@ -54,12 +58,8 @@ class TestClientLossGrad:
         self.batch = make_batch(self.rng, 5, 4, 3)
 
     def test_penalty_vanishes_at_center(self):
-        client = niw.NiwClientPosterior(
-            m_i=self.post.m0.copy(), p_keep=1.0, epsilon=1e-4
-        )
-        loss, grad = niw.niw_client_loss_grad(
-            client, self.batch, self.post, 20, self.arch, mask=nn.full_mask(self.arch)
-        )
+        objective = niw.niw_objective(self.post, self.arch, 20, p_keep=1.0)
+        loss, grad = total_loss_and_grad(objective, self.post.m0.copy(), self.batch)
         ce, ce_grad = nn.loss_and_grad(self.post.m0, self.arch, self.batch)
         assert loss == pytest.approx(ce, abs=1e-15)
         assert np.allclose(grad, ce_grad, atol=1e-15)
@@ -75,46 +75,43 @@ class TestClientLossGrad:
             d=self.d,
         )
         m_i = self.rng.normal(size=self.d)
-        client = niw.NiwClientPosterior(m_i=m_i, p_keep=1.0, epsilon=1e-4)
-        loss_a, grad_a = niw.niw_client_loss_grad(
-            client, self.batch, post, data_size, self.arch, mask=nn.full_mask(self.arch)
+        loss_a, grad_a = total_loss_and_grad(
+            niw.niw_objective(post, self.arch, data_size, p_keep=1.0), m_i, self.batch
         )
         mu = (post.n0 + self.d + 1) / (alpha * data_size)
-        loss_b, grad_b = fedprox_client_loss_grad(
-            m_i, self.batch, post.m0, mu, self.arch
+        loss_b, grad_b = total_loss_and_grad(
+            prox_objective(self.arch, mu, post.m0), m_i, self.batch
         )
         assert abs(loss_a - loss_b) < 1e-12 * max(1.0, abs(loss_b))
         assert np.max(np.abs(grad_a - grad_b)) < 1e-12 * max(1.0, np.abs(grad_b).max())
 
     def test_gradient_matches_finite_differences_fixed_mask(self):
         m_i = self.rng.normal(size=self.d) * 0.3
-        client = niw.NiwClientPosterior(m_i=m_i, p_keep=0.8, epsilon=1e-4)
+
+        def objective():
+            # a freshly seeded mask stream draws the same mask every time
+            return niw.niw_objective(
+                self.post, self.arch, 20, p_keep=0.8, mask_rng=stream(7, "mask")
+            )
+
         mask = nn.sample_dropout_mask(0.8, self.arch, stream(7, "mask"))
-
-        def total_loss(p):
-            c = niw.NiwClientPosterior(m_i=p, p_keep=0.8, epsilon=1e-4)
-            return niw.niw_client_loss_grad(
-                c, self.batch, self.post, 20, self.arch, mask=mask
-            )[0]
-
-        _, grad = niw.niw_client_loss_grad(
-            client, self.batch, self.post, 20, self.arch, mask=mask
-        )
-        fd = central_diff_grad(total_loss, m_i)
+        assert not all(layer.all() for layer in mask.keep)
+        _, grad = total_loss_and_grad(objective(), m_i, self.batch)
+        fd = central_diff_grad(lambda p: objective()(p, self.batch)[0], m_i)
         assert rel_err(grad, fd).max() < 1e-5
 
     def test_normalized_mode_drops_confidence_factor(self):
         m_i = self.rng.normal(size=self.d)
-        client = niw.NiwClientPosterior(m_i=m_i, p_keep=1.0, epsilon=1e-4)
-        mask = nn.full_mask(self.arch)
-        _, g_lit = niw.niw_client_loss_grad(
-            client, self.batch, self.post, 20, self.arch, mask=mask
+        _, g_lit = total_loss_and_grad(
+            niw.niw_objective(self.post, self.arch, 20, p_keep=1.0), m_i, self.batch
         )
-        _, g_norm = niw.niw_client_loss_grad(
-            client, self.batch, self.post, 20, self.arch, mask=mask,
-            penalty_mode="normalized",
+        _, g_norm = total_loss_and_grad(
+            niw.niw_objective(
+                self.post, self.arch, 20, p_keep=1.0, penalty_mode="normalized"
+            ),
+            m_i, self.batch,
         )
-        _, g_ce = nn.loss_and_grad(m_i, self.arch, self.batch, mask)
+        _, g_ce = nn.loss_and_grad(m_i, self.arch, self.batch)
         factor = self.post.n0 + self.d + 1
         assert np.allclose(g_lit - g_ce, factor * (g_norm - g_ce), rtol=1e-12)
 
@@ -126,11 +123,8 @@ class TestClientLossGrad:
             n0=60 + self.d + 2,
             d=self.d,
         )
-        client = niw.NiwClientPosterior(m_i=np.zeros(self.d), p_keep=1.0, epsilon=1e-4)
         with pytest.raises(niw.VarianceFloorViolation):
-            niw.niw_client_loss_grad(
-                client, self.batch, post, 20, self.arch, mask=nn.full_mask(self.arch)
-            )
+            niw.niw_objective(post, self.arch, 20, p_keep=1.0)
 
     def test_penalty_symmetry(self):
         # swapping m_i - m0 with m0 - m_i leaves the penalty unchanged
@@ -456,15 +450,11 @@ class TestPersonalize:
         assert np.array_equal(m, self.post.m0)
 
     def test_strong_prior_limit_pins_to_m0(self):
+        # the penalty weight scales as 1/v0, so a tiny v0 is a very strong prior
+        strong = replace(self.post, v0_diag=self.post.v0_diag * 1e-7)
+        assert niw.penalty_weight(strong, 0.999, 30).min() > 1e7
         m = niw.niw_personalize(
-            self.inputs,
-            self.labels,
-            self.post,
-            self.arch,
-            3,
-            0.1,
-            stream(1),
-            penalty_scale=1e8,
+            self.inputs, self.labels, strong, self.arch, 3, 0.1, stream(1)
         )
         assert np.abs(m - self.post.m0).max() < 1e-3
 
