@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -217,20 +217,17 @@ def _parse_partition(obj, path="partition") -> dict:
     )
 
 
-_FED_KEYS = (
-    "n_clients", "participation", "local_epochs", "rounds", "strategy",
-    "p_keep", "epsilon", "sigma_sq", "k_prototypes", "mu_prox",
-    "lr", "lr_decay", "lr_milestones", "lr_schedule", "theory_lbar",
-    "batch_size", "body_update", "warm_start", "mixture_client_init",
-    "penalty_mode",
+# the federated block holds every FederatedConfig field except seed and
+# sample_count, which the spec keeps at its top level and in "evaluation"
+_FED_FIELDS = tuple(
+    f for f in fields(FederatedConfig) if f.name not in ("seed", "sample_count")
 )
-_FED_TYPES = {
-    "n_clients": int, "participation": float, "local_epochs": int,
-    "rounds": int, "strategy": str, "p_keep": float, "epsilon": float,
-    "sigma_sq": float, "k_prototypes": int, "mu_prox": float, "lr": float,
-    "lr_decay": float, "lr_schedule": str, "theory_lbar": float,
-    "batch_size": int, "body_update": bool, "warm_start": str,
-    "mixture_client_init": str, "penalty_mode": str,
+_FED_KEYS = tuple(f.name for f in _FED_FIELDS)
+_SCALAR_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+_FED_TYPES = {  # lr_milestones, a list, is parsed on its own
+    f.name: _SCALAR_TYPES[f.type.removesuffix(" | None")]
+    for f in _FED_FIELDS
+    if f.name != "lr_milestones"
 }
 
 
@@ -342,26 +339,8 @@ def resolved_spec(spec: ExperimentSpec) -> dict:
         "partition": dict(spec.partition),
         "model": {"hidden": list(spec.hidden)},
         "federated": {
-            "n_clients": c.n_clients,
-            "participation": c.participation,
-            "local_epochs": c.local_epochs,
-            "rounds": c.rounds,
-            "strategy": c.strategy,
-            "p_keep": c.p_keep,
-            "epsilon": c.epsilon,
-            "sigma_sq": c.sigma_sq,
-            "k_prototypes": c.k_prototypes,
-            "mu_prox": c.mu_prox,
-            "lr": c.lr,
-            "lr_decay": c.lr_decay,
+            **{k: getattr(c, k) for k in _FED_KEYS},
             "lr_milestones": list(milestones),
-            "lr_schedule": c.lr_schedule,
-            "theory_lbar": c.theory_lbar,
-            "batch_size": c.batch_size,
-            "body_update": c.body_update,
-            "warm_start": c.warm_start,
-            "mixture_client_init": c.mixture_client_init,
-            "penalty_mode": c.penalty_mode,
         },
         "evaluation": {
             "eval_every": spec.evaluation.eval_every,

@@ -105,6 +105,14 @@ class FederatedConfig:
             raise ConfigError(f"k_prototypes must be >= 1, got {self.k_prototypes}")
         if self.sample_count < 1:
             raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.mu_prox < 0:
+            raise ConfigError(f"mu_prox must be >= 0, got {self.mu_prox}")
+        if not 0.0 < self.p_keep <= 1.0:
+            raise ConfigError(f"p_keep must be in (0, 1], got {self.p_keep}")
+        if self.epsilon <= 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.sigma_sq <= 0:
+            raise ConfigError(f"sigma_sq must be positive, got {self.sigma_sq}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigError(
                 f"unknown lr_schedule {self.lr_schedule!r}; valid: {LR_SCHEDULES}"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fedsim import data, experiment
+from fedsim.runtime import ConfigError
 from fedsim.experiment import (
     SpecError,
     build_id,
@@ -133,6 +134,21 @@ class TestParseSpec:
                 tiny_spec_obj(partition={"kind": "dirichlet", "alpha": 0.0})
             )
 
+    @pytest.mark.parametrize("key,value", [
+        ("mu_prox", -5.0),
+        ("p_keep", 0.0),
+        ("p_keep", -0.1),
+        ("p_keep", 1.5),
+        ("epsilon", 0.0),
+        ("epsilon", -1e-4),
+        ("sigma_sq", 0.0),
+        ("sigma_sq", -0.1),
+    ])
+    def test_out_of_range_federated_values_rejected(self, key, value):
+        with pytest.raises(SpecError, match=f"^federated: {key} ") as info:
+            parse_spec_dict(tiny_spec_obj(federated={key: value}))
+        assert isinstance(info.value.__cause__, ConfigError)
+
     def test_fedbabu_forces_body_update(self):
         spec = parse_spec_dict(tiny_spec_obj(federated={"strategy": "fedbabu"}))
         assert spec.config.body_update is True
@@ -173,6 +189,25 @@ class TestParseSpec:
         c = resolved_spec(parse_spec_dict(tiny_spec_obj(seed=77)))
         assert build_id(a) == build_id(b)
         assert build_id(a) != build_id(c)
+
+    def test_shipped_spec_build_ids_are_stable(self):
+        # checkpoints record the build id; resume compatibility of runs of
+        # the shipped specs depends on it never changing
+        spec_dir = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
+        ids = {
+            name: build_id(resolved_spec(parse_spec(os.path.join(spec_dir, name))))
+            for name in sorted(os.listdir(spec_dir))
+        }
+        assert ids == {
+            "mnist_fedavg.json": "6d0eba81b733",
+            "mnist_fedbabu.json": "ecaaa79ea343",
+            "mnist_fedprox.json": "9c877fabc592",
+            "mnist_mixture.json": "a7baa61d7423",
+            "mnist_niw.json": "1fafbf51c10d",
+            "quickstart.json": "98936d4ea615",
+            "synth_convergence.json": "49a286cd56c3",
+            "synth_niw.json": "546f2648a4be",
+        }
 
 
 class TestRunExperiment:
