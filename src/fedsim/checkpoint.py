@@ -201,7 +201,10 @@ def _read_sections(f, path: str) -> dict[str, bytes]:
         size_b = f.read(8)
         if len(name_b) < name_len or len(size_b) < 8:
             raise CheckpointError(f"{path}: truncated section header")
-        name = name_b.decode("ascii")
+        try:
+            name = name_b.decode("ascii")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: section name is not ASCII: {e}") from e
         (size,) = struct.unpack("<Q", size_b)
         payload = f.read(size)
         if len(payload) < size:
@@ -215,28 +218,25 @@ def _read_sections(f, path: str) -> dict[str, bytes]:
     return sections
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as f:
-        sections = _read_sections(f, path)
-
+def _checkpoint_from_sections(sections: dict[str, bytes]) -> Checkpoint:
     def jsec(name):
         if name not in sections:
-            raise CheckpointError(f"{path}: missing section {name!r}")
+            raise CheckpointError(f"missing section {name!r}")
         try:
             return json.loads(sections[name])
         except json.JSONDecodeError as e:
-            raise CheckpointError(f"{path}: section {name!r} is not JSON: {e}") from e
+            raise CheckpointError(f"section {name!r} is not JSON: {e}") from e
 
     meta = jsec("meta")
     if meta.get("format") != "fedsim-checkpoint":
-        raise CheckpointError(f"{path}: unexpected meta format {meta.get('format')!r}")
+        raise CheckpointError(f"unexpected meta format {meta.get('format')!r}")
     state = _state_from_sections(jsec("state"), sections)
     records = [_record_from_dict(d) for d in jsec("records")]
     retained = {}
     for cid in jsec("retained")["client_ids"]:
         name = f"arr:retained:{cid}"
         if name not in sections:
-            raise CheckpointError(f"{path}: missing array section {name!r}")
+            raise CheckpointError(f"missing array section {name!r}")
         retained[int(cid)] = _bytes_array(sections[name], name)
     return Checkpoint(
         spec=jsec("spec"),
@@ -245,3 +245,17 @@ def load_checkpoint(path: str) -> Checkpoint:
         strategy_state=state,
         retained=retained,
     )
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; any malformed content raises CheckpointError naming path."""
+    with open(path, "rb") as f:
+        sections = _read_sections(f, path)
+    try:
+        return _checkpoint_from_sections(sections)
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+    except KeyError as e:
+        raise CheckpointError(f"{path}: missing field {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed content: {e}") from e

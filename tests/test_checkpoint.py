@@ -1,6 +1,8 @@
 """Checkpoint format round trips and resume bit-equality."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -114,6 +116,84 @@ class TestMalformed:
         bad.write_bytes(blob[:8])
         with pytest.raises(CheckpointError, match="missing section"):
             load_checkpoint(str(bad))
+
+
+    def rewrite(self, tmp_path, edit, strategy="fedavg"):
+        """A valid checkpoint with edit(sections) applied, written back out."""
+        spec, run = build_tiny_run(tmp_path, federated={"strategy": strategy})
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, run, experiment.resolved_spec(spec))
+        with open(path, "rb") as f:
+            sections = checkpoint._read_sections(f, path)
+        edit(sections)
+        bad = tmp_path / "bad.bin"
+        with open(bad, "wb") as f:
+            f.write(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION))
+            for name, payload in sections.items():
+                nb = name if isinstance(name, bytes) else name.encode("ascii")
+                f.write(struct.pack("<I", len(nb)) + nb)
+                f.write(struct.pack("<Q", len(payload)) + payload)
+        return str(bad)
+
+    @staticmethod
+    def drop_field(section, key, index=None):
+        def edit(sections):
+            obj = json.loads(sections[section])
+            target = obj if index is None else obj[index]
+            del target[key]
+            sections[section] = json.dumps(obj).encode()
+        return edit
+
+    @pytest.mark.parametrize("section,key,index,strategy", [
+        ("meta", "round_index", None, "fedavg"),
+        ("records", "global_acc", 0, "fedavg"),
+        ("state", "l0", None, "niw"),
+        ("state", "gating_layers", None, "mixture"),
+        ("retained", "client_ids", None, "fedavg"),
+    ])
+    def test_missing_field_names_file(self, tmp_path, section, key, index, strategy):
+        def add_record(sections):
+            rec = {"round_index": 1, "participants": [0], "global_acc": 0.5,
+                   "mean_client_loss": 1.0, "server_objective": 1.0,
+                   "wall_ms": 1.0}
+            sections["records"] = json.dumps([rec]).encode()
+            self.drop_field(section, key, index)(sections)
+
+        bad = self.rewrite(tmp_path, add_record, strategy)
+        with pytest.raises(CheckpointError, match=key) as info:
+            load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+
+    @pytest.mark.parametrize("section,payload", [
+        ("meta", b"[]"),
+        ("records", b"[1]"),
+        ("state", b'{"kind": "niw", "l0": "x", "n0": 1, "d": 1}'),
+    ])
+    def test_wrong_json_shape_names_file(self, tmp_path, section, payload):
+        def edit(sections):
+            sections[section] = payload
+
+        bad = self.rewrite(tmp_path, edit, "niw")
+        with pytest.raises(CheckpointError, match="malformed content") as info:
+            load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+
+    def test_non_ascii_section_name_names_file(self, tmp_path):
+        def edit(sections):
+            sections["caf\u00e9".encode("utf-8")] = b"{}"
+
+        bad = self.rewrite(tmp_path, edit)
+        with pytest.raises(CheckpointError, match="not ASCII") as info:
+            load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+
+    def test_resume_of_malformed_file_exits_with_message(self, tmp_path, capsys):
+        from fedsim.cli import main
+
+        bad = self.rewrite(tmp_path, self.drop_field("meta", "round_index"))
+        assert main(["resume", bad]) == 1
+        err = capsys.readouterr().err
+        assert bad in err and "round_index" in err
 
 
 class TestResume:
