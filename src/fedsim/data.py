@@ -302,42 +302,22 @@ def _synth_draw(
     return ds, np.concatenate(tags)
 
 
-def synth_generate(
-    num_clusters: int, num_classes: int, dims: int, per_class: int,
-    shift_scale: float, rng: np.random.Generator,
-    class_scale: float = 1.0, noise_sd: float = 0.4,
-) -> tuple[LabeledDataset, SynthMeta]:
-    """Gaussian class blobs with a per-cluster covariate shift, squashed to [0,1].
-
-    Every cluster contains per_class samples of each class whose mean is the
-    class mean plus the cluster's offset. The affine squash is chosen from
-    the realized means so clipping is a >6 sigma event.
-    """
-    if min(num_clusters, num_classes, dims, per_class) < 1:
-        raise ValueError("all synth_generate counts must be >= 1")
-    if noise_sd <= 0:
-        raise ValueError(f"noise_sd must be positive, got {noise_sd}")
-    raw_means = _synth_means(
-        num_clusters, num_classes, dims, shift_scale, rng, class_scale
-    )
-    offset = float(np.abs(raw_means).max() + 6.0 * noise_sd)
-    scale = 2.0 * offset
-    ds, tags = _synth_draw(
-        raw_means, per_class, noise_sd, rng, offset, scale, num_classes
-    )
-    meta = SynthMeta(
-        cluster_tags=tags, raw_means=raw_means, offset=offset, scale=scale,
-        noise_sd=noise_sd,
-    )
-    return ds, meta
-
-
 def synth_train_test(
     num_clusters: int, num_classes: int, dims: int, per_class_train: int,
     per_class_test: int, shift_scale: float, rng: np.random.Generator,
     class_scale: float = 1.0, noise_sd: float = 0.4,
 ) -> tuple[LabeledDataset, SynthMeta, LabeledDataset, SynthMeta]:
-    """Train and test splits drawn around one shared set of blob means."""
+    """Gaussian class blobs with a per-cluster covariate shift, squashed to [0,1].
+
+    Every cluster contains per_class_train train and per_class_test test
+    samples of each class, whose mean is the class mean plus the cluster's
+    offset; both splits share one set of means. The affine squash is chosen
+    from the realized means so clipping is a >6 sigma event.
+    """
+    if min(num_clusters, num_classes, dims, per_class_train, per_class_test) < 1:
+        raise ValueError("all synth_train_test counts must be >= 1")
+    if noise_sd <= 0:
+        raise ValueError(f"noise_sd must be positive, got {noise_sd}")
     raw_means = _synth_means(
         num_clusters, num_classes, dims, shift_scale, rng, class_scale
     )

@@ -11,12 +11,13 @@ An experiment spec is a JSON object:
                  | {"kind": "dirichlet", "alpha": 0.5},
       "model":     {"hidden": [256]},
       "federated": {... federated config fields ...},
-      "evaluation": {"eval_every": 1, "personalize": true, ...}
+      "evaluation": {... EvalSpec fields, plus sample_count ...}
     }
 
-Unknown keys are rejected with their field path. Defaults follow the
-reference experimental protocol (p_keep 0.999, epsilon 1e-4, sigma_sq 0.1,
-K 2, mu_prox 0.01, batch 50, lr 0.1 with one 0.1x decay at half budget).
+Unknown keys are rejected with their field path. The "federated" keys are
+the fields of `runtime.FederatedConfig` (all but seed and sample_count), the
+"evaluation" keys those of `EvalSpec` plus sample_count; each field's
+annotation sets its JSON type and its default is the dataclass default.
 
 Artifacts written into the output directory:
 
@@ -36,7 +37,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -188,6 +189,8 @@ def _parse_dataset(obj, path="dataset") -> dict:
                   "test_per_class"):
             if out[k] < 1:
                 raise SpecError(f"{path}.{k}: must be >= 1, got {out[k]}")
+        if not out["noise_sd"] > 0:
+            raise SpecError(f"{path}.noise_sd: must be > 0, got {out['noise_sd']}")
         return out
     _check_keys(obj, path, ("kind", "train", "test"), ())
     return {
@@ -217,37 +220,34 @@ def _parse_partition(obj, path="partition") -> dict:
     )
 
 
-# the federated block holds every FederatedConfig field except seed and
-# sample_count, which the spec keeps at its top level and in "evaluation"
-_FED_FIELDS = tuple(
-    f for f in fields(FederatedConfig) if f.name not in ("seed", "sample_count")
+_FIELDS = {f.name: f for cls in (FederatedConfig, EvalSpec) for f in fields(cls)}
+# the federated block holds every FederatedConfig field except seed, which
+# the spec keeps at its top level, and sample_count, which sits in "evaluation"
+_FED_KEYS = tuple(
+    f.name for f in fields(FederatedConfig) if f.name not in ("seed", "sample_count")
 )
-_FED_KEYS = tuple(f.name for f in _FED_FIELDS)
+_EVAL_KEYS = (*(f.name for f in fields(EvalSpec)), "sample_count")
 _SCALAR_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
-_FED_TYPES = {  # lr_milestones, a list, is parsed on its own
-    f.name: _SCALAR_TYPES[f.type.removesuffix(" | None")]
-    for f in _FED_FIELDS
-    if f.name != "lr_milestones"
-}
 
 
-def _parse_federated(obj, seed: int, sample_count: int) -> FederatedConfig:
-    path = "federated"
+def _parse_fields(obj, path: str, keys: tuple) -> dict:
+    """Type-check the keys present in a block against their field annotations.
+
+    `X | None` also accepts null; `tuple[int, ...]` takes a list of integers.
+    """
     obj = _require_obj(obj, path)
-    _check_keys(obj, path, (), _FED_KEYS)
-    kwargs = {"n_clients": 100}  # reference protocol client count
-    for key, kind in _FED_TYPES.items():
-        if key in obj:
-            if key == "rounds" and obj[key] is None:
-                continue
-            kwargs[key] = _typed(obj, path, key, kind, None)
-    ms = _int_list(obj, path, "lr_milestones", None)
-    if ms is not None:
-        kwargs["lr_milestones"] = ms
-    try:
-        return FederatedConfig(seed=seed, sample_count=sample_count, **kwargs)
-    except ConfigError as e:
-        raise SpecError(f"{path}: {e}") from e
+    _check_keys(obj, path, (), keys)
+    out = {}
+    for key, value in obj.items():
+        kind = _FIELDS[key].type
+        if value is None and kind.endswith(" | None"):
+            out[key] = None
+        elif kind.startswith("tuple[int"):
+            out[key] = _int_list(obj, path, key, None)
+        else:
+            scalar = _SCALAR_TYPES[kind.removesuffix(" | None")]
+            out[key] = _typed(obj, path, key, scalar, None)
+    return out
 
 
 def parse_spec_dict(obj) -> ExperimentSpec:
@@ -273,27 +273,15 @@ def parse_spec_dict(obj) -> ExperimentSpec:
     if any(h < 1 for h in hidden):
         raise SpecError(f"model.hidden: layer sizes must be >= 1, got {list(hidden)}")
 
-    ev = _require_obj(obj.get("evaluation", {}), "evaluation")
-    _check_keys(
-        ev, "evaluation", (),
-        ("eval_every", "personalize", "personalization_epochs",
-         "personalization_lr", "sample_count", "checkpoint_every"),
-    )
-    plr = ev.get("personalization_lr")
-    if plr is not None:
-        plr = _typed(ev, "evaluation", "personalization_lr", float, None)
-    evaluation = EvalSpec(
-        eval_every=_typed(ev, "evaluation", "eval_every", int, 1),
-        personalize=_typed(ev, "evaluation", "personalize", bool, True),
-        personalization_epochs=_typed(
-            ev, "evaluation", "personalization_epochs", int, 5
-        ),
-        personalization_lr=plr,
-        checkpoint_every=_typed(ev, "evaluation", "checkpoint_every", int, 0),
-    )
-    sample_count = _typed(ev, "evaluation", "sample_count", int, 10)
-
-    config = _parse_federated(obj.get("federated", {}), seed, sample_count)
+    ev = _parse_fields(obj.get("evaluation", {}), "evaluation", _EVAL_KEYS)
+    fed = _parse_fields(obj.get("federated", {}), "federated", _FED_KEYS)
+    if "sample_count" in ev:
+        fed["sample_count"] = ev.pop("sample_count")
+    evaluation = EvalSpec(**ev)
+    try:
+        config = FederatedConfig(seed=seed, **fed)
+    except ConfigError as e:
+        raise SpecError(f"federated: {e}") from e
     return ExperimentSpec(
         name=name, seed=seed, out=out, dataset=dataset, partition=partition,
         hidden=hidden, config=config, evaluation=evaluation,
@@ -327,9 +315,7 @@ def parse_spec(
 def resolved_spec(spec: ExperimentSpec) -> dict:
     """Echo the spec with every field explicit; parse_spec_dict round-trips it."""
     c = spec.config
-    milestones = c.lr_milestones
-    if milestones is None:
-        milestones = (c.rounds // 2,) if c.rounds >= 2 else ()
+    fed = {k: getattr(c, k) for k in _FED_KEYS}
     return {
         "format": SPEC_FORMAT,
         "name": spec.name,
@@ -338,18 +324,11 @@ def resolved_spec(spec: ExperimentSpec) -> dict:
         "dataset": dict(spec.dataset),
         "partition": dict(spec.partition),
         "model": {"hidden": list(spec.hidden)},
+        # a tuple echoes as a list, so the echo equals its own JSON round trip
         "federated": {
-            **{k: getattr(c, k) for k in _FED_KEYS},
-            "lr_milestones": list(milestones),
+            k: list(v) if isinstance(v, tuple) else v for k, v in fed.items()
         },
-        "evaluation": {
-            "eval_every": spec.evaluation.eval_every,
-            "personalize": spec.evaluation.personalize,
-            "personalization_epochs": spec.evaluation.personalization_epochs,
-            "personalization_lr": spec.evaluation.personalization_lr,
-            "sample_count": c.sample_count,
-            "checkpoint_every": spec.evaluation.checkpoint_every,
-        },
+        "evaluation": {**asdict(spec.evaluation), "sample_count": c.sample_count},
     }
 
 

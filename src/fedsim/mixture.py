@@ -15,6 +15,8 @@ import numpy as np
 
 from . import nn, optim
 
+WARM_STARTS = ("proxy", "per_prototype")
+
 
 @dataclass(frozen=True)
 class MixtureGlobalPosterior:
@@ -44,46 +46,30 @@ class MixtureGlobalPosterior:
         return len(self.prototypes)
 
 
-def _scaled_sq_dists(m: np.ndarray, prototypes, sigma_sq: float) -> np.ndarray:
-    """||m - r_j||^2 / (2 sigma^2) for each prototype."""
-    out = np.empty(len(prototypes))
+def mix_penalty(
+    m: np.ndarray, prototypes, sigma_sq: float
+) -> tuple[float, np.ndarray]:
+    """-log sum_j exp(-d_j) and the softmax weights w of -d, one pass over
+    the K distances d_j = ||m-r_j||^2 / 2 sigma^2.
+
+    The penalty's gradient in m is sum_j w_j (m - r_j) / sigma^2.
+    Max-subtraction keeps the evaluation finite for arbitrarily large
+    distances.
+    """
+    dists = np.empty(len(prototypes))
     for j, r in enumerate(prototypes):
         diff = m - r
-        out[j] = float(diff @ diff) / (2.0 * sigma_sq)
-    return out
-
-
-def _softmin_weights(dists: np.ndarray) -> tuple[float, np.ndarray]:
-    """Stable (-logsumexp(-d), softmax(-d)) for nonnegative distances."""
+        dists[j] = float(diff @ diff) / (2.0 * sigma_sq)
     a = -dists
     a_max = a.max()
     exp_shift = np.exp(a - a_max)
     total = exp_shift.sum()
-    value = -(a_max + np.log(total))
-    return value, exp_shift / total
-
-
-def mix_penalty(
-    m: np.ndarray, prototypes, sigma_sq: float
-) -> tuple[float, np.ndarray]:
-    """-log sum_j exp(-||m-r_j||^2 / 2 sigma^2) and its gradient in m.
-
-    gradient = sum_j w_j (m - r_j) / sigma^2 with w = softmax weights.
-    Max-subtraction keeps the evaluation finite for arbitrarily large
-    distances.
-    """
-    dists = _scaled_sq_dists(m, prototypes, sigma_sq)
-    value, w = _softmin_weights(dists)
-    grad = np.zeros_like(m)
-    for j, r in enumerate(prototypes):
-        grad += w[j] * (m - r)
-    return value, grad / sigma_sq
+    return -(a_max + np.log(total)), exp_shift / total
 
 
 def prototype_weights(m: np.ndarray, prototypes, sigma_sq: float) -> np.ndarray:
     """Softmax weights of -||m-r_j||^2/2sigma^2, one responsibility row."""
-    _, w = _softmin_weights(_scaled_sq_dists(m, prototypes, sigma_sq))
-    return w
+    return mix_penalty(m, prototypes, sigma_sq)[1]
 
 
 def mix_objective(
@@ -109,11 +95,13 @@ def mix_objective(
 
     def objective(m, batch):
         ce, g = nn.loss_and_grad(m, arch, batch)
-        pen, pen_grad = mix_penalty(m, protos, sigma_sq)
+        pen, wts = mix_penalty(m, protos, sigma_sq)
         loss = ce + pen / data_size
         if not majorize:
-            return loss, g + pen_grad / data_size, None, 0.0
-        wts = prototype_weights(m, protos, sigma_sq)
+            pen_grad = np.zeros_like(m)
+            for j, r in enumerate(protos):
+                pen_grad += wts[j] * (m - r)
+            return loss, g + pen_grad / sigma_sq / data_size, None, 0.0
         center = np.zeros_like(m)
         for j, r in enumerate(protos):
             center += wts[j] * r
@@ -128,7 +116,7 @@ def mix_e_step(client_means, prototypes, sigma_sq: float) -> np.ndarray:
         raise ValueError("client_means and prototypes must be non-empty")
     c = np.empty((len(client_means), len(prototypes)))
     for i, m in enumerate(client_means):
-        _, c[i] = _softmin_weights(_scaled_sq_dists(m, prototypes, sigma_sq))
+        c[i] = prototype_weights(m, prototypes, sigma_sq)
     return c
 
 
@@ -156,8 +144,7 @@ def mix_server_objective(prototypes, client_means, sigma_sq: float) -> float:
     """(1/2) sum_j ||r_j||^2 - sum_i log sum_j exp(-||m_i-r_j||^2/2sigma^2)."""
     value = 0.5 * sum(float(r @ r) for r in prototypes)
     for m in client_means:
-        lse_neg, _ = _softmin_weights(_scaled_sq_dists(m, prototypes, sigma_sq))
-        value += lse_neg
+        value += mix_penalty(m, prototypes, sigma_sq)[0]
     return value
 
 
@@ -222,7 +209,7 @@ def mix_personalize(
     n = inputs.shape[0]
     if n < 1:
         raise ValueError("personal training data is empty")
-    if warm_start not in ("proxy", "per_prototype"):
+    if warm_start not in WARM_STARTS:
         raise ValueError(f"unknown warm_start {warm_start!r}")
     objective = mix_objective(global_post, arch, n, majorize=False)
 

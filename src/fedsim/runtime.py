@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, nn
+from . import data, mixture, niw, nn
 from .rng import stream
 from .strategies import STRATEGIES, ClientResult, Strategy
 
 LR_SCHEDULES = ("constant_decay", "theory")
 MIXTURE_CLIENT_INITS = ("from_server", "retained")
-WARM_STARTS = ("proxy", "per_prototype")
 
 
 class ConfigError(ValueError):
@@ -45,9 +44,19 @@ def default_rounds(local_epochs: int) -> int:
     return 320 // local_epochs
 
 
+# each choice field's valid values, kept by the module that interprets them
+_CHOICES = {
+    "strategy": STRATEGIES,
+    "lr_schedule": LR_SCHEDULES,
+    "mixture_client_init": MIXTURE_CLIENT_INITS,
+    "warm_start": mixture.WARM_STARTS,
+    "penalty_mode": niw.PENALTY_MODES,
+}
+
+
 @dataclass(frozen=True)
 class FederatedConfig:
-    n_clients: int
+    n_clients: int = 100  # reference protocol client count
     participation: float = 1.0  # f
     local_epochs: int = 1  # tau
     rounds: int | None = None  # default floor(320/tau)
@@ -71,19 +80,21 @@ class FederatedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown strategy {self.strategy!r}; "
-                f"valid: {', '.join(sorted(STRATEGIES))}"
-            )
+        for name, valid in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in valid:
+                raise ConfigError(
+                    f"unknown {name} {value!r}; valid: {', '.join(valid)}"
+                )
         if self.rounds is None:
             object.__setattr__(self, "rounds", default_rounds(self.local_epochs))
+        if self.lr_milestones is None:
+            milestones = (self.rounds // 2,) if self.rounds >= 2 else ()
+        else:
+            milestones = tuple(int(m) for m in self.lr_milestones)
+        object.__setattr__(self, "lr_milestones", milestones)
         if self.strategy == "fedbabu" and not self.body_update:
             object.__setattr__(self, "body_update", True)
-        if self.lr_milestones is not None:
-            object.__setattr__(
-                self, "lr_milestones", tuple(int(m) for m in self.lr_milestones)
-            )
         if self.n_clients < 1:
             raise ConfigError(f"n_clients must be >= 1, got {self.n_clients}")
         if not 0.0 < self.participation <= 1.0:
@@ -109,23 +120,12 @@ class FederatedConfig:
             raise ConfigError(f"mu_prox must be >= 0, got {self.mu_prox}")
         if not 0.0 < self.p_keep <= 1.0:
             raise ConfigError(f"p_keep must be in (0, 1], got {self.p_keep}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.sigma_sq <= 0:
-            raise ConfigError(f"sigma_sq must be positive, got {self.sigma_sq}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ConfigError(
-                f"unknown lr_schedule {self.lr_schedule!r}; valid: {LR_SCHEDULES}"
-            )
-        if self.mixture_client_init not in MIXTURE_CLIENT_INITS:
-            raise ConfigError(
-                f"unknown mixture_client_init {self.mixture_client_init!r}; "
-                f"valid: {MIXTURE_CLIENT_INITS}"
-            )
-        if self.warm_start not in WARM_STARTS:
-            raise ConfigError(
-                f"unknown warm_start {self.warm_start!r}; valid: {WARM_STARTS}"
-            )
+        for name in ("epsilon", "sigma_sq", "lr", "lr_decay"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        if self.theory_lbar < 0:
+            raise ConfigError(f"theory_lbar must be >= 0, got {self.theory_lbar}")
 
     @property
     def n_f(self) -> int:
@@ -222,10 +222,7 @@ def sample_participants(
 def lr_at(config: FederatedConfig, round_index: int) -> float:
     if config.lr_schedule == "theory":
         return 1.0 / (config.theory_lbar + math.sqrt(round_index))
-    milestones = config.lr_milestones
-    if milestones is None:
-        milestones = (config.rounds // 2,) if config.rounds >= 2 else ()
-    decays = sum(1 for m in milestones if m > 0 and round_index > m)
+    decays = sum(1 for m in config.lr_milestones if m > 0 and round_index > m)
     return config.lr * config.lr_decay**decays
 
 
@@ -301,7 +298,7 @@ class PersonalizationReport:
 
 
 def evaluate_personalized(
-    run: RunState, epochs: int = 5, lr: float | None = None
+    run: RunState, epochs: int, lr: float | None = None
 ) -> PersonalizationReport:
     """Fine-tune per client on its train split, score on its test split."""
     lr = run.config.lr if lr is None else lr

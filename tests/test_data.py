@@ -192,21 +192,29 @@ class TestLoadIdx:
             data.load_idx(img, str(lab3))
 
 
+def synth(num_clusters, num_classes, dims, per_class, shift, rng, **kw):
+    """The train split of synth_train_test (one test row per class)."""
+    train, meta, _, _ = data.synth_train_test(
+        num_clusters, num_classes, dims, per_class, 1, shift, rng, **kw
+    )
+    return train, meta
+
+
 class TestSynthGenerate:
     def test_zero_shift_collapses_clusters(self):
-        ds, meta = data.synth_generate(3, 2, 4, 10, 0.0, stream(10, "z"))
+        ds, meta = synth(3, 2, 4, 10, 0.0, stream(10, "z"))
         for k in range(1, 3):
             np.testing.assert_array_equal(meta.raw_means[k], meta.raw_means[0])
 
     def test_shapes_and_range(self):
-        ds, meta = data.synth_generate(2, 3, 5, 7, 1.0, stream(11, "s"))
+        ds, meta = synth(2, 3, 5, 7, 1.0, stream(11, "s"))
         assert len(ds) == 2 * 3 * 7 and ds.input_dim == 5
         assert ds.inputs.min() >= 0 and ds.inputs.max() <= 1
         assert meta.cluster_tags.shape == (len(ds),)
         assert np.bincount(meta.cluster_tags).tolist() == [21, 21]
 
     def test_class_means_match_configuration(self):
-        ds, meta = data.synth_generate(2, 3, 4, 200, 1.5, stream(12, "m"))
+        ds, meta = synth(2, 3, 4, 200, 1.5, stream(12, "m"))
         bound = 4.0 * meta.normalized_noise_sd / np.sqrt(200)
         for k in range(2):
             for c in range(3):
@@ -216,7 +224,7 @@ class TestSynthGenerate:
                 assert err < bound, f"cluster {k} class {c}: {err} >= {bound}"
 
     def test_cross_cluster_probe_near_chance(self):
-        ds, meta = data.synth_generate(
+        ds, meta = synth(
             2, 4, 6, 60, 6.0, stream(13, "probe"), noise_sd=0.3
         )
         a = meta.cluster_tags == 0
@@ -237,10 +245,19 @@ class TestSynthGenerate:
         assert acc(~a) < 0.45, f"probe transfers too well: {acc(~a)}"
 
     def test_deterministic(self):
-        d1, m1 = data.synth_generate(2, 2, 3, 5, 1.0, stream(14, "det"))
-        d2, m2 = data.synth_generate(2, 2, 3, 5, 1.0, stream(14, "det"))
+        d1, m1 = synth(2, 2, 3, 5, 1.0, stream(14, "det"))
+        d2, m2 = synth(2, 2, 3, 5, 1.0, stream(14, "det"))
         np.testing.assert_array_equal(d1.inputs, d2.inputs)
         np.testing.assert_array_equal(m1.cluster_tags, m2.cluster_tags)
+
+    @pytest.mark.parametrize("counts,noise_sd,match", [
+        ((0, 3, 4, 20, 8), 0.4, "counts"),
+        ((2, 3, 4, 20, 0), 0.4, "counts"),
+        ((2, 3, 4, 20, 8), 0.0, "noise_sd"),
+    ])
+    def test_rejects_empty_counts_and_flat_noise(self, counts, noise_sd, match):
+        with pytest.raises(ValueError, match=match):
+            data.synth_train_test(*counts, 1.0, stream(15, "bad"), noise_sd=noise_sd)
 
     def test_train_test_share_means(self):
         tr, mtr, te, mte = data.synth_train_test(
@@ -253,7 +270,7 @@ class TestSynthGenerate:
 
 class TestContainer:
     def test_round_trip(self, tmp_path):
-        ds, _ = data.synth_generate(2, 3, 4, 6, 1.0, stream(16, "rt"))
+        ds, _ = synth(2, 3, 4, 6, 1.0, stream(16, "rt"))
         path = str(tmp_path / "ds.bin")
         data.save_dataset(path, ds)
         back = data.load_dataset(path)
@@ -268,7 +285,7 @@ class TestContainer:
             data.load_dataset(str(path))
 
     def test_truncated(self, tmp_path):
-        ds, _ = data.synth_generate(1, 2, 3, 4, 0.5, stream(17, "tr"))
+        ds, _ = synth(1, 2, 3, 4, 0.5, stream(17, "tr"))
         path = str(tmp_path / "ds.bin")
         data.save_dataset(path, ds)
         blob = open(path, "rb").read()

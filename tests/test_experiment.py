@@ -128,6 +128,12 @@ class TestParseSpec:
         )
         assert spec.partition == {"kind": "dirichlet", "alpha": 0.5}
 
+    def test_flat_synthetic_noise_rejected(self):
+        obj = tiny_spec_obj()
+        obj["dataset"]["noise_sd"] = 0.0
+        with pytest.raises(SpecError, match=r"dataset\.noise_sd: must be > 0"):
+            parse_spec_dict(obj)
+
     def test_bad_alpha_rejected(self):
         with pytest.raises(SpecError, match="partition.alpha"):
             parse_spec_dict(
@@ -143,11 +149,24 @@ class TestParseSpec:
         ("epsilon", -1e-4),
         ("sigma_sq", 0.0),
         ("sigma_sq", -0.1),
+        ("lr", 0.0),
+        ("lr", -0.1),
+        ("lr_decay", 0.0),
+        ("lr_decay", -1.0),
+        ("theory_lbar", -0.5),
     ])
     def test_out_of_range_federated_values_rejected(self, key, value):
         with pytest.raises(SpecError, match=f"^federated: {key} ") as info:
             parse_spec_dict(tiny_spec_obj(federated={key: value}))
         assert isinstance(info.value.__cause__, ConfigError)
+
+    @pytest.mark.parametrize("key", [
+        "strategy", "lr_schedule", "mixture_client_init", "warm_start",
+        "penalty_mode",
+    ])
+    def test_unknown_choice_rejected_at_parse_time(self, key):
+        with pytest.raises(SpecError, match=f"^federated: unknown {key} 'bogus'"):
+            parse_spec_dict(tiny_spec_obj(federated={key: "bogus"}))
 
     def test_fedbabu_forces_body_update(self):
         spec = parse_spec_dict(tiny_spec_obj(federated={"strategy": "fedbabu"}))

@@ -8,9 +8,11 @@ and single-model prediction at K=1.
 import numpy as np
 import pytest
 
-from fedsim import mixture, nn
+from fedsim import mixture, nn, optim
 from fedsim.optim import local_train, prox_objective, total_loss_and_grad
 from fedsim.rng import stream
+from fedsim.runtime import FederatedConfig
+from fedsim.strategies import STRATEGIES
 
 from test_nn import central_diff_grad, make_batch, rel_err
 
@@ -29,6 +31,20 @@ def make_global(prototypes, sigma_sq=0.1, epsilon=1e-4, gating_arch=None,
         gating=gating,
         gating_arch=gating_arch,
     )
+
+
+def sgd_penalty(m, protos, sigma_sq):
+    """The penalty's value and gradient as the plain-SGD objective adds them.
+
+    A one-class MLP has zero cross-entropy and zero data gradient, and data
+    size 1 leaves the penalty unscaled.
+    """
+    arch = nn.MlpArch((m.size - 1, 1))
+    batch = nn.Batch(inputs=np.zeros((1, m.size - 1)),
+                     labels=np.zeros(1, dtype=np.int64))
+    gp = make_global(protos, sigma_sq=sigma_sq)
+    objective = mixture.mix_objective(gp, arch, 1, majorize=False)
+    return total_loss_and_grad(objective, m, batch)
 
 
 class TestTypes:
@@ -65,7 +81,7 @@ class TestPenalty:
         m = rng.normal(size=7)
         r = rng.normal(size=7)
         sigma_sq = 0.3
-        value, grad = mixture.mix_penalty(m, (r,), sigma_sq)
+        value, grad = sgd_penalty(m, (r,), sigma_sq)
         diff = m - r
         assert abs(value - float(diff @ diff) / (2 * sigma_sq)) < 1e-12
         np.testing.assert_allclose(grad, diff / sigma_sq, rtol=1e-12)
@@ -75,8 +91,10 @@ class TestPenalty:
         d_dist = 1.7
         protos = tuple(d_dist * np.eye(4)[j] for j in range(3))
         sigma_sq = 0.5
-        value, grad = mixture.mix_penalty(np.zeros(4), protos, sigma_sq)
+        value, grad = sgd_penalty(np.zeros(4), protos, sigma_sq)
         assert abs(value - (d_dist**2 / (2 * sigma_sq) - np.log(3))) < 1e-12
+        _, weights = mixture.mix_penalty(np.zeros(4), protos, sigma_sq)
+        np.testing.assert_allclose(weights, 1.0 / 3.0, atol=1e-15)
         # symmetric pull: gradient is the mean pull toward the centroid
         expect = sum((np.zeros(4) - r) / 3 for r in protos) / sigma_sq
         np.testing.assert_allclose(grad, expect, atol=1e-14)
@@ -86,7 +104,7 @@ class TestPenalty:
         protos = tuple(rng.normal(size=5) for _ in range(3))
         m = rng.normal(size=5)
         sigma_sq = 0.2
-        _, grad = mixture.mix_penalty(m, protos, sigma_sq)
+        _, grad = sgd_penalty(m, protos, sigma_sq)
         fd = central_diff_grad(
             lambda x: mixture.mix_penalty(x, protos, sigma_sq)[0], m
         )
@@ -95,7 +113,7 @@ class TestPenalty:
     def test_finite_at_huge_distances(self):
         m = np.zeros(2)
         protos = (np.array([1e8, 0.0]), np.array([0.5, 0.0]))
-        value, grad = mixture.mix_penalty(m, protos, 0.1)
+        value, grad = sgd_penalty(m, protos, 0.1)
         assert np.isfinite(value) and np.all(np.isfinite(grad))
         # the near prototype dominates entirely
         assert abs(value - 0.25 / 0.2) < 1e-12
@@ -167,6 +185,33 @@ class TestClientLossGrad:
             _, grad = total_loss_and_grad(objective, m, batch)
             fd = central_diff_grad(lambda x: objective(x, batch)[0], m)
             assert rel_err(grad, fd).max() < 1e-5
+
+    def test_one_distance_pass_per_local_step(self, monkeypatch):
+        calls = {"mix_penalty": 0, "prototype_weights": 0, "steps": 0}
+
+        def count(module, name, key):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(mixture, "mix_penalty", "mix_penalty")
+        count(mixture, "prototype_weights", "prototype_weights")
+        count(optim, "prox_quadratic_step", "steps")
+        rng = stream(24, "passes")
+        arch = nn.MlpArch((4, 5, 3))
+        config = FederatedConfig(
+            n_clients=1, strategy="mixture", local_epochs=2, batch_size=10
+        )
+        strategy = STRATEGIES["mixture"]
+        state = strategy.init_state(arch, nn.init_params(arch, rng), config, 30)
+        x = rng.normal(size=(30, 4))
+        y = rng.integers(0, 3, size=30)
+        strategy.client_update(state, 0, x, y, arch, config, 0.1, 1)
+        assert calls == {"mix_penalty": 6, "prototype_weights": 0, "steps": 6}
 
     def test_rejects_empty_dataset_size(self):
         arch = nn.MlpArch((4, 5, 3))
