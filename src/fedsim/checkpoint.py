@@ -16,6 +16,25 @@ Layout, all integers little-endian:
         u64   payload length
         payload bytes
 
+Sections, in file order:
+
+    meta                {"format", "version", "round_index", "strategy"}
+    spec                the resolved experiment description
+    records             the RoundRecords, encoded as below
+    state               the strategy's global state, encoded as below
+    retained            {"client_ids": [...]}
+    arr:state...        the state's arrays, sorted by name
+    arr:retained:<id>   each listed client's retained iterate
+
+The state and records are encoded from their dataclass fields: a dataclass
+becomes a dict of its fields, a tuple a list, an int or float stays as it
+is, and an array goes to its own section, whose name the JSON holds. The
+name extends `arr:state` by each field name and tuple index on the way
+down: `arr:state` (a bare parameter vector), `arr:state:m0`,
+`arr:state:prototypes:0`. Loading rebuilds each value from its class's
+field annotations, starting from the `state_type` of the strategy named in
+meta, so the types come from code and never from the file.
+
 Array payloads use the npy format; JSON payloads are canonical (sorted
 keys, no whitespace) so equal states produce equal bytes apart from the
 recorded wall-clock fields.
@@ -23,19 +42,21 @@ recorded wall-clock fields.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import mixture, niw, nn
 from .runtime import RoundRecord, RunState
+from .strategies import STRATEGIES
 
 MAGIC = b"FSCK"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -52,84 +73,44 @@ def _array_bytes(a: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
-def _bytes_array(payload: bytes, name: str) -> np.ndarray:
-    try:
-        return np.load(io.BytesIO(payload), allow_pickle=False)
-    except Exception as e:
-        raise CheckpointError(f"section {name!r} is not a valid array: {e}") from e
-
-
-def _state_sections(state) -> tuple[dict, dict[str, np.ndarray]]:
-    """Split a strategy state into a JSON manifest and named arrays."""
-    if isinstance(state, np.ndarray):
-        return {"kind": "params"}, {"arr:params": state}
-    if isinstance(state, niw.NiwGlobalPosterior):
-        manifest = {"kind": "niw", "l0": state.l0, "n0": state.n0, "d": state.d}
-        return manifest, {"arr:niw:m0": state.m0, "arr:niw:v0": state.v0_diag}
-    if isinstance(state, mixture.MixtureGlobalPosterior):
-        manifest = {
-            "kind": "mixture",
-            "sigma_sq": state.sigma_sq,
-            "epsilon": state.epsilon,
-            "k": state.k,
-            "gating_layers": list(state.gating_arch.layer_sizes),
+def _encode(value, name: str, arrays: dict[str, np.ndarray]):
+    """JSON for value; its arrays go to `arrays`, keyed by section name."""
+    if isinstance(value, np.ndarray):
+        arrays[name] = value
+        return name
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _encode(getattr(value, f.name), f"{name}:{f.name}", arrays)
+            for f in dataclasses.fields(value)
         }
-        arrays = {"arr:mix:gating": state.gating}
-        for j, r in enumerate(state.prototypes):
-            arrays[f"arr:mix:proto:{j}"] = r
-        return manifest, arrays
-    raise CheckpointError(f"cannot serialize strategy state of type {type(state)}")
+    if isinstance(value, tuple):
+        return [_encode(v, f"{name}:{i}", arrays) for i, v in enumerate(value)]
+    return value
 
 
-def _state_from_sections(manifest: dict, sections: dict[str, bytes]):
-    def arr(name):
-        if name not in sections:
-            raise CheckpointError(f"missing array section {name!r}")
-        return _bytes_array(sections[name], name)
-
-    kind = manifest.get("kind")
-    if kind == "params":
-        return arr("arr:params")
-    if kind == "niw":
-        return niw.NiwGlobalPosterior(
-            m0=arr("arr:niw:m0"),
-            v0_diag=arr("arr:niw:v0"),
-            l0=float(manifest["l0"]),
-            n0=float(manifest["n0"]),
-            d=int(manifest["d"]),
-        )
-    if kind == "mixture":
-        protos = tuple(arr(f"arr:mix:proto:{j}") for j in range(int(manifest["k"])))
-        return mixture.MixtureGlobalPosterior(
-            prototypes=protos,
-            sigma_sq=float(manifest["sigma_sq"]),
-            epsilon=float(manifest["epsilon"]),
-            gating=arr("arr:mix:gating"),
-            gating_arch=nn.MlpArch(tuple(manifest["gating_layers"])),
-        )
-    raise CheckpointError(f"unknown strategy state kind {kind!r}")
-
-
-def _record_dict(rec: RoundRecord) -> dict:
-    return {
-        "round_index": rec.round_index,
-        "participants": list(rec.participants),
-        "global_acc": rec.global_acc,
-        "mean_client_loss": rec.mean_client_loss,
-        "server_objective": rec.server_objective,
-        "wall_ms": rec.wall_ms,
-    }
-
-
-def _record_from_dict(d: dict) -> RoundRecord:
-    return RoundRecord(
-        round_index=int(d["round_index"]),
-        participants=tuple(int(i) for i in d["participants"]),
-        global_acc=float(d["global_acc"]),
-        mean_client_loss=float(d["mean_client_loss"]),
-        server_objective=float(d["server_objective"]),
-        wall_ms=float(d["wall_ms"]),
-    )
+def _decode(tp, obj, sections: dict[str, bytes]):
+    """Rebuild a value of type tp from the JSON `_encode` made of it."""
+    if tp is np.ndarray:
+        if not isinstance(obj, str) or obj not in sections:
+            raise CheckpointError(f"missing array section {obj!r}")
+        try:
+            return np.load(io.BytesIO(sections[obj]), allow_pickle=False)
+        except Exception as e:
+            raise CheckpointError(f"section {obj!r} is not a valid array: {e}") from e
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return tp(**{
+            f.name: _decode(hints[f.name], obj[f.name], sections)
+            for f in dataclasses.fields(tp)
+        })
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(obj, list):
+            raise TypeError(f"expected a list, got {obj!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, v, sections) for v in obj)
+    if tp in (int, float):
+        return tp(obj)
+    raise TypeError(f"no checkpoint encoding for type {tp}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +124,9 @@ class Checkpoint:
 
 def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
     """Write the run's resumable state; atomic via rename."""
-    manifest, arrays = _state_sections(run.strategy_state)
+    arrays: dict[str, np.ndarray] = {}
+    state = _encode(run.strategy_state, "arr:state", arrays)
+    records = _encode(tuple(run.records), "arr:records", arrays)
     meta = {
         "format": "fedsim-checkpoint",
         "version": VERSION,
@@ -156,8 +139,8 @@ def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
     sections: list[tuple[str, bytes]] = [
         ("meta", _canonical_json(meta)),
         ("spec", _canonical_json(spec)),
-        ("records", _canonical_json([_record_dict(r) for r in run.records])),
-        ("state", _canonical_json(manifest)),
+        ("records", _canonical_json(records)),
+        ("state", _canonical_json(state)),
         ("retained", _canonical_json({"client_ids": retained_ids})),
     ]
     for name in sorted(arrays):
@@ -189,6 +172,9 @@ def _read_sections(f, path: str) -> dict[str, bytes]:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version}, expected {VERSION}"
         )
+    # each length is checked against the bytes left before it is read, so a
+    # corrupt length cannot ask for a buffer larger than the file
+    end = os.fstat(f.fileno()).st_size
     sections: dict[str, bytes] = {}
     while True:
         raw = f.read(4)
@@ -197,21 +183,19 @@ def _read_sections(f, path: str) -> dict[str, bytes]:
         if len(raw) < 4:
             raise CheckpointError(f"{path}: truncated section header")
         (name_len,) = struct.unpack("<I", raw)
-        name_b = f.read(name_len)
-        size_b = f.read(8)
-        if len(name_b) < name_len or len(size_b) < 8:
+        if name_len + 8 > end - f.tell():
             raise CheckpointError(f"{path}: truncated section header")
         try:
-            name = name_b.decode("ascii")
+            name = f.read(name_len).decode("ascii")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{path}: section name is not ASCII: {e}") from e
-        (size,) = struct.unpack("<Q", size_b)
-        payload = f.read(size)
-        if len(payload) < size:
+        (size,) = struct.unpack("<Q", f.read(8))
+        left = end - f.tell()
+        if size > left:
             raise CheckpointError(
-                f"{path}: section {name!r} truncated "
-                f"({len(payload)} of {size} bytes)"
+                f"{path}: section {name!r} truncated ({left} of {size} bytes)"
             )
+        payload = f.read(size)
         if name in sections:
             raise CheckpointError(f"{path}: duplicate section {name!r}")
         sections[name] = payload
@@ -230,14 +214,15 @@ def _checkpoint_from_sections(sections: dict[str, bytes]) -> Checkpoint:
     meta = jsec("meta")
     if meta.get("format") != "fedsim-checkpoint":
         raise CheckpointError(f"unexpected meta format {meta.get('format')!r}")
-    state = _state_from_sections(jsec("state"), sections)
-    records = [_record_from_dict(d) for d in jsec("records")]
-    retained = {}
-    for cid in jsec("retained")["client_ids"]:
-        name = f"arr:retained:{cid}"
-        if name not in sections:
-            raise CheckpointError(f"missing array section {name!r}")
-        retained[int(cid)] = _bytes_array(sections[name], name)
+    strategy = STRATEGIES.get(meta["strategy"])
+    if strategy is None:
+        raise CheckpointError(f"unknown strategy {meta['strategy']!r}")
+    state = _decode(strategy.state_type, jsec("state"), sections)
+    records = list(_decode(tuple[RoundRecord, ...], jsec("records"), sections))
+    retained = {
+        int(cid): _decode(np.ndarray, f"arr:retained:{cid}", sections)
+        for cid in jsec("retained")["client_ids"]
+    }
     return Checkpoint(
         spec=jsec("spec"),
         round_index=int(meta["round_index"]),
@@ -257,5 +242,5 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: {e}") from e
     except KeyError as e:
         raise CheckpointError(f"{path}: missing field {e}") from e
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, OverflowError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed content: {e}") from e

@@ -158,13 +158,14 @@ def gating_local_update(
     beta: np.ndarray,
     gating_arch: nn.MlpArch,
     batch_inputs: np.ndarray,
-    m_i: np.ndarray,
-    prototypes,
+    j_star: int,
     lr: float,
     head_frozen: bool = False,
 ) -> np.ndarray:
-    """One CE SGD step teaching the gating net to output j* on these inputs."""
-    j_star = nearest_prototype(m_i, prototypes)
+    """One CE SGD step teaching the gating net to output j* on these inputs.
+
+    j* is the client's nearest prototype, `nearest_prototype(m_i, prototypes)`.
+    """
     labels = np.full(batch_inputs.shape[0], j_star, dtype=np.int64)
     batch = nn.Batch(inputs=batch_inputs, labels=labels)
     _, grad = nn.loss_and_grad(beta, gating_arch, batch)

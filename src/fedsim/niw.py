@@ -135,13 +135,9 @@ def niw_objective(
     """
     w = penalty_weight(global_post, p_keep, data_size, penalty_mode)
     m0 = global_post.m0
-    full = nn.full_mask(arch)
 
     def objective(m, batch):
-        if mask_rng is None:
-            mask = full
-        else:
-            mask = nn.sample_dropout_mask(p_keep, arch, mask_rng)
+        mask = None if mask_rng is None else nn.sample_dropout_mask(p_keep, arch, mask_rng)
         ce, g = nn.loss_and_grad(m, arch, batch, mask)
         diff = m - m0
         return ce + 0.5 * float(w @ (diff * diff)), g, m0, w

@@ -178,12 +178,6 @@ def sample_dropout_mask(
     return DropoutMask(keep=keep)
 
 
-def full_mask(arch: MlpArch) -> DropoutMask:
-    return DropoutMask(
-        keep=tuple(np.ones(arch.layer_sizes[l], dtype=bool) for l in range(arch.num_layers))
-    )
-
-
 def apply_mask(params: np.ndarray, arch: MlpArch, mask: DropoutMask) -> np.ndarray:
     """Zero every parameter in a dropped group (biases untouched)."""
     _check_params(params, arch)

@@ -51,6 +51,9 @@ def _restore_slice(new: np.ndarray, old: np.ndarray, keep: np.ndarray) -> np.nda
 class Strategy:
     """Interface each federated strategy implements."""
 
+    # the class of the global state; checkpoints decode the state into it
+    state_type: type
+
     def init_state(self, arch, init_params, config, total_data_size):
         raise NotImplementedError
 
@@ -84,6 +87,8 @@ class Strategy:
 
 class FedAvgStrategy(Strategy):
     """Plain parameter averaging; also the base for FedProx."""
+
+    state_type = np.ndarray
 
     def _mu(self, config) -> float:
         return 0.0
@@ -126,6 +131,8 @@ class FedProxStrategy(FedAvgStrategy):
 
 
 class NiwStrategy(Strategy):
+    state_type = niw.NiwGlobalPosterior
+
     def init_state(self, arch, init_params, config, total_data_size):
         post = niw.niw_init(nn.param_count(arch), total_data_size)
         # the broadcast starting point is the usual random network init; the
@@ -174,6 +181,8 @@ class NiwStrategy(Strategy):
 
 
 class MixtureStrategy(Strategy):
+    state_type = mixture.MixtureGlobalPosterior
+
     def init_state(self, arch, init_params, config, total_data_size):
         protos = tuple(
             init_params
@@ -208,11 +217,12 @@ class MixtureStrategy(Strategy):
             config, lr, round_idx,
         )
         # gating learns to route this client's inputs to its nearest prototype
+        j_star = mixture.nearest_prototype(m, state.prototypes)
         beta = state.gating
         grng = stream(config.seed, "gate", client_id, round_idx)
         for idx in optim.epoch_batches(n, config.batch_size, 1, grng):
             beta = mixture.gating_local_update(
-                beta, state.gating_arch, inputs[idx], m, state.prototypes, lr,
+                beta, state.gating_arch, inputs[idx], j_star, lr,
                 head_frozen=config.body_update,
             )
         return ClientResult(

@@ -1,14 +1,18 @@
 """Checkpoint format round trips and resume bit-equality."""
 
+import dataclasses
 import json
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsim import checkpoint, experiment, mixture, niw, nn, runtime
+from fedsim import checkpoint, experiment, runtime
 from fedsim.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from fedsim.strategies import STRATEGIES
 from tests.test_experiment import tiny_spec_obj
 
 
@@ -18,9 +22,43 @@ def build_tiny_run(tmp_path, sub="out", **over):
     return spec, experiment.build_run(spec)
 
 
+def write_sections(path, sections, version=checkpoint.VERSION):
+    """Write named payloads in the checkpoint container format."""
+    with open(path, "wb") as f:
+        f.write(checkpoint.MAGIC + struct.pack("<I", version))
+        for name, payload in sections.items():
+            nb = name if isinstance(name, bytes) else name.encode("ascii")
+            f.write(struct.pack("<I", len(nb)) + nb)
+            f.write(struct.pack("<Q", len(payload)) + payload)
+
+
+def assert_same_bits(a, b, where="value"):
+    """The loaded value a equals the saved value b: same structure and types,
+    arrays equal in dtype, shape and bytes, scalars in type and value, floats
+    bit for bit. A float is loaded as the plain float its field declares,
+    whichever float subclass (such as np.float64) the run held."""
+    if isinstance(b, float):
+        assert type(a) is float, f"{where}: {type(a)} is not float"
+        assert struct.pack("<d", a) == struct.pack("<d", b), where
+        return
+    assert type(a) is type(b), f"{where}: {type(a)} != {type(b)}"
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert a.tobytes() == b.tobytes(), where
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name),
+                             f"{where}.{f.name}")
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_bits(x, y, f"{where}[{i}]")
+    else:
+        assert a == b, where
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedbabu",
-                                          "niw", "mixture"])
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
     def test_state_round_trip(self, tmp_path, strategy):
         spec, run = build_tiny_run(tmp_path, federated={"strategy": strategy})
         runtime.run_round(run, evaluate=False)
@@ -31,26 +69,9 @@ class TestRoundTrip:
         assert ck.spec == resolved
         assert ck.round_index == 2
         assert len(ck.records) == 1
-        rec = ck.records[0]
-        assert rec.round_index == run.records[0].round_index
-        assert rec.global_acc == run.records[0].global_acc
-        assert rec.mean_client_loss == run.records[0].mean_client_loss
-        assert rec.server_objective == run.records[0].server_objective
-        a, b = ck.strategy_state, run.strategy_state
-        if isinstance(b, np.ndarray):
-            assert np.array_equal(a, b)
-        elif isinstance(b, niw.NiwGlobalPosterior):
-            assert np.array_equal(a.m0, b.m0)
-            assert np.array_equal(a.v0_diag, b.v0_diag)
-            assert (a.l0, a.n0, a.d) == (b.l0, b.n0, b.d)
-        else:
-            assert isinstance(b, mixture.MixtureGlobalPosterior)
-            assert len(a.prototypes) == len(b.prototypes)
-            for x, y in zip(a.prototypes, b.prototypes):
-                assert np.array_equal(x, y)
-            assert np.array_equal(a.gating, b.gating)
-            assert a.gating_arch.layer_sizes == b.gating_arch.layer_sizes
-            assert (a.sigma_sq, a.epsilon) == (b.sigma_sq, b.epsilon)
+        assert_same_bits(ck.records, run.records, "records")
+        assert_same_bits(ck.strategy_state, run.strategy_state, "state")
+        assert ck.retained == {}
 
     def test_retained_client_states_round_trip(self, tmp_path):
         spec, run = build_tiny_run(
@@ -65,7 +86,9 @@ class TestRoundTrip:
                   if c.retained is not None}
         assert set(ck.retained) == set(stored)
         for cid, arr in stored.items():
-            assert np.array_equal(ck.retained[cid], arr)
+            assert_same_bits(ck.retained[cid], arr, f"retained {cid}")
+        assert_same_bits(ck.records, run.records, "records")
+        assert_same_bits(ck.strategy_state, run.strategy_state, "state")
 
     def test_empty_run_round_trip(self, tmp_path):
         spec, run = build_tiny_run(tmp_path)
@@ -100,6 +123,35 @@ class TestMalformed:
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(str(bad))
 
+    def test_version_1_file_rejected(self, tmp_path):
+        """A file in the v1 layout (per-type state manifest) is refused by
+        its version number before any section is read."""
+        bad = str(tmp_path / "v1.bin")
+        write_sections(bad, {
+            "meta": b'{"format":"fedsim-checkpoint","round_index":1,'
+                    b'"strategy":"fedavg","version":1}',
+            "state": b'{"kind":"params"}',
+        }, version=1)
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 1, expected 2"):
+            load_checkpoint(bad)
+
+    def test_huge_section_length_is_truncation(self, tmp_path):
+        """A corrupt length prefix is reported against the bytes left in the
+        file instead of being allocated."""
+        path = self.make_valid(tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        (name_len,) = struct.unpack("<I", blob[8:12])
+        blob[12 + name_len:20 + name_len] = struct.pack("<Q", 2**62)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(bad))
+        blob[8:12] = struct.pack("<I", 2**32 - 1)
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated section header"):
+            load_checkpoint(str(bad))
+
     def test_truncated(self, tmp_path):
         path = self.make_valid(tmp_path)
         blob = open(path, "rb").read()
@@ -127,12 +179,7 @@ class TestMalformed:
             sections = checkpoint._read_sections(f, path)
         edit(sections)
         bad = tmp_path / "bad.bin"
-        with open(bad, "wb") as f:
-            f.write(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION))
-            for name, payload in sections.items():
-                nb = name if isinstance(name, bytes) else name.encode("ascii")
-                f.write(struct.pack("<I", len(nb)) + nb)
-                f.write(struct.pack("<Q", len(payload)) + payload)
+        write_sections(bad, sections)
         return str(bad)
 
     @staticmethod
@@ -148,7 +195,7 @@ class TestMalformed:
         ("meta", "round_index", None, "fedavg"),
         ("records", "global_acc", 0, "fedavg"),
         ("state", "l0", None, "niw"),
-        ("state", "gating_layers", None, "mixture"),
+        ("state", "gating_arch", None, "mixture"),
         ("retained", "client_ids", None, "fedavg"),
     ])
     def test_missing_field_names_file(self, tmp_path, section, key, index, strategy):
@@ -167,14 +214,33 @@ class TestMalformed:
     @pytest.mark.parametrize("section,payload", [
         ("meta", b"[]"),
         ("records", b"[1]"),
-        ("state", b'{"kind": "niw", "l0": "x", "n0": 1, "d": 1}'),
+        ("state", b'{"m0": "arr:state:m0", "v0_diag": "arr:state:v0_diag", '
+                  b'"l0": "x", "n0": 1, "d": 1}'),
+        pytest.param("meta", ("round_index", "1e400"), id="meta-round_index-1e400"),
+        pytest.param("state", ("d", "1e400"), id="state-d-1e400"),
     ])
     def test_wrong_json_shape_names_file(self, tmp_path, section, payload):
         def edit(sections):
-            sections[section] = payload
+            if isinstance(payload, tuple):  # one field of the valid JSON, raw
+                key, raw = payload
+                obj = {**json.loads(sections[section]), key: None}
+                text = json.dumps(obj).replace(f'"{key}": null', f'"{key}": {raw}')
+                sections[section] = text.encode()
+            else:
+                sections[section] = payload
 
         bad = self.rewrite(tmp_path, edit, "niw")
         with pytest.raises(CheckpointError, match="malformed content") as info:
+            load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+
+    def test_unknown_strategy_names_file(self, tmp_path):
+        def edit(sections):
+            meta = json.loads(sections["meta"])
+            sections["meta"] = json.dumps({**meta, "strategy": "bogus"}).encode()
+
+        bad = self.rewrite(tmp_path, edit)
+        with pytest.raises(CheckpointError, match="unknown strategy 'bogus'") as info:
             load_checkpoint(bad)
         assert str(info.value).startswith(f"{bad}: ")
 
@@ -254,3 +320,98 @@ class TestResume:
         experiment.resume_experiment(final)  # default out: same directory
         after = open(tmp_path / "full" / "metrics.csv", "rb").read()
         assert before == after
+
+
+# arbitrary JSON values, small enough to keep each example fast; scalars are
+# drawn directly as often as containers are
+SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+JSON = SCALAR | st.recursive(
+    SCALAR,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+# derandomized so that every run of the suite tries the same mutants
+FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def valid_blobs(tmp_path_factory):
+    """A valid tiny checkpoint per state layout: a bare parameter vector, the
+    NIW posterior, and the mixture posterior with retained client iterates."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    blobs = []
+    for fed in ({"strategy": "fedavg"}, {"strategy": "niw"},
+                {"strategy": "mixture", "mixture_client_init": "retained"}):
+        spec, run = build_tiny_run(tmp, sub=fed["strategy"], federated=fed)
+        runtime.run_round(run, evaluate=False)
+        path = tmp / f"{fed['strategy']}.bin"
+        save_checkpoint(str(path), run, experiment.resolved_spec(spec))
+        blobs.append(path.read_bytes())
+    return tmp, blobs
+
+
+def loads_or_rejects(path):
+    """A mutated file either loads or raises CheckpointError, nothing else."""
+    try:
+        load_checkpoint(str(path))
+    except CheckpointError:
+        pass
+
+
+def json_paths(obj, path=()):
+    """The key path of every value in obj, obj itself first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from json_paths(value, (*path, key))
+
+
+def swap_value(obj, path, value):
+    """obj with the value at path replaced."""
+    if not path:
+        return value
+    obj[path[0]] = swap_value(obj[path[0]], path[1:], value)
+    return obj
+
+
+class TestFuzz:
+    @FUZZ
+    @given(which=st.integers(0, 2),
+           # half the flips land in the file header and the first section
+           # header, where the framing is
+           flips=st.lists(st.tuples(st.integers(0, 23) | st.integers(0, 2**20),
+                                    st.integers(1, 255)),
+                          min_size=1, max_size=4))
+    def test_flipped_bytes(self, valid_blobs, which, flips):
+        tmp, blobs = valid_blobs
+        blob = bytearray(blobs[which])
+        for pos, mask in flips:
+            blob[pos % len(blob)] ^= mask
+        path = tmp / "mutant.bin"
+        path.write_bytes(bytes(blob))
+        loads_or_rejects(path)
+
+    @FUZZ
+    @given(which=st.integers(0, 2), cut=st.integers(0, 2**20))
+    def test_truncated(self, valid_blobs, which, cut):
+        tmp, blobs = valid_blobs
+        path = tmp / "mutant.bin"
+        path.write_bytes(blobs[which][: cut % len(blobs[which])])
+        loads_or_rejects(path)
+
+    @FUZZ
+    @given(which=st.integers(0, 2),
+           section=st.sampled_from(["meta", "state", "records"]), data=st.data())
+    def test_swapped_json_value(self, valid_blobs, which, section, data):
+        tmp, blobs = valid_blobs
+        path = tmp / "mutant.bin"
+        path.write_bytes(blobs[which])
+        with open(path, "rb") as f:
+            sections = checkpoint._read_sections(f, str(path))
+        obj = json.loads(sections[section])
+        where = data.draw(st.sampled_from(list(json_paths(obj))))
+        sections[section] = json.dumps(swap_value(obj, where, data.draw(JSON))).encode()
+        write_sections(path, sections)
+        loads_or_rejects(path)

@@ -383,7 +383,9 @@ class TestGating:
         beta = nn.init_params(arch, rng)
         x = rng.normal(size=(6, 4))
         m = rng.normal(size=3)
-        out = mixture.gating_local_update(beta, arch, x, m, (m + 1,), lr=0.1)
+        j_star = mixture.nearest_prototype(m, (m + 1,))
+        assert j_star == 0
+        out = mixture.gating_local_update(beta, arch, x, j_star, lr=0.1)
         batch = nn.Batch(inputs=x, labels=np.zeros(6, dtype=np.int64))
         _, grad = nn.loss_and_grad(beta, arch, batch)
         np.testing.assert_array_equal(out, nn.sgd_step(beta, grad, 0.1))
@@ -395,7 +397,9 @@ class TestGating:
         x = rng.normal(size=(5, 4))
         protos = (np.full(3, 10.0), np.array([1.0, 2.0, 3.0]), np.full(3, -10.0))
         m = protos[1].copy()
-        out = mixture.gating_local_update(beta, arch, x, m, protos, lr=0.2)
+        j_star = mixture.nearest_prototype(m, protos)
+        assert j_star == 1
+        out = mixture.gating_local_update(beta, arch, x, j_star, lr=0.2)
         batch = nn.Batch(inputs=x, labels=np.ones(5, dtype=np.int64))
         _, grad = nn.loss_and_grad(beta, arch, batch)
         np.testing.assert_array_equal(out, nn.sgd_step(beta, grad, 0.2))
@@ -410,9 +414,7 @@ class TestGating:
         arch = nn.MlpArch((4, 5, 2))
         beta = nn.init_params(arch, rng)
         x = rng.normal(size=(6, 4))
-        out = mixture.gating_local_update(
-            beta, arch, x, np.zeros(2), (np.zeros(2), np.ones(2)),
-            lr=0.1, head_frozen=True)
+        out = mixture.gating_local_update(beta, arch, x, 0, lr=0.1, head_frozen=True)
         head = nn.head_freeze_mask(arch)
         np.testing.assert_array_equal(out[head], beta[head])
         assert not np.array_equal(out[~head], beta[~head])
@@ -424,10 +426,11 @@ class TestGating:
         protos = (np.zeros(3), np.ones(3))
         x_a = rng.normal(loc=1.5, scale=0.4, size=(40, 4))
         x_b = rng.normal(loc=-1.5, scale=0.4, size=(40, 4))
-        m_a, m_b = protos[0] + 0.01, protos[1] - 0.01
+        j_a = mixture.nearest_prototype(protos[0] + 0.01, protos)
+        j_b = mixture.nearest_prototype(protos[1] - 0.01, protos)
         for _ in range(200):
-            beta = mixture.gating_local_update(beta, arch, x_a, m_a, protos, 0.2)
-            beta = mixture.gating_local_update(beta, arch, x_b, m_b, protos, 0.2)
+            beta = mixture.gating_local_update(beta, arch, x_a, j_a, 0.2)
+            beta = mixture.gating_local_update(beta, arch, x_b, j_b, 0.2)
         batch_all = nn.Batch(
             inputs=np.vstack([x_a, x_b]),
             labels=np.concatenate([np.zeros(40, dtype=np.int64),
