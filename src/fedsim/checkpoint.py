@@ -33,7 +33,9 @@ name extends `arr:state` by each field name and tuple index on the way
 down: `arr:state` (a bare parameter vector), `arr:state:m0`,
 `arr:state:prototypes:0`. Loading rebuilds each value from its class's
 field annotations, starting from the `state_type` of the strategy named in
-meta, so the types come from code and never from the file.
+meta, so the types come from code and never from the file. An int field
+takes only a JSON int and a float field a JSON int or float; a string or a
+boolean in their place is malformed content.
 
 Array payloads use the npy format; JSON payloads are canonical (sorted
 keys, no whitespace) so equal states produce equal bytes apart from the
@@ -109,7 +111,10 @@ def _decode(tp, obj, sections: dict[str, bytes]):
         item = typing.get_args(tp)[0]
         return tuple(_decode(item, v, sections) for v in obj)
     if tp in (int, float):
-        return tp(obj)
+        # a JSON int for an int, a JSON int or float for a float; never a bool
+        if type(obj) is int or (tp is float and type(obj) is float):
+            return tp(obj)
+        raise TypeError(f"expected {tp.__name__}, got {obj!r}")
     raise TypeError(f"no checkpoint encoding for type {tp}")
 
 
@@ -220,12 +225,12 @@ def _checkpoint_from_sections(sections: dict[str, bytes]) -> Checkpoint:
     state = _decode(strategy.state_type, jsec("state"), sections)
     records = list(_decode(tuple[RoundRecord, ...], jsec("records"), sections))
     retained = {
-        int(cid): _decode(np.ndarray, f"arr:retained:{cid}", sections)
-        for cid in jsec("retained")["client_ids"]
+        cid: _decode(np.ndarray, f"arr:retained:{cid}", sections)
+        for cid in _decode(tuple[int, ...], jsec("retained")["client_ids"], sections)
     }
     return Checkpoint(
         spec=jsec("spec"),
-        round_index=int(meta["round_index"]),
+        round_index=_decode(int, meta["round_index"], sections),
         records=records,
         strategy_state=state,
         retained=retained,

@@ -92,6 +92,7 @@ def mix_objective(
         raise ValueError(f"data_size must be >= 1, got {data_size}")
     protos, sigma_sq = global_post.prototypes, global_post.sigma_sq
     quad = 1.0 / (sigma_sq * data_size)
+    term = np.empty_like(protos[0])  # w_j * r_j, rewritten for each prototype
 
     def objective(m, batch):
         ce, g = nn.loss_and_grad(m, arch, batch)
@@ -102,9 +103,11 @@ def mix_objective(
             for j, r in enumerate(protos):
                 pen_grad += wts[j] * (m - r)
             return loss, g + pen_grad / sigma_sq / data_size, None, 0.0
+        # a fresh center at every step: the driver recomputes its prox terms
+        # whenever the center is a new object
         center = np.zeros_like(m)
         for j, r in enumerate(protos):
-            center += wts[j] * r
+            center += np.multiply(wts[j], r, out=term)
         return loss, g, center, quad
 
     return objective
@@ -150,7 +153,10 @@ def mix_server_objective(prototypes, client_means, sigma_sq: float) -> float:
 
 def nearest_prototype(m: np.ndarray, prototypes) -> int:
     """argmin_j ||m - r_j||, ties broken by lowest index."""
-    dists = [float((m - r) @ (m - r)) for r in prototypes]
+    dists = []
+    for r in prototypes:
+        diff = m - r
+        dists.append(float(diff @ diff))
     return int(np.argmin(dists))
 
 
@@ -170,8 +176,7 @@ def gating_local_update(
     batch = nn.Batch(inputs=batch_inputs, labels=labels)
     _, grad = nn.loss_and_grad(beta, gating_arch, batch)
     if head_frozen:
-        grad = grad.copy()
-        grad[nn.head_freeze_mask(gating_arch)] = 0.0
+        grad[nn.head_span(gating_arch)] = 0.0
     return nn.sgd_step(beta, grad, lr)
 
 
@@ -205,7 +210,7 @@ def mix_personalize(
     gating-weighted prototype average gives a proxy local mean; start at the
     prototype nearest to it. warm_start="per_prototype": run the optimization
     from every prototype and keep the result with the lowest final objective
-    on the personal data. 0 epochs returns the warm-start prototype itself.
+    on the personal data. 0 epochs returns a copy of the warm-start prototype.
     """
     n = inputs.shape[0]
     if n < 1:

@@ -130,17 +130,20 @@ def niw_objective(
     loss = mean-CE(batch; dropout mask applied to m)
          + (1/2) sum_k w_k (m - m0)_k^2,  w = penalty_weight(...)
     The CE gradient flows only through kept dropout groups; the quadratic
-    covers all coordinates and is taken by the driver's proximal step. One
-    fresh mask per batch is drawn from mask_rng; None trains without dropout.
+    covers all coordinates and is taken by the driver's proximal step, which
+    gets the same m0 and w objects at every step. One fresh mask per batch is
+    drawn from mask_rng; None trains without dropout.
     """
     w = penalty_weight(global_post, p_keep, data_size, penalty_mode)
     m0 = global_post.m0
+    sq = np.empty_like(m0)  # (m - m0)^2, rewritten at every step
 
     def objective(m, batch):
         mask = None if mask_rng is None else nn.sample_dropout_mask(p_keep, arch, mask_rng)
         ce, g = nn.loss_and_grad(m, arch, batch, mask)
-        diff = m - m0
-        return ce + 0.5 * float(w @ (diff * diff)), g, m0, w
+        np.subtract(m, m0, out=sq)
+        np.multiply(sq, sq, out=sq)
+        return ce + 0.5 * float(w @ sq), g, m0, w
 
     return objective
 

@@ -128,12 +128,10 @@ def weight_views(params: np.ndarray, arch: MlpArch):
         yield params[w_span].reshape(n_in, n_out), params[b_span]
 
 
-def head_freeze_mask(arch: MlpArch) -> np.ndarray:
-    """Boolean vector marking the final weight matrix + final bias."""
-    mask = np.zeros(param_count(arch), dtype=bool)
+def head_span(arch: MlpArch) -> slice:
+    """The head: the final weight matrix + final bias, one contiguous slice."""
     w_span, b_span = layer_spans(arch)[-1]
-    mask[w_span.start : b_span.stop] = True
-    return mask
+    return slice(w_span.start, b_span.stop)
 
 
 def init_params(arch: MlpArch, rng: np.random.Generator) -> np.ndarray:
@@ -266,7 +264,7 @@ def loss_and_grad(
         raise NonFiniteLoss(int(np.flatnonzero(~np.isfinite(per_sample))[0]))
     loss = float(per_sample.mean())
 
-    grad = np.zeros_like(params)
+    grad = np.empty_like(params)  # every entry is written below
     batch_size = X.shape[0]
     delta = np.exp(logp)
     delta[np.arange(len(y)), y] -= 1.0
@@ -286,13 +284,21 @@ def loss_and_grad(
     return loss, grad
 
 
-def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+def sgd_step(
+    params: np.ndarray, grad: np.ndarray, lr: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """params - lr*grad, in a fresh array or, with `out`, in place.
+
+    `out` may be params itself. With `out`, grad serves as scratch: it is
+    overwritten with lr*grad, so the caller must own it.
+    """
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if params.shape != grad.shape:
         raise ValueError(f"shape mismatch: params {params.shape}, grad {grad.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = params - lr * grad
+        step = np.multiply(lr, grad, out=None if out is None else grad)
+        out = np.subtract(params, step, out=out)
     if not np.all(np.isfinite(out)):
         raise NonFiniteUpdate("non-finite parameter after SGD step")
     return out

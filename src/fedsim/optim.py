@@ -13,6 +13,16 @@ objective maps `(m, batch)` to `(loss, data_grad, quad_center, quad_diag)`:
 the step is `prox_quadratic_step` on that quadratic, or a plain SGD step on
 `data_grad` when `quad_center` is None. Either way the objective's total
 gradient at m is `data_grad + quad_diag * (m - quad_center)`.
+
+Ownership in `local_train`, which steps in place:
+- the driver copies m once per call and updates that working copy; the
+  caller's m is never written, and the objective sees the working copy;
+- `data_grad` must be a fresh array on every call: the driver zeroes a
+  frozen head in it and scales it by lr in place;
+- an objective may return the same `quad_center` and `quad_diag` objects at
+  every step (FedProx, NIW); it must not change their contents during the
+  call, because the step's fixed terms are computed from them once. A center
+  that moves (the mixture majorizer) must be a fresh array at each step.
 """
 
 from __future__ import annotations
@@ -33,14 +43,25 @@ def prox_quadratic_step(
     lr: float,
     center: np.ndarray,
     quad_diag: np.ndarray | float,
+    terms: dict,
 ) -> np.ndarray:
-    """One splitting step for data-term gradient + quadratic penalty.
+    """One splitting step for data-term gradient + quadratic penalty, in place.
 
-    Equivalent to `prox_{lr*penalty}(params - lr*data_grad)` with
-    penalty(m) = (1/2) sum_k quad_diag_k (m_k - center_k)^2.
+    Sets params to `prox_{lr*penalty}(params - lr*data_grad)` with
+    penalty(m) = (1/2) sum_k quad_diag_k (m_k - center_k)^2, evaluated as
+    `(half + shift) / denom` with shift = (lr*quad_diag)*center and
+    denom = 1 + lr*quad_diag, and returns params. data_grad is overwritten
+    (see `nn.sgd_step`). `terms` is a dict the caller keeps across steps:
+    shift and denom are reused from it while center, quad_diag and lr are the
+    objects they were computed from.
     """
-    half = nn.sgd_step(params, data_grad, lr)
-    return (half + lr * quad_diag * center) / (1.0 + lr * quad_diag)
+    half = nn.sgd_step(params, data_grad, lr, params)
+    key, cached = (center, quad_diag, lr), terms.get("key")
+    if cached is None or any(a is not b for a, b in zip(cached, key)):
+        lq = lr * quad_diag
+        terms.update(key=key, shift=lq * center, denom=1.0 + lq)
+    np.add(half, terms["shift"], out=half)
+    return np.divide(half, terms["denom"], out=half)
 
 
 def epoch_batches(n: int, batch_size: int, epochs: int, rng: np.random.Generator):
@@ -81,23 +102,25 @@ def local_train(
     epochs: int,
     lr: float,
     rng: np.random.Generator,
-    head: np.ndarray | None = None,
+    head: slice | None = None,
 ) -> tuple[np.ndarray, list[float]]:
     """Minibatch epochs of `objective` from m; returns (final m, batch losses).
 
-    `head` masks coordinates whose data gradient is zeroed (a frozen head).
-    m itself is never written to.
+    `head` is a slice of coordinates whose data gradient is zeroed (a frozen
+    head). The steps update one working copy of m in place; m itself is never
+    written to (see the module docstring for what the objective must allow).
     """
+    m = m.copy()
+    terms: dict = {}
     losses = []
     for idx in epoch_batches(inputs.shape[0], batch_size, epochs, rng):
         batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
         loss, g, center, quad = objective(m, batch)
         losses.append(loss)
         if head is not None:
-            g = g.copy()
             g[head] = 0.0
         if center is None:
-            m = nn.sgd_step(m, g, lr)
+            nn.sgd_step(m, g, lr, m)
         else:
-            m = prox_quadratic_step(m, g, lr, center, quad)
+            prox_quadratic_step(m, g, lr, center, quad, terms)
     return m, losses

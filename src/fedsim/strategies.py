@@ -11,7 +11,17 @@ of its log-sum-exp penalty at the current iterate, which has the same
 gradient there. With one prototype the majorizer is the FedProx penalty, so
 the K=1 reduction holds bit for bit. FedAvg has no penalty and takes plain
 SGD steps. FedBABU is FedAvg with the head frozen during training (the
-config forces `body_update` for it).
+config forces `body_update` for it); the frozen head is the slice
+`nn.head_span`.
+
+The driver owns what it steps on. It trains a working copy of the starting
+point in place, so the global state is never written. It zeroes the frozen
+head of the data gradient each objective returns and scales that gradient
+in place, so every objective returns a fresh one at each step. FedProx and
+NIW hand the driver the same center and weight objects (the global mean or
+m0, and mu or w) at every step, so their proximal terms are computed once
+per client update; the mixture majorizer builds a fresh center at every
+step, and its terms are computed at every step.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ class ClientResult:
 
 def _local_train(m, objective, client_id, inputs, labels, arch, config, lr, round_idx):
     """The client update's epochs: shared batch stream and head freezing."""
-    head = nn.head_freeze_mask(arch) if config.body_update else None
+    head = nn.head_span(arch) if config.body_update else None
     brng = stream(config.seed, "batch", client_id, round_idx)
     return optim.local_train(
         m, objective, inputs, labels, config.batch_size, config.local_epochs, lr,
@@ -42,7 +52,7 @@ def _local_train(m, objective, client_id, inputs, labels, arch, config, lr, roun
     )
 
 
-def _restore_slice(new: np.ndarray, old: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _restore_slice(new: np.ndarray, old: np.ndarray, keep: slice) -> np.ndarray:
     out = new.copy()
     out[keep] = old[keep]
     return out
@@ -111,7 +121,7 @@ class FedAvgStrategy(Strategy):
         return new, float(np.mean([r.loss for r in results]))
 
     def restore_heads(self, new_state, prev_state, arch):
-        return _restore_slice(new_state, prev_state, nn.head_freeze_mask(arch))
+        return _restore_slice(new_state, prev_state, nn.head_span(arch))
 
     def global_predict(self, state, x, arch, config, rng):
         batch = nn.Batch(inputs=x, labels=np.zeros(len(x), dtype=np.int64))
@@ -166,7 +176,7 @@ class NiwStrategy(Strategy):
         return new, obj
 
     def restore_heads(self, new_state, prev_state, arch):
-        m0 = _restore_slice(new_state.m0, prev_state.m0, nn.head_freeze_mask(arch))
+        m0 = _restore_slice(new_state.m0, prev_state.m0, nn.head_span(arch))
         return replace(new_state, m0=m0)
 
     def global_predict(self, state, x, arch, config, rng):
@@ -239,12 +249,12 @@ class MixtureStrategy(Strategy):
         return new, obj
 
     def restore_heads(self, new_state, prev_state, arch):
-        keep = nn.head_freeze_mask(arch)
+        keep = nn.head_span(arch)
         protos = tuple(
             _restore_slice(new, old, keep)
             for new, old in zip(new_state.prototypes, prev_state.prototypes)
         )
-        gkeep = nn.head_freeze_mask(new_state.gating_arch)
+        gkeep = nn.head_span(new_state.gating_arch)
         gating = _restore_slice(new_state.gating, prev_state.gating, gkeep)
         return replace(new_state, prototypes=protos, gating=gating)
 

@@ -22,6 +22,13 @@ def build_tiny_run(tmp_path, sub="out", **over):
     return spec, experiment.build_run(spec)
 
 
+def one_record(**fields) -> bytes:
+    """A `records` section holding one valid record, with fields overridden."""
+    rec = {"round_index": 1, "participants": [0], "global_acc": 0.5,
+           "mean_client_loss": 1.0, "server_objective": 1.0, "wall_ms": 1.0}
+    return json.dumps([{**rec, **fields}]).encode()
+
+
 def write_sections(path, sections, version=checkpoint.VERSION):
     """Write named payloads in the checkpoint container format."""
     with open(path, "wb") as f:
@@ -200,10 +207,7 @@ class TestMalformed:
     ])
     def test_missing_field_names_file(self, tmp_path, section, key, index, strategy):
         def add_record(sections):
-            rec = {"round_index": 1, "participants": [0], "global_acc": 0.5,
-                   "mean_client_loss": 1.0, "server_objective": 1.0,
-                   "wall_ms": 1.0}
-            sections["records"] = json.dumps([rec]).encode()
+            sections["records"] = one_record()
             self.drop_field(section, key, index)(sections)
 
         bad = self.rewrite(tmp_path, add_record, strategy)
@@ -218,6 +222,16 @@ class TestMalformed:
                   b'"l0": "x", "n0": 1, "d": 1}'),
         pytest.param("meta", ("round_index", "1e400"), id="meta-round_index-1e400"),
         pytest.param("state", ("d", "1e400"), id="state-d-1e400"),
+        # numbers of the wrong JSON type
+        pytest.param("records", one_record(participants=["2"]), id="participant-str"),
+        pytest.param("records", one_record(participants=[True]), id="participant-bool"),
+        pytest.param("records", one_record(round_index=1.7), id="record-round_index-1.7"),
+        pytest.param("state", ("l0", '"217"'), id="state-l0-str"),
+        pytest.param("meta", ("round_index", "2.9"), id="meta-round_index-2.9"),
+        pytest.param("retained", {
+            "retained": b'{"client_ids": ["2"]}',
+            "arr:retained:2": checkpoint._array_bytes(np.zeros(3)),
+        }, id="retained-client-id-str"),
     ])
     def test_wrong_json_shape_names_file(self, tmp_path, section, payload):
         def edit(sections):
@@ -226,6 +240,8 @@ class TestMalformed:
                 obj = {**json.loads(sections[section]), key: None}
                 text = json.dumps(obj).replace(f'"{key}": null', f'"{key}": {raw}')
                 sections[section] = text.encode()
+            elif isinstance(payload, dict):  # whole sections
+                sections.update(payload)
             else:
                 sections[section] = payload
 

@@ -38,14 +38,21 @@ class TestLayout:
         assert nn.param_count(arch) == 784 * 256 + 256 + 256 * 10 + 10 == 203530
 
     def test_head_mask_sizes(self):
-        assert nn.head_freeze_mask(nn.MlpArch((2, 3, 4))).sum() == 3 * 4 + 4 == 16
-        assert nn.head_freeze_mask(nn.MlpArch((784, 256, 10))).sum() == 2570
+        def size(arch):
+            head = nn.head_span(arch)
+            return head.stop - head.start
+
+        assert size(nn.MlpArch((2, 3, 4))) == 3 * 4 + 4 == 16
+        assert size(nn.MlpArch((784, 256, 10))) == 2570
 
     def test_head_body_partition(self):
+        # the head is the tail of the flat vector: final weights, then bias
         arch = nn.MlpArch((5, 7, 3))
-        head = nn.head_freeze_mask(arch)
-        assert head.size == nn.param_count(arch)
-        assert head.sum() + (~head).sum() == nn.param_count(arch)
+        head = nn.head_span(arch)
+        w_span, b_span = nn.layer_spans(arch)[-1]
+        assert (head.start, head.stop) == (w_span.start, b_span.stop)
+        assert head.stop == nn.param_count(arch)
+        assert head.step is None
 
     def test_column_blocks_are_contiguous(self):
         # group i of a layer = out_dim consecutive entries for input column i

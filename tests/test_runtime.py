@@ -270,14 +270,14 @@ class TestReductions:
                 ds, strategy=strategy, rounds=3, batch_size=10, seed=13,
                 body_update=True, penalty_mode="normalized", k_prototypes=2,
             )
-            head = nn.head_freeze_mask(run.arch)
+            head = nn.head_span(run.arch)
 
             def heads(state):
                 if strategy == "fedbabu":
                     return [state[head]]
                 if strategy == "niw":
                     return [state.m0[head]]
-                ghead = nn.head_freeze_mask(state.gating_arch)
+                ghead = nn.head_span(state.gating_arch)
                 return [r[head] for r in state.prototypes] + [state.gating[ghead]]
 
             first = [h.copy() for h in heads(run.strategy_state)]
