@@ -92,22 +92,30 @@ def mix_objective(
         raise ValueError(f"data_size must be >= 1, got {data_size}")
     protos, sigma_sq = global_post.prototypes, global_post.sigma_sq
     quad = 1.0 / (sigma_sq * data_size)
-    term = np.empty_like(protos[0])  # w_j * r_j, rewritten for each prototype
+    term = np.empty_like(protos[0])  # one prototype's term, rewritten for each
+    pen_grad = None if majorize else np.empty_like(protos[0])
 
     def objective(m, batch):
         ce, g = nn.loss_and_grad(m, arch, batch)
         pen, wts = mix_penalty(m, protos, sigma_sq)
         loss = ce + pen / data_size
         if not majorize:
-            pen_grad = np.zeros_like(m)
+            # sum_j w_j (m - r_j) / sigma^2 / |D_i|, summed from zero
+            pen_grad.fill(0.0)
             for j, r in enumerate(protos):
-                pen_grad += wts[j] * (m - r)
-            return loss, g + pen_grad / sigma_sq / data_size, None, 0.0
+                np.subtract(m, r, out=term)
+                np.add(pen_grad, np.multiply(wts[j], term, out=term), out=pen_grad)
+            np.divide(pen_grad, sigma_sq, out=pen_grad)
+            np.divide(pen_grad, data_size, out=pen_grad)
+            g += pen_grad
+            return loss, g, None, 0.0
         # a fresh center at every step: the driver recomputes its prox terms
-        # whenever the center is a new object
-        center = np.zeros_like(m)
-        for j, r in enumerate(protos):
-            center += np.multiply(wts[j], r, out=term)
+        # whenever the center is a new object. Adding 0.0 to w_0 r_0 gives
+        # the bits of a sum started from zeros (-0.0 becomes +0.0).
+        center = np.multiply(wts[0], protos[0])
+        center += 0.0
+        for j in range(1, len(protos)):
+            center += np.multiply(wts[j], protos[j], out=term)
         return loss, g, center, quad
 
     return objective

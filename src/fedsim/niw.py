@@ -173,13 +173,13 @@ def niw_server_update(
         total += m
     m0_new = (p_keep / (n_clients + 1)) * (n_clients / n_f) * total
 
+    two_p_m0, m0_sq = (2 * p_keep) * m0_new, m0_new * m0_new
     scatter = np.zeros(d)
+    rho, buf = np.empty(d), np.empty(d)
     for m in client_means:
-        scatter += p_keep * m * m - 2 * p_keep * m0_new * m + m0_new * m0_new
+        scatter += _rho(m, p_keep, two_p_m0, m0_sq, rho, buf)
     v0_new = (n0 / (n_clients + d + 2)) * (
-        (1 + n_clients * epsilon**2)
-        + m0_new * m0_new
-        + (n_clients / n_f) * scatter
+        (1 + n_clients * epsilon**2) + m0_sq + (n_clients / n_f) * scatter
     )
     v0_new = np.maximum(v0_new, V_MIN)
     return replace(global_post, m0=m0_new, v0_diag=v0_new)
@@ -204,23 +204,28 @@ def niw_server_objective(
     n0, d = global_post.n0, global_post.d
     nu0 = d + 2.0
     inv_v = 1.0 / v0_diag
-    log_v = np.log(v0_diag)
+    log_v_sum = np.log(v0_diag).sum()
     value = 0.5 * (
-        n0 * inv_v.sum() + nu0 * log_v.sum() + n0 * float(m0 @ (m0 * inv_v))
+        n0 * inv_v.sum() + nu0 * log_v_sum + n0 * float(m0 @ (m0 * inv_v))
     )
+    two_p_m0, m0_sq = (2 * p_keep) * m0, m0 * m0
+    rho, buf = np.empty(d), np.empty(d)
     for m in client_means:
-        rho = p_keep * m * m - 2 * p_keep * m0 * m + m0 * m0
+        _rho(m, p_keep, two_p_m0, m0_sq, rho, buf)
+        rho += epsilon**2
         value += (n_clients / n_f) * (
-            0.5 * n0 * float((rho + epsilon**2) @ inv_v) + 0.5 * log_v.sum()
+            0.5 * n0 * float(rho @ inv_v) + 0.5 * log_v_sum
         )
     return value
 
 
-def niw_mode(global_post: NiwGlobalPosterior) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mode: mu* = m0, Sigma* = V0 / (n0 + d + 2)."""
-    return global_post.m0.copy(), global_post.v0_diag / (
-        global_post.n0 + global_post.d + 2
-    )
+def _rho(m, p_keep, two_p_m0, m0_sq, out, buf):
+    """rho = p m^2 - 2p m0 m + m0^2 into out, as (p*m*m - (2p*m0)*m) + m0*m0."""
+    np.multiply(p_keep, m, out=out)
+    out *= m
+    out -= np.multiply(two_p_m0, m, out=buf)
+    out += m0_sq
+    return out
 
 
 def predictive_scale(global_post: NiwGlobalPosterior) -> np.ndarray:

@@ -3,9 +3,14 @@
 Parameter layout, per layer: the weight matrix is stored as one contiguous
 block of out_dim entries per input column, then the bias vector. Dropout
 groups are exactly those per-input-column blocks; bias vectors form their own
-always-keep groups. All arithmetic is float64 and every code path uses the
-same summation order (layer-major, then column), so a masked forward pass and
-a forward pass over mask-applied parameters agree bit for bit.
+always-keep groups. All arithmetic is float64.
+
+A dropout mask acts on each layer's input: `(a * keep) @ W`, not
+`a @ (W * keep)`. For finite values `(x*0)*w` and `x*(w*0)` are the same
+signed zero, so both accumulate identical products in the same order and a
+masked forward pass equals a forward pass over mask-applied parameters bit
+for bit, without copying any weight matrix. `loss_and_grad` writes every
+gradient entry in place in the fresh vector it returns.
 """
 
 from __future__ import annotations
@@ -176,14 +181,36 @@ def sample_dropout_mask(
     return DropoutMask(keep=keep)
 
 
-def apply_mask(params: np.ndarray, arch: MlpArch, mask: DropoutMask) -> np.ndarray:
-    """Zero every parameter in a dropped group (biases untouched)."""
+def _check_inputs(
+    params: np.ndarray, arch: MlpArch, X: np.ndarray, mask: DropoutMask | None
+):
     _check_params(params, arch)
-    _check_mask(mask, arch)
-    out = params.copy()
-    for l, (W, b) in enumerate(weight_views(out, arch)):
-        W *= mask.keep[l][:, None].astype(np.float64)
-    return out
+    if mask is not None:
+        _check_mask(mask, arch)
+    if X.shape[1] != arch.input_dim:
+        raise DimensionMismatch(
+            0, f"input dim {X.shape[1]} != arch input dim {arch.input_dim}"
+        )
+
+
+def _layer_inputs(
+    params: np.ndarray, arch: MlpArch, X: np.ndarray, mask: DropoutMask | None
+) -> list[np.ndarray]:
+    """[X, a_1, ..., logits]: each layer's unmasked input, then the logits.
+
+    A mask multiplies layer l's input by keep[l] before the product with
+    W_l (see the module docstring).
+    """
+    outs = [X]
+    last = arch.num_layers - 1
+    for l, (W, b) in enumerate(weight_views(params, arch)):
+        a = outs[-1] if mask is None else outs[-1] * mask.keep[l]
+        z = a @ W
+        z += b
+        if l < last:
+            np.maximum(z, 0.0, out=z)
+        outs.append(z)
+    return outs
 
 
 def forward(
@@ -193,22 +220,8 @@ def forward(
     mask: DropoutMask | None = None,
 ) -> np.ndarray:
     """Logits (batch_size, num_classes); dropped groups act as zeros."""
-    _check_params(params, arch)
-    if mask is not None:
-        _check_mask(mask, arch)
-    X = batch.inputs
-    if X.shape[1] != arch.input_dim:
-        raise DimensionMismatch(
-            0, f"input dim {X.shape[1]} != arch input dim {arch.input_dim}"
-        )
-    a = X
-    last = arch.num_layers - 1
-    for l, (W, b) in enumerate(weight_views(params, arch)):
-        if mask is not None:
-            W = W * mask.keep[l][:, None].astype(np.float64)
-        z = a @ W + b
-        a = np.maximum(z, 0.0) if l < last else z
-    return a
+    _check_inputs(params, arch, batch.inputs, mask)
+    return _layer_inputs(params, arch, batch.inputs, mask)[-1]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -231,33 +244,15 @@ def loss_and_grad(
     Gradient entries of dropped groups are zero (those parameters did not
     participate in the forward pass).
     """
-    _check_params(params, arch)
-    if mask is not None:
-        _check_mask(mask, arch)
     X, y = batch.inputs, batch.labels
-    if X.shape[1] != arch.input_dim:
-        raise DimensionMismatch(
-            0, f"input dim {X.shape[1]} != arch input dim {arch.input_dim}"
-        )
+    _check_inputs(params, arch, X, mask)
     if y.min() < 0 or y.max() >= arch.num_classes:
         raise ValueError(
             f"labels must lie in [0, {arch.num_classes}), got range "
             f"[{y.min()}, {y.max()}]"
         )
 
-    # forward, keeping activations for the backward pass
-    last = arch.num_layers - 1
-    activations = [X]
-    a = X
-    masked_weights = []
-    for l, (W, b) in enumerate(weight_views(params, arch)):
-        if mask is not None:
-            W = W * mask.keep[l][:, None].astype(np.float64)
-        masked_weights.append(W)
-        z = a @ W + b
-        a = np.maximum(z, 0.0) if l < last else z
-        activations.append(a)
-
+    activations = _layer_inputs(params, arch, X, mask)
     logp = log_softmax(activations[-1])
     per_sample = -logp[np.arange(len(y)), y]
     if not np.all(np.isfinite(per_sample)):
@@ -265,21 +260,20 @@ def loss_and_grad(
     loss = float(per_sample.mean())
 
     grad = np.empty_like(params)  # every entry is written below
-    batch_size = X.shape[0]
     delta = np.exp(logp)
     delta[np.arange(len(y)), y] -= 1.0
-    delta /= batch_size
-    spans = layer_spans(arch)
-    for l in range(last, -1, -1):
-        a_prev = activations[l]
-        w_span, b_span = spans[l]
-        dW = a_prev.T @ delta
+    delta /= X.shape[0]
+    weights = [W for W, _ in weight_views(params, arch)]
+    for l, (dW, db) in reversed(list(enumerate(weight_views(grad, arch)))):
+        np.matmul(activations[l].T, delta, out=dW)
         if mask is not None:
-            dW *= mask.keep[l][:, None].astype(np.float64)
-        grad[w_span] = dW.reshape(-1)
-        grad[b_span] = delta.sum(axis=0)
+            # dropped rows times 0.0, as a product with the mask would give;
+            # kept rows would be multiplied by 1.0, which changes nothing
+            np.multiply(dW, 0.0, out=dW, where=~mask.keep[l][:, None])
+        np.sum(delta, axis=0, out=db)
         if l > 0:
-            delta = delta @ masked_weights[l].T
+            W = weights[l] if mask is None else weights[l] * mask.keep[l][:, None]
+            delta = delta @ W.T
             delta[activations[l] <= 0.0] = 0.0
     return loss, grad
 

@@ -293,27 +293,6 @@ class TestServerUpdate:
             )
 
 
-class TestMode:
-    def test_prior_mode(self):
-        d = 5
-        post = niw.niw_init(d, 0)  # n0 = d+2
-        mu, sigma = niw.niw_mode(post)
-        assert np.array_equal(mu, np.zeros(d))
-        assert np.allclose(sigma, 1 / (2 * d + 4), rtol=1e-15)
-
-    def test_mode_concentrates(self):
-        post_small = niw.niw_init(4, 10)
-        post_big = niw.niw_init(4, 10_000_000)
-        assert niw.niw_mode(post_big)[1].max() < niw.niw_mode(post_small)[1].max()
-
-    def test_arithmetic(self):
-        post = niw.NiwGlobalPosterior(
-            m0=np.zeros(2), v0_diag=np.array([2.0, 4.0]), l0=3.0, n0=10.0, d=2
-        )
-        _, sigma = niw.niw_mode(post)
-        assert np.allclose(sigma, [1 / 7, 2 / 7], rtol=1e-15)
-
-
 class TestSampling:
     def make_dof50_posterior(self, d=10, seed=21):
         rng = np.random.default_rng(seed)

@@ -1,5 +1,7 @@
 """Core NN engine: layout, forward, exact gradients, dropout, SGD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,62 @@ def central_diff_grad(fn, x, h=1e-5):
 
 def rel_err(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def apply_mask(params, arch, mask):
+    """Zero every parameter in a dropped group (biases untouched)."""
+    out = params.copy()
+    for l, (W, b) in enumerate(nn.weight_views(out, arch)):
+        W *= mask.keep[l][:, None].astype(np.float64)
+    return out
+
+
+def oracle_forward(params, arch, batch, mask=None):
+    """Reference forward pass that masks the weights, not the layer inputs."""
+    a = batch.inputs
+    last = arch.num_layers - 1
+    for l, (W, b) in enumerate(nn.weight_views(params, arch)):
+        if mask is not None:
+            W = W * mask.keep[l][:, None].astype(np.float64)
+        z = a @ W + b
+        a = np.maximum(z, 0.0) if l < last else z
+    return a
+
+
+def oracle_loss_and_grad(params, arch, batch, mask=None):
+    """Reference loss and gradient over masked weight copies, with every
+    gradient block built in a temporary and copied into place."""
+    X, y = batch.inputs, batch.labels
+    last = arch.num_layers - 1
+    activations = [X]
+    a = X
+    masked_weights = []
+    for l, (W, b) in enumerate(nn.weight_views(params, arch)):
+        if mask is not None:
+            W = W * mask.keep[l][:, None].astype(np.float64)
+        masked_weights.append(W)
+        z = a @ W + b
+        a = np.maximum(z, 0.0) if l < last else z
+        activations.append(a)
+
+    logp = nn.log_softmax(activations[-1])
+    loss = float((-logp[np.arange(len(y)), y]).mean())
+    grad = np.empty_like(params)
+    delta = np.exp(logp)
+    delta[np.arange(len(y)), y] -= 1.0
+    delta /= X.shape[0]
+    spans = nn.layer_spans(arch)
+    for l in range(last, -1, -1):
+        w_span, b_span = spans[l]
+        dW = activations[l].T @ delta
+        if mask is not None:
+            dW *= mask.keep[l][:, None].astype(np.float64)
+        grad[w_span] = dW.reshape(-1)
+        grad[b_span] = delta.sum(axis=0)
+        if l > 0:
+            delta = delta @ masked_weights[l].T
+            delta[activations[l] <= 0.0] = 0.0
+    return loss, grad
 
 
 def make_batch(rng, n, dim, classes):
@@ -107,7 +165,7 @@ class TestForward:
         batch = make_batch(rng, 6, 4, 2)
         mask = nn.DropoutMask(keep=tuple(np.zeros(s, dtype=bool) for s in (4, 3)))
         got = nn.forward(params, arch, batch, mask)
-        zeroed = nn.apply_mask(params, arch, mask)
+        zeroed = apply_mask(params, arch, mask)
         assert np.array_equal(got, nn.forward(zeroed, arch, batch))
         # bias-only: logits identical across inputs
         assert np.allclose(got, got[0])
@@ -119,7 +177,7 @@ class TestForward:
         batch = make_batch(rng, 7, 6, 3)
         mask = nn.sample_dropout_mask(0.6, arch, stream(3, "mask"))
         via_mask = nn.forward(params, arch, batch, mask)
-        via_apply = nn.forward(nn.apply_mask(params, arch, mask), arch, batch)
+        via_apply = nn.forward(apply_mask(params, arch, mask), arch, batch)
         assert np.array_equal(via_mask, via_apply)
 
     def test_dimension_errors(self):
@@ -289,5 +347,79 @@ def test_mask_linearity_property(sizes, seed):
     mask = nn.sample_dropout_mask(0.5, arch, stream(seed, "m"))
     assert np.array_equal(
         nn.forward(params, arch, batch, mask),
-        nn.forward(nn.apply_mask(params, arch, mask), arch, batch),
+        nn.forward(apply_mask(params, arch, mask), arch, batch),
     )
+
+
+PROTOCOL = nn.MlpArch((784, 256, 10))
+
+
+def protocol_params():
+    params = nn.init_params(PROTOCOL, stream(0, "init"))
+    params[::97] = 0.0
+    params[::89] = -0.0
+    return params
+
+
+def protocol_batch(n, seed=0):
+    """Inputs with zero columns and scattered +0.0 and -0.0 entries."""
+    rng = np.random.default_rng(seed)
+    inputs = rng.normal(size=(n, 784))
+    inputs[:, :40] = 0.0
+    inputs[:, 40:60] = -0.0
+    inputs[rng.random(inputs.shape) < 0.1] = 0.0
+    inputs[rng.random(inputs.shape) < 0.1] = -0.0
+    return nn.Batch(inputs=inputs, labels=rng.integers(0, 10, size=n))
+
+
+def protocol_mask(kind):
+    if kind == "none":
+        return None
+    if kind == "p0.999":
+        return nn.sample_dropout_mask(0.999, PROTOCOL, stream(1, "mask"))
+    if kind == "p0.5":
+        return nn.sample_dropout_mask(0.5, PROTOCOL, stream(2, "mask"))
+    # every group of one layer dropped, the other layer at p_keep 0.5
+    dropped = int(kind[-1])
+    keep = list(nn.sample_dropout_mask(0.5, PROTOCOL, stream(3, "mask")).keep)
+    keep[dropped] = np.zeros_like(keep[dropped])
+    return nn.DropoutMask(keep=tuple(keep))
+
+
+MASK_KINDS = ["none", "p0.999", "p0.5", "drop_layer0", "drop_layer1"]
+
+
+class TestProtocolShapeBits:
+    """The kernel equals the masked-weight reference bit for bit at 784-256-10."""
+
+    @pytest.mark.parametrize("kind", MASK_KINDS)
+    @pytest.mark.parametrize("rows", [50, 40, 1])
+    def test_loss_and_grad_bytes(self, rows, kind):
+        params, batch, mask = protocol_params(), protocol_batch(rows), protocol_mask(kind)
+        loss, grad = nn.loss_and_grad(params, PROTOCOL, batch, mask)
+        ref_loss, ref_grad = oracle_loss_and_grad(params, PROTOCOL, batch, mask)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("kind", MASK_KINDS)
+    @pytest.mark.parametrize("rows", [2048, 1808, 50])
+    def test_forward_bytes(self, rows, kind):
+        params, batch, mask = protocol_params(), protocol_batch(rows, 1), protocol_mask(kind)
+        got = nn.forward(params, PROTOCOL, batch, mask)
+        assert got.tobytes() == oracle_forward(params, PROTOCOL, batch, mask).tobytes()
+        if mask is not None:
+            zeroed = apply_mask(params, PROTOCOL, mask)
+            assert got.tobytes() == nn.forward(zeroed, PROTOCOL, batch).tobytes()
+
+    @pytest.mark.parametrize("kind", ["none", "p0.5"])
+    def test_one_step_allocates_little_beyond_the_gradient(self, kind):
+        # a staging copy of W_0 or of any gradient block would add 0.8-1.6 MB
+        params, batch, mask = protocol_params(), protocol_batch(50), protocol_mask(kind)
+        nn.loss_and_grad(params, PROTOCOL, batch, mask)
+        tracemalloc.start()
+        try:
+            nn.loss_and_grad(params, PROTOCOL, batch, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * nn.param_count(PROTOCOL)
