@@ -26,16 +26,14 @@ Sections, in file order:
     arr:state...        the state's arrays, sorted by name
     arr:retained:<id>   each listed client's retained iterate
 
-The state and records are encoded from their dataclass fields: a dataclass
-becomes a dict of its fields, a tuple a list, an int or float stays as it
-is, and an array goes to its own section, whose name the JSON holds. The
-name extends `arr:state` by each field name and tuple index on the way
-down: `arr:state` (a bare parameter vector), `arr:state:m0`,
-`arr:state:prototypes:0`. Loading rebuilds each value from its class's
-field annotations, starting from the `state_type` of the strategy named in
-meta, so the types come from code and never from the file. An int field
-takes only a JSON int and a float field a JSON int or float; a string or a
-boolean in their place is malformed content.
+The meta, records, state and retained sections are what `codec.encode`
+makes of `_Meta`, the RoundRecords, the strategy's state and `_Retained`.
+Each array goes to its own section, named by extending `arr:state` with each
+field name and tuple index on the way down (`arr:state` for a bare vector,
+`arr:state:m0`, `arr:state:prototypes:0`); the JSON holds the name. Loading
+decodes each section with `codec.decode`, starting from the `state_type` of
+the strategy named in meta, so the types come from code and never from the
+file, and reads an array only from an `arr:*` section.
 
 Array payloads use the npy format; JSON payloads are canonical (sorted
 keys, no whitespace) so equal states produce equal bytes apart from the
@@ -44,16 +42,15 @@ recorded wall-clock fields.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
 import struct
-import typing
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from .runtime import RoundRecord, RunState
 from .strategies import STRATEGIES
 
@@ -75,49 +72,6 @@ def _array_bytes(a: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
-def _encode(value, name: str, arrays: dict[str, np.ndarray]):
-    """JSON for value; its arrays go to `arrays`, keyed by section name."""
-    if isinstance(value, np.ndarray):
-        arrays[name] = value
-        return name
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: _encode(getattr(value, f.name), f"{name}:{f.name}", arrays)
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, tuple):
-        return [_encode(v, f"{name}:{i}", arrays) for i, v in enumerate(value)]
-    return value
-
-
-def _decode(tp, obj, sections: dict[str, bytes]):
-    """Rebuild a value of type tp from the JSON `_encode` made of it."""
-    if tp is np.ndarray:
-        if not isinstance(obj, str) or obj not in sections:
-            raise CheckpointError(f"missing array section {obj!r}")
-        try:
-            return np.load(io.BytesIO(sections[obj]), allow_pickle=False)
-        except Exception as e:
-            raise CheckpointError(f"section {obj!r} is not a valid array: {e}") from e
-    if dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        return tp(**{
-            f.name: _decode(hints[f.name], obj[f.name], sections)
-            for f in dataclasses.fields(tp)
-        })
-    if typing.get_origin(tp) is tuple:
-        if not isinstance(obj, list):
-            raise TypeError(f"expected a list, got {obj!r}")
-        item = typing.get_args(tp)[0]
-        return tuple(_decode(item, v, sections) for v in obj)
-    if tp in (int, float):
-        # a JSON int for an int, a JSON int or float for a float; never a bool
-        if type(obj) is int or (tp is float and type(obj) is float):
-            return tp(obj)
-        raise TypeError(f"expected {tp.__name__}, got {obj!r}")
-    raise TypeError(f"no checkpoint encoding for type {tp}")
-
-
 @dataclass(frozen=True)
 class Checkpoint:
     spec: dict
@@ -127,30 +81,38 @@ class Checkpoint:
     retained: dict[int, np.ndarray]
 
 
+@dataclass(frozen=True)
+class _Meta:
+    format: str
+    version: int
+    round_index: int
+    strategy: str
+
+
+@dataclass(frozen=True)
+class _Retained:
+    client_ids: tuple[int, ...]
+
+
 def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
     """Write the run's resumable state; atomic via rename."""
     arrays: dict[str, np.ndarray] = {}
-    state = _encode(run.strategy_state, "arr:state", arrays)
-    records = _encode(tuple(run.records), "arr:records", arrays)
-    meta = {
-        "format": "fedsim-checkpoint",
-        "version": VERSION,
-        "round_index": run.round_index,
-        "strategy": run.config.strategy,
-    }
-    retained_ids = [
-        c.client_id for c in run.clients if c.retained is not None
-    ]
+    state = codec.encode(run.strategy_state, "arr:state", arrays)
+    records = codec.encode(tuple(run.records), "arr:records", arrays)
+    meta = _Meta("fedsim-checkpoint", VERSION, run.round_index, run.config.strategy)
+    retained = _Retained(
+        tuple(c.client_id for c in run.clients if c.retained is not None)
+    )
     sections: list[tuple[str, bytes]] = [
-        ("meta", _canonical_json(meta)),
+        ("meta", _canonical_json(codec.encode(meta))),
         ("spec", _canonical_json(spec)),
         ("records", _canonical_json(records)),
         ("state", _canonical_json(state)),
-        ("retained", _canonical_json({"client_ids": retained_ids})),
+        ("retained", _canonical_json(codec.encode(retained))),
     ]
     for name in sorted(arrays):
         sections.append((name, _array_bytes(arrays[name])))
-    for cid in retained_ids:
+    for cid in retained.client_ids:
         sections.append(
             (f"arr:retained:{cid}", _array_bytes(run.clients[cid].retained))
         )
@@ -208,32 +170,38 @@ def _read_sections(f, path: str) -> dict[str, bytes]:
 
 
 def _checkpoint_from_sections(sections: dict[str, bytes]) -> Checkpoint:
-    def jsec(name):
+    def array(name):
+        if not (isinstance(name, str) and name.startswith("arr:") and name in sections):
+            raise CheckpointError(f"missing array section {name!r}")
+        try:
+            return np.load(io.BytesIO(sections[name]), allow_pickle=False)
+        except Exception as e:
+            raise CheckpointError(f"section {name!r} is not a valid array: {e}") from e
+
+    def jsec(tp, name):
         if name not in sections:
             raise CheckpointError(f"missing section {name!r}")
         try:
-            return json.loads(sections[name])
+            obj = json.loads(sections[name])
         except json.JSONDecodeError as e:
             raise CheckpointError(f"section {name!r} is not JSON: {e}") from e
+        return codec.decode(tp, obj, name, array)
 
-    meta = jsec("meta")
-    if meta.get("format") != "fedsim-checkpoint":
-        raise CheckpointError(f"unexpected meta format {meta.get('format')!r}")
-    strategy = STRATEGIES.get(meta["strategy"])
+    meta = jsec(_Meta, "meta")
+    if meta.format != "fedsim-checkpoint":
+        raise CheckpointError(f"unexpected meta format {meta.format!r}")
+    strategy = STRATEGIES.get(meta.strategy)
     if strategy is None:
-        raise CheckpointError(f"unknown strategy {meta['strategy']!r}")
-    state = _decode(strategy.state_type, jsec("state"), sections)
-    records = list(_decode(tuple[RoundRecord, ...], jsec("records"), sections))
-    retained = {
-        cid: _decode(np.ndarray, f"arr:retained:{cid}", sections)
-        for cid in _decode(tuple[int, ...], jsec("retained")["client_ids"], sections)
-    }
+        raise CheckpointError(f"unknown strategy {meta.strategy!r}")
     return Checkpoint(
-        spec=jsec("spec"),
-        round_index=_decode(int, meta["round_index"], sections),
-        records=records,
-        strategy_state=state,
-        retained=retained,
+        spec=jsec(dict, "spec"),
+        round_index=meta.round_index,
+        records=list(jsec(tuple[RoundRecord, ...], "records")),
+        strategy_state=jsec(strategy.state_type, "state"),
+        retained={
+            cid: array(f"arr:retained:{cid}")
+            for cid in jsec(_Retained, "retained").client_ids
+        },
     )
 
 
@@ -245,7 +213,5 @@ def load_checkpoint(path: str) -> Checkpoint:
         return _checkpoint_from_sections(sections)
     except CheckpointError as e:
         raise CheckpointError(f"{path}: {e}") from e
-    except KeyError as e:
-        raise CheckpointError(f"{path}: missing field {e}") from e
     except (AttributeError, OverflowError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed content: {e}") from e

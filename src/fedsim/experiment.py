@@ -11,13 +11,16 @@ An experiment spec is a JSON object:
                  | {"kind": "dirichlet", "alpha": 0.5},
       "model":     {"hidden": [256]},
       "federated": {... federated config fields ...},
-      "evaluation": {... EvalSpec fields, plus sample_count ...}
+      "evaluation": {... EvalSpec fields ...}
     }
 
-Unknown keys are rejected with their field path. The "federated" keys are
-the fields of `runtime.FederatedConfig` (all but seed and sample_count), the
-"evaluation" keys those of `EvalSpec` plus sample_count; each field's
-annotation sets its JSON type and its default is the dataclass default.
+Each block is a frozen dataclass that `codec.decode` checks the JSON
+against: `SpecFile` (top level), the dataset "kind" (`IdxDataset`,
+`SyntheticDataset`, `ContainerDataset`), the partition "kind"
+(`ShardPartition`, `DirichletPartition`), `ModelSpec`, `EvalSpec`, and
+`runtime.FederatedConfig` but its seed and sample_count. Unknown keys are
+rejected with their field path, and `__post_init__` checks the ranges.
+`resolved_spec` echoes the same dataclasses through `codec.encode`.
 
 Artifacts written into the output directory:
 
@@ -35,22 +38,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from . import __version__, checkpoint, data, nn, runtime
+from . import __version__, checkpoint, codec, data, nn, runtime
 from .rng import stream
 from .runtime import ConfigError, FederatedConfig
 
 SPEC_FORMAT = "fedsim-spec/v1"
 SUMMARY_FORMAT = "fedsim-summary/v1"
 METRICS_HEADER = "# fedsim metrics v1\nround,global_acc,mean_client_loss,server_objective\n"
-
-DATASET_KINDS = ("idx", "synthetic", "container")
-PARTITION_KINDS = ("shard", "dirichlet")
 
 # conventional IDX file names filled in when dataset.dir is given
 IDX_NAMES = {
@@ -71,43 +72,99 @@ def _require_obj(obj, path: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, path: str, required: tuple, optional: tuple) -> None:
-    allowed = set(required) | set(optional)
-    for k in obj:
-        if k not in allowed:
+@dataclass(frozen=True)
+class IdxDataset:
+    """MNIST-format big-endian files: each path, or a `dir` holding IDX_NAMES."""
+
+    train_images: str | None = None
+    train_labels: str | None = None
+    test_images: str | None = None
+    test_labels: str | None = None
+    dir: InitVar[str | None] = None
+
+    def __post_init__(self, dir):
+        given = [k for k in IDX_NAMES if getattr(self, k) is not None]
+        if dir is not None and given:
             raise SpecError(
-                f"{path}.{k}: unknown key (allowed: {', '.join(sorted(allowed))})"
+                f"dataset.dir: give either dir or explicit paths, not both "
+                f"(also saw: {', '.join(given)})"
             )
-    for k in required:
-        if k not in obj:
-            raise SpecError(f"{path}.{k}: required key missing")
+        for k, name in IDX_NAMES.items():
+            if dir is not None:
+                object.__setattr__(self, k, os.path.join(dir, name))
+            elif k not in given:
+                raise SpecError(f"dataset.{k}: required key missing")
 
 
-def _typed(obj: dict, path: str, key: str, kind, default):
-    """Fetch obj[key] with a type check; bool never passes as a number."""
-    if key not in obj:
-        return default
-    v = obj[key]
-    if kind is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
-    if isinstance(v, bool) and kind is not bool:
-        raise SpecError(f"{path}.{key}: expected {kind.__name__}, got bool")
-    if not isinstance(v, kind):
-        raise SpecError(
-            f"{path}.{key}: expected {kind.__name__}, got {type(v).__name__}"
-        )
-    return v
+@dataclass(frozen=True)
+class SyntheticDataset:
+    """Gaussian class blobs with a per-cluster shift (data.synth_train_test)."""
+
+    clusters: int
+    classes: int
+    dims: int
+    train_per_class: int
+    test_per_class: int
+    shift: float
+    noise_sd: float = 0.4
+    class_scale: float = 1.0
+
+    def __post_init__(self):
+        for k in ("clusters", "classes", "dims", "train_per_class",
+                  "test_per_class"):
+            if getattr(self, k) < 1:
+                raise SpecError(f"dataset.{k}: must be >= 1, got {getattr(self, k)}")
+        if not self.noise_sd > 0:
+            raise SpecError(f"dataset.noise_sd: must be > 0, got {self.noise_sd}")
+        for k in ("shift", "class_scale"):
+            if not math.isfinite(getattr(self, k)):
+                raise SpecError(f"dataset.{k}: must be finite, got {getattr(self, k)}")
 
 
-def _int_list(obj: dict, path: str, key: str, default):
-    if key not in obj or obj[key] is None:
-        return default
-    v = obj[key]
-    if not isinstance(v, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in v
-    ):
-        raise SpecError(f"{path}.{key}: expected a list of integers")
-    return tuple(v)
+@dataclass(frozen=True)
+class ContainerDataset:
+    """This package's binary dataset files (data.save_dataset)."""
+
+    train: str
+    test: str
+
+
+@dataclass(frozen=True)
+class ShardPartition:
+    shards_per_client: int
+
+    def __post_init__(self):
+        if self.shards_per_client < 1:
+            raise SpecError(
+                f"partition.shards_per_client: must be >= 1, "
+                f"got {self.shards_per_client}"
+            )
+
+
+@dataclass(frozen=True)
+class DirichletPartition:
+    alpha: float
+
+    def __post_init__(self):
+        if not self.alpha > 0:
+            raise SpecError(f"partition.alpha: must be > 0, got {self.alpha}")
+
+
+DATASETS = {
+    "idx": IdxDataset, "synthetic": SyntheticDataset, "container": ContainerDataset,
+}
+PARTITIONS = {"shard": ShardPartition, "dirichlet": DirichletPartition}
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    hidden: tuple[int, ...] = (256,)
+
+    def __post_init__(self):
+        if any(h < 1 for h in self.hidden):
+            raise SpecError(
+                f"model.hidden: layer sizes must be >= 1, got {list(self.hidden)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,16 +172,43 @@ class EvalSpec:
     eval_every: int = 1
     personalize: bool = True
     personalization_epochs: int = 5
-    personalization_lr: float | None = None
+    personalization_lr: float | None = None  # default: the training lr
     checkpoint_every: int = 0
+    # passed on to FederatedConfig, which checks it
+    sample_count: int = FederatedConfig.sample_count
 
     def __post_init__(self):
         if self.eval_every < 1:
             raise SpecError(f"evaluation.eval_every must be >= 1, got {self.eval_every}")
         if self.personalization_epochs < 0:
             raise SpecError("evaluation.personalization_epochs must be >= 0")
+        lr = self.personalization_lr
+        if lr is not None and not lr > 0:
+            raise SpecError(f"evaluation.personalization_lr must be > 0, got {lr}")
         if self.checkpoint_every < 0:
             raise SpecError("evaluation.checkpoint_every must be >= 0")
+
+
+@dataclass(frozen=True)
+class SpecFile:
+    """A spec's top level as written; each block stays a JSON object until
+    it is decoded under its own name, so errors name it as "model.hidden"."""
+
+    dataset: dict
+    partition: dict
+    format: str = SPEC_FORMAT
+    name: str = "experiment"
+    seed: int = 0
+    out: str | None = None  # default: runs/<name>
+    model: dict = field(default_factory=dict)
+    federated: dict = field(default_factory=dict)
+    evaluation: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.format != SPEC_FORMAT:
+            raise SpecError(f"spec.format: expected {SPEC_FORMAT!r}, got {self.format!r}")
+        if self.seed < 0:
+            raise SpecError(f"spec.seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -139,152 +223,46 @@ class ExperimentSpec:
     evaluation: EvalSpec
 
 
-def _parse_dataset(obj, path="dataset") -> dict:
-    obj = _require_obj(obj, path)
-    kind = _typed(obj, path, "kind", str, None)
-    if kind not in DATASET_KINDS:
+# FederatedConfig fields that the federated block leaves to SpecFile.seed
+# and EvalSpec.sample_count
+_NOT_FEDERATED = ("seed", "sample_count")
+
+
+def _decode_kind(kinds: dict, obj: dict, path: str) -> dict:
+    """The resolved dict of a block whose "kind" names its dataclass."""
+    kind = obj.get("kind")
+    if not (isinstance(kind, str) and kind in kinds):
         raise SpecError(
-            f"{path}.kind: expected one of {', '.join(DATASET_KINDS)}, got {kind!r}"
+            f"{path}.kind: expected one of {', '.join(kinds)}, got {kind!r}"
         )
-    if kind == "idx":
-        _check_keys(obj, path, ("kind",), ("dir", *IDX_NAMES))
-        if "dir" in obj:
-            extra = sorted(set(obj) & set(IDX_NAMES))
-            if extra:
-                raise SpecError(
-                    f"{path}.dir: give either dir or explicit paths, not both "
-                    f"(also saw: {', '.join(extra)})"
-                )
-            d = _typed(obj, path, "dir", str, None)
-            return {
-                "kind": "idx",
-                **{k: os.path.join(d, v) for k, v in IDX_NAMES.items()},
-            }
-        out = {"kind": "idx"}
-        for k in IDX_NAMES:
-            v = _typed(obj, path, k, str, None)
-            if v is None:
-                raise SpecError(f"{path}.{k}: required key missing")
-            out[k] = v
-        return out
-    if kind == "synthetic":
-        _check_keys(
-            obj, path,
-            ("kind", "clusters", "classes", "dims", "train_per_class",
-             "test_per_class", "shift"),
-            ("noise_sd", "class_scale"),
-        )
-        out = {
-            "kind": "synthetic",
-            "clusters": _typed(obj, path, "clusters", int, None),
-            "classes": _typed(obj, path, "classes", int, None),
-            "dims": _typed(obj, path, "dims", int, None),
-            "train_per_class": _typed(obj, path, "train_per_class", int, None),
-            "test_per_class": _typed(obj, path, "test_per_class", int, None),
-            "shift": _typed(obj, path, "shift", float, None),
-            "noise_sd": _typed(obj, path, "noise_sd", float, 0.4),
-            "class_scale": _typed(obj, path, "class_scale", float, 1.0),
-        }
-        for k in ("clusters", "classes", "dims", "train_per_class",
-                  "test_per_class"):
-            if out[k] < 1:
-                raise SpecError(f"{path}.{k}: must be >= 1, got {out[k]}")
-        if not out["noise_sd"] > 0:
-            raise SpecError(f"{path}.noise_sd: must be > 0, got {out['noise_sd']}")
-        return out
-    _check_keys(obj, path, ("kind", "train", "test"), ())
-    return {
-        "kind": "container",
-        "train": _typed(obj, path, "train", str, None),
-        "test": _typed(obj, path, "test", str, None),
-    }
-
-
-def _parse_partition(obj, path="partition") -> dict:
-    obj = _require_obj(obj, path)
-    kind = _typed(obj, path, "kind", str, None)
-    if kind == "shard":
-        _check_keys(obj, path, ("kind", "shards_per_client"), ())
-        s = _typed(obj, path, "shards_per_client", int, None)
-        if s < 1:
-            raise SpecError(f"{path}.shards_per_client: must be >= 1, got {s}")
-        return {"kind": "shard", "shards_per_client": s}
-    if kind == "dirichlet":
-        _check_keys(obj, path, ("kind", "alpha"), ())
-        alpha = _typed(obj, path, "alpha", float, None)
-        if not alpha > 0:
-            raise SpecError(f"{path}.alpha: must be > 0, got {alpha}")
-        return {"kind": "dirichlet", "alpha": alpha}
-    raise SpecError(
-        f"{path}.kind: expected one of {', '.join(PARTITION_KINDS)}, got {kind!r}"
-    )
-
-
-_FIELDS = {f.name: f for cls in (FederatedConfig, EvalSpec) for f in fields(cls)}
-# the federated block holds every FederatedConfig field except seed, which
-# the spec keeps at its top level, and sample_count, which sits in "evaluation"
-_FED_KEYS = tuple(
-    f.name for f in fields(FederatedConfig) if f.name not in ("seed", "sample_count")
-)
-_EVAL_KEYS = (*(f.name for f in fields(EvalSpec)), "sample_count")
-_SCALAR_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
-
-
-def _parse_fields(obj, path: str, keys: tuple) -> dict:
-    """Type-check the keys present in a block against their field annotations.
-
-    `X | None` also accepts null; `tuple[int, ...]` takes a list of integers.
-    """
-    obj = _require_obj(obj, path)
-    _check_keys(obj, path, (), keys)
-    out = {}
-    for key, value in obj.items():
-        kind = _FIELDS[key].type
-        if value is None and kind.endswith(" | None"):
-            out[key] = None
-        elif kind.startswith("tuple[int"):
-            out[key] = _int_list(obj, path, key, None)
-        else:
-            scalar = _SCALAR_TYPES[kind.removesuffix(" | None")]
-            out[key] = _typed(obj, path, key, scalar, None)
-    return out
+    rest = {k: v for k, v in obj.items() if k != "kind"}
+    return {"kind": kind, **codec.encode(codec.decode(kinds[kind], rest, path))}
 
 
 def parse_spec_dict(obj) -> ExperimentSpec:
     """Validate a spec object and fill every default."""
-    obj = _require_obj(obj, "spec")
-    _check_keys(
-        obj, "spec", ("dataset", "partition"),
-        ("format", "name", "seed", "out", "model", "federated", "evaluation"),
-    )
-    fmt = _typed(obj, "spec", "format", str, SPEC_FORMAT)
-    if fmt != SPEC_FORMAT:
-        raise SpecError(f"spec.format: expected {SPEC_FORMAT!r}, got {fmt!r}")
-    name = _typed(obj, "spec", "name", str, "experiment")
-    seed = _typed(obj, "spec", "seed", int, 0)
-    out = _typed(obj, "spec", "out", str, os.path.join("runs", name))
-
-    dataset = _parse_dataset(obj["dataset"])
-    partition = _parse_partition(obj["partition"])
-
-    model = _require_obj(obj.get("model", {}), "model")
-    _check_keys(model, "model", (), ("hidden",))
-    hidden = _int_list(model, "model", "hidden", (256,))
-    if any(h < 1 for h in hidden):
-        raise SpecError(f"model.hidden: layer sizes must be >= 1, got {list(hidden)}")
-
-    ev = _parse_fields(obj.get("evaluation", {}), "evaluation", _EVAL_KEYS)
-    fed = _parse_fields(obj.get("federated", {}), "federated", _FED_KEYS)
-    if "sample_count" in ev:
-        fed["sample_count"] = ev.pop("sample_count")
-    evaluation = EvalSpec(**ev)
     try:
-        config = FederatedConfig(seed=seed, **fed)
+        top = codec.decode(SpecFile, obj, "spec")
+        dataset = _decode_kind(DATASETS, top.dataset, "dataset")
+        partition = _decode_kind(PARTITIONS, top.partition, "partition")
+        model = codec.decode(ModelSpec, top.model, "model")
+        evaluation = codec.decode(EvalSpec, top.evaluation, "evaluation")
+        for key in _NOT_FEDERATED:
+            if key in top.federated:
+                raise SpecError(f"federated.{key}: unknown key")
+        config = codec.decode(FederatedConfig, {
+            **top.federated, "seed": top.seed,
+            "sample_count": evaluation.sample_count,
+        }, "federated")
+    except codec.DecodeError as e:
+        raise SpecError(str(e)) from e
     except ConfigError as e:
         raise SpecError(f"federated: {e}") from e
     return ExperimentSpec(
-        name=name, seed=seed, out=out, dataset=dataset, partition=partition,
-        hidden=hidden, config=config, evaluation=evaluation,
+        name=top.name, seed=top.seed,
+        out=os.path.join("runs", top.name) if top.out is None else top.out,
+        dataset=dataset, partition=partition, hidden=model.hidden,
+        config=config, evaluation=evaluation,
     )
 
 
@@ -299,37 +277,25 @@ def parse_spec(
     except json.JSONDecodeError as e:
         raise SpecError(f"{path}: not valid JSON: {e}") from e
     obj = _require_obj(obj, "spec")
-    if seed is not None:
-        obj["seed"] = seed
-    if out is not None:
-        obj["out"] = out
-    if rounds is not None or strategy is not None:
-        fed = _require_obj(obj.setdefault("federated", {}), "federated")
-        if rounds is not None:
-            fed["rounds"] = rounds
-        if strategy is not None:
-            fed["strategy"] = strategy
+    for key, value in (("seed", seed), ("out", out)):
+        if value is not None:
+            obj[key] = value
+    for key, value in (("rounds", rounds), ("strategy", strategy)):
+        if value is not None:
+            _require_obj(obj.setdefault("federated", {}), "federated")[key] = value
     return parse_spec_dict(obj)
 
 
 def resolved_spec(spec: ExperimentSpec) -> dict:
     """Echo the spec with every field explicit; parse_spec_dict round-trips it."""
-    c = spec.config
-    fed = {k: getattr(c, k) for k in _FED_KEYS}
-    return {
-        "format": SPEC_FORMAT,
-        "name": spec.name,
-        "seed": spec.seed,
-        "out": spec.out,
-        "dataset": dict(spec.dataset),
-        "partition": dict(spec.partition),
-        "model": {"hidden": list(spec.hidden)},
-        # a tuple echoes as a list, so the echo equals its own JSON round trip
-        "federated": {
-            k: list(v) if isinstance(v, tuple) else v for k, v in fed.items()
-        },
-        "evaluation": {**asdict(spec.evaluation), "sample_count": c.sample_count},
-    }
+    fed = codec.encode(spec.config)
+    fed = {k: v for k, v in fed.items() if k not in _NOT_FEDERATED}
+    return codec.encode(SpecFile(
+        dataset=dict(spec.dataset), partition=dict(spec.partition),
+        name=spec.name, seed=spec.seed, out=spec.out,
+        model=codec.encode(ModelSpec(spec.hidden)), federated=fed,
+        evaluation=codec.encode(spec.evaluation),
+    ))
 
 
 def build_id(resolved: dict) -> str:
@@ -431,9 +397,7 @@ def run_experiment(
     os.makedirs(spec.out, exist_ok=True)
     run = build_run(spec)
     if resume is not None:
-        a = {k: v for k, v in resume.spec.items() if k != "out"}
-        b = {k: v for k, v in resolved.items() if k != "out"}
-        if a != b:
+        if build_id(resume.spec) != build_id(resolved):
             raise SpecError(
                 "checkpoint spec does not match the experiment being resumed"
             )
@@ -475,10 +439,7 @@ def run_experiment(
                 run, epochs=ev.personalization_epochs, lr=ev.personalization_lr
             )
             personalization = {
-                "mean_acc": report.mean_acc,
-                "std_acc": report.std_acc,
-                "per_client": list(report.per_client),
-                "epochs": ev.personalization_epochs,
+                **codec.encode(report), "epochs": ev.personalization_epochs,
             }
         else:
             personalization = {"skipped": "no client has a personal test split"}

@@ -29,9 +29,9 @@ class MixtureGlobalPosterior:
     def __post_init__(self):
         if len(self.prototypes) < 1:
             raise ValueError("need at least one prototype")
-        if self.sigma_sq <= 0:
+        if not self.sigma_sq > 0:
             raise ValueError(f"sigma_sq must be positive, got {self.sigma_sq}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.gating_arch.num_classes != len(self.prototypes):
             raise ValueError(

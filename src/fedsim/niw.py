@@ -26,29 +26,6 @@ class VarianceFloorViolation(ValueError):
 
 
 @dataclass(frozen=True)
-class NiwHyperParams:
-    """Fixed top-level prior: mean mu0*1, scale sigma0*I, strengths lambda0/nu0.
-
-    nu0 defaults to d+2 (resolved at init time, the smallest value giving the
-    inverse-Wishart a finite mean).
-    """
-
-    mu0: float = 0.0
-    sigma0: float = 1.0
-    lambda0: float = 1.0
-    nu0: float | None = None
-
-    def __post_init__(self):
-        if self.lambda0 <= 0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-        if self.sigma0 <= 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-
-    def resolved_nu0(self, d: int) -> float:
-        return float(d + 2) if self.nu0 is None else float(self.nu0)
-
-
-@dataclass(frozen=True)
 class NiwGlobalPosterior:
     m0: np.ndarray  # (d,)
     v0_diag: np.ndarray  # (d,) positive
@@ -74,20 +51,20 @@ class NiwGlobalPosterior:
         return self.n0 - self.d + 1
 
 
-def niw_init(
-    d: int, total_data_size: int, hyper: NiwHyperParams | None = None
-) -> NiwGlobalPosterior:
-    """Conjugacy-pre-estimated posterior: l0 = |D|+lambda0, n0 = |D|+nu0."""
+def niw_init(d: int, total_data_size: int) -> NiwGlobalPosterior:
+    """Conjugacy-pre-estimated posterior: m0 = 0, v0 = 1, l0 = |D|+1, n0 = |D|+d+2.
+
+    nu0 = d+2 is the smallest value giving the inverse-Wishart a finite mean.
+    """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if total_data_size < 0:
         raise ValueError(f"total_data_size must be >= 0, got {total_data_size}")
-    hyper = hyper or NiwHyperParams()
     return NiwGlobalPosterior(
-        m0=np.full(d, hyper.mu0, dtype=np.float64),
-        v0_diag=np.full(d, hyper.sigma0, dtype=np.float64),
-        l0=total_data_size + hyper.lambda0,
-        n0=total_data_size + hyper.resolved_nu0(d),
+        m0=np.zeros(d),
+        v0_diag=np.ones(d),
+        l0=total_data_size + 1.0,
+        n0=total_data_size + float(d + 2),
         d=d,
     )
 

@@ -10,6 +10,7 @@ function of (seed, config, dataset) and can resume from any round.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -86,6 +87,15 @@ class FederatedConfig:
                 raise ConfigError(
                     f"unknown {name} {value!r}; valid: {', '.join(valid)}"
                 )
+        # checked first: the default round budget divides by local_epochs
+        for name in ("n_clients", "local_epochs", "batch_size", "k_prototypes",
+                     "sample_count"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        # n_f multiplies n_clients by a float, so it must fit in one
+        if self.n_clients > sys.float_info.max:
+            raise ConfigError(f"n_clients must fit in a float, got {self.n_clients}")
         if self.rounds is None:
             object.__setattr__(self, "rounds", default_rounds(self.local_epochs))
         if self.lr_milestones is None:
@@ -95,8 +105,6 @@ class FederatedConfig:
         object.__setattr__(self, "lr_milestones", milestones)
         if self.strategy == "fedbabu" and not self.body_update:
             object.__setattr__(self, "body_update", True)
-        if self.n_clients < 1:
-            raise ConfigError(f"n_clients must be >= 1, got {self.n_clients}")
         if not 0.0 < self.participation <= 1.0:
             raise ConfigError(
                 f"participation must be in (0, 1], got {self.participation}"
@@ -106,25 +114,17 @@ class FederatedConfig:
                 f"N_f must be >= 1: floor({self.n_clients} * "
                 f"{self.participation}) = 0"
             )
-        if self.local_epochs < 1:
-            raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.k_prototypes < 1:
-            raise ConfigError(f"k_prototypes must be >= 1, got {self.k_prototypes}")
-        if self.sample_count < 1:
-            raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.mu_prox < 0:
+        if not self.mu_prox >= 0:
             raise ConfigError(f"mu_prox must be >= 0, got {self.mu_prox}")
         if not 0.0 < self.p_keep <= 1.0:
             raise ConfigError(f"p_keep must be in (0, 1], got {self.p_keep}")
         for name in ("epsilon", "sigma_sq", "lr", "lr_decay"):
             value = getattr(self, name)
-            if value <= 0:
+            if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.theory_lbar < 0:
+        if not self.theory_lbar >= 0:
             raise ConfigError(f"theory_lbar must be >= 0, got {self.theory_lbar}")
 
     @property

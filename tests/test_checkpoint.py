@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fedsim import checkpoint, experiment, runtime
 from fedsim.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from fedsim.strategies import STRATEGIES
-from tests.test_experiment import tiny_spec_obj
+from tests.test_experiment import JSON, json_paths, swap_value, tiny_spec_obj
 
 
 def build_tiny_run(tmp_path, sub="out", **over):
@@ -269,6 +269,17 @@ class TestMalformed:
             load_checkpoint(bad)
         assert str(info.value).startswith(f"{bad}: ")
 
+    @pytest.mark.parametrize("key", ["sigma_sq", "epsilon"])
+    def test_nan_mixture_state_names_file(self, tmp_path, key):
+        def edit(sections):
+            state = {**json.loads(sections["state"]), key: float("nan")}
+            sections["state"] = json.dumps(state).encode()
+
+        bad = self.rewrite(tmp_path, edit, "mixture")
+        with pytest.raises(CheckpointError, match=f"malformed content: {key}") as info:
+            load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+
     def test_resume_of_malformed_file_exits_with_message(self, tmp_path, capsys):
         from fedsim.cli import main
 
@@ -338,15 +349,6 @@ class TestResume:
         assert before == after
 
 
-# arbitrary JSON values, small enough to keep each example fast; scalars are
-# drawn directly as often as containers are
-SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-JSON = SCALAR | st.recursive(
-    SCALAR,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=6,
-)
 # derandomized so that every run of the suite tries the same mutants
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -373,23 +375,6 @@ def loads_or_rejects(path):
         load_checkpoint(str(path))
     except CheckpointError:
         pass
-
-
-def json_paths(obj, path=()):
-    """The key path of every value in obj, obj itself first."""
-    yield path
-    items = obj.items() if isinstance(obj, dict) else (
-        enumerate(obj) if isinstance(obj, list) else ())
-    for key, value in items:
-        yield from json_paths(value, (*path, key))
-
-
-def swap_value(obj, path, value):
-    """obj with the value at path replaced."""
-    if not path:
-        return value
-    obj[path[0]] = swap_value(obj[path[0]], path[1:], value)
-    return obj
 
 
 class TestFuzz:

@@ -49,6 +49,16 @@ class TestRun:
         assert main(["run", path]) == 1
         assert "unknown strategy" in capsys.readouterr().err
 
+    def test_spec_value_errors_exit_with_field_path(self, tmp_path, capsys):
+        path = write_spec(tmp_path, tiny_spec_obj(out=str(tmp_path / "out")))
+        assert main(["run", path, "--seed", "-1"]) == 1
+        assert "error: spec.seed: must be >= 0" in capsys.readouterr().err
+        text = json.dumps(tiny_spec_obj(federated={"lr": 12345}))
+        big = tmp_path / "big.json"
+        big.write_text(text.replace("12345", "1" + "0" * 400))
+        assert main(["run", str(big)]) == 1
+        assert "error: federated.lr: integer too large" in capsys.readouterr().err
+
     def test_missing_file_exits_nonzero(self, capsys):
         assert main(["run", "/nonexistent/spec.json"]) == 1
         assert "error:" in capsys.readouterr().err

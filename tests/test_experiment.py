@@ -1,10 +1,15 @@
 """Spec parsing, experiment execution, and artifact contracts."""
 
+import functools
 import json
+import math
+import operator
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import data, experiment
 from fedsim.runtime import ConfigError
@@ -37,6 +42,34 @@ def tiny_spec_obj(**over):
             obj[k] = {**obj[k], **v}
         else:
             obj[k] = v
+    return obj
+
+
+# arbitrary JSON values, small enough to keep each example fast; scalars are
+# drawn directly as often as containers are
+SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+JSON = SCALAR | st.recursive(
+    SCALAR,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(obj, path=()):
+    """The key path of every value in obj, obj itself first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from json_paths(value, (*path, key))
+
+
+def swap_value(obj, path, value):
+    """obj with the value at path replaced."""
+    if not path:
+        return value
+    obj[path[0]] = swap_value(obj[path[0]], path[1:], value)
     return obj
 
 
@@ -154,11 +187,43 @@ class TestParseSpec:
         ("lr_decay", 0.0),
         ("lr_decay", -1.0),
         ("theory_lbar", -0.5),
+        *((key, math.nan) for key in (
+            "participation", "p_keep", "epsilon", "sigma_sq", "mu_prox", "lr",
+            "lr_decay", "theory_lbar")),
     ])
     def test_out_of_range_federated_values_rejected(self, key, value):
         with pytest.raises(SpecError, match=f"^federated: {key} ") as info:
             parse_spec_dict(tiny_spec_obj(federated={key: value}))
         assert isinstance(info.value.__cause__, ConfigError)
+
+    @pytest.mark.parametrize("over,match", [
+        ({"evaluation": {"personalization_lr": -0.1}}, "evaluation.personalization_lr"),
+        ({"evaluation": {"personalization_lr": 0.0}}, "evaluation.personalization_lr"),
+        ({"evaluation": {"personalization_lr": math.nan}}, "evaluation.personalization_lr"),
+        ({"seed": -1}, "spec.seed: must be >= 0"),
+        ({"federated": {"lr": 10**400}}, "federated.lr: integer too large"),
+        ({"federated": {"n_clients": 10**400}}, "federated: n_clients"),
+        ({"federated": {"local_epochs": 0, "rounds": None}}, "federated: local_epochs"),
+        ({"model": {"hidden": None}}, "model.hidden: expected a list"),
+        ({"federated": {"seed": 3}}, "federated.seed: unknown key"),
+        ({"federated": {"sample_count": 3}}, "federated.sample_count: unknown key"),
+    ])
+    def test_out_of_range_spec_values_rejected(self, over, match):
+        with pytest.raises(SpecError, match=match.replace(".", r"\.")):
+            parse_spec_dict(tiny_spec_obj(**over))
+
+    @pytest.mark.parametrize("key,value", [
+        ("shift", math.nan), ("shift", math.inf), ("class_scale", math.nan),
+    ])
+    def test_non_finite_synthetic_geometry_rejected(self, key, value):
+        obj = tiny_spec_obj()
+        obj["dataset"][key] = value
+        with pytest.raises(SpecError, match=rf"dataset\.{key}: must be finite"):
+            parse_spec_dict(obj)
+
+    def test_null_personalization_lr_means_training_lr(self):
+        spec = parse_spec_dict(tiny_spec_obj(evaluation={"personalization_lr": None}))
+        assert spec.evaluation.personalization_lr is None
 
     @pytest.mark.parametrize("key", [
         "strategy", "lr_schedule", "mixture_client_init", "warm_start",
@@ -227,6 +292,43 @@ class TestParseSpec:
             "synth_convergence.json": "49a286cd56c3",
             "synth_niw.json": "546f2648a4be",
         }
+
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
+# JSON numbers that strain a float field: too big for a float, NaN and inf
+EDGE = st.sampled_from([10**400, -10**400, math.nan, math.inf, -math.inf])
+
+
+def at(obj, path):
+    """The value at path in obj."""
+    return functools.reduce(operator.getitem, path, obj)
+
+
+class TestSpecFuzz:
+    # derandomized so that every run of the suite tries the same mutants
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(name=st.sampled_from(sorted(os.listdir(SPEC_DIR))),
+           op=st.sampled_from(["swap", "drop", "add"]), data=st.data())
+    def test_mutant_parses_and_round_trips_or_raises_spec_error(self, name, op, data):
+        with open(os.path.join(SPEC_DIR, name)) as f:
+            obj = json.load(f)
+        paths = list(json_paths(obj))
+        if op == "swap":
+            where = data.draw(st.sampled_from(paths))
+            obj = swap_value(obj, where, data.draw(JSON | EDGE))
+        elif op == "drop":
+            where = data.draw(st.sampled_from([p for p in paths if p and isinstance(p[-1], str)]))
+            del at(obj, where[:-1])[where[-1]]
+        else:
+            where = data.draw(st.sampled_from([p for p in paths if isinstance(at(obj, p), dict)]))
+            at(obj, where)[data.draw(st.text(max_size=8))] = data.draw(JSON | EDGE)
+        try:
+            spec = parse_spec_dict(obj)
+        except SpecError:
+            return
+        res = resolved_spec(spec)
+        assert resolved_spec(parse_spec_dict(res)) == res
+        assert resolved_spec(parse_spec_dict(json.loads(json.dumps(res)))) == res
 
 
 class TestRunExperiment:
