@@ -4,6 +4,11 @@ Provides the IDX image-file reader, a clustered Gaussian-blob generator for
 desk-scale heterogeneous experiments, the two client partitioners (label
 shards and Dirichlet proportions) with per-client train/test sub-splits, and
 a small binary container for reproducible dataset snapshots.
+
+Setup reads and checks each dataset once: the container loader reads every
+block straight into its array, `LabeledDataset` validates the inputs with
+one min and one max pass, and `Partition` checks client overlap with one
+sort of all the clients' indices.
 """
 
 from __future__ import annotations
@@ -42,9 +47,12 @@ class LabeledDataset:
             raise ValueError(
                 f"labels shape {labels.shape} incompatible with {inputs.shape}"
             )
-        if not np.isfinite(inputs).all():
-            raise ValueError("inputs contain non-finite values")
-        if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
+        # NaN propagates through min and max and +-inf lies outside [0, 1],
+        # so the range test rejects both without a temporary; isfinite only
+        # picks the message
+        if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
+            if not np.isfinite(inputs).all():
+                raise ValueError("inputs contain non-finite values")
             raise ValueError("inputs must lie in [0, 1]")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
@@ -76,17 +84,15 @@ class Partition:
         k = len(self.client_indices)
         if not (len(self.train_indices) == len(self.test_indices) == k):
             raise ValueError("sub-split lists must match client count")
-        seen: set[int] = set()
-        for cid in range(k):
-            idx = np.asarray(self.client_indices[cid], dtype=np.int64)
+        clients = [np.asarray(idx, dtype=np.int64) for idx in self.client_indices]
+        overlapping = _first_repeat_owner(clients)
+        for cid, idx in enumerate(clients):
             if idx.size == 0:
                 raise PartitionError(f"client {cid} received no data")
             if idx.min() < 0:
                 raise ValueError(f"client {cid} has a negative index")
-            here = set(int(i) for i in idx)
-            if len(here) != idx.size or here & seen:
+            if cid == overlapping:
                 raise ValueError(f"client {cid} overlaps another client's indices")
-            seen |= here
             sub = np.concatenate(
                 [self.train_indices[cid], self.test_indices[cid]]
             )
@@ -96,6 +102,23 @@ class Partition:
     @property
     def num_clients(self) -> int:
         return len(self.client_indices)
+
+
+def _first_repeat_owner(clients: list[np.ndarray]) -> int | None:
+    """The lowest client holding an index that it or a lower client already holds.
+
+    A stable sort of the concatenated lists keeps equal indices in client
+    order, so every occurrence after a value's first is a repeat, owned by
+    a client at or above the first owner.
+    """
+    if not clients:
+        return None
+    flat = np.concatenate(clients)
+    owner = np.repeat(np.arange(len(clients)), [idx.size for idx in clients])
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    repeats = owner[order[1:][ordered[1:] == ordered[:-1]]]
+    return int(repeats.min()) if repeats.size else None
 
 
 def _stratified_split(
@@ -210,6 +233,21 @@ def _read_exact(f, count: int, path: str, what: str) -> bytes:
     if len(data) != count:
         raise IdxFormatError(f"{path}: truncated {what}")
     return data
+
+
+def _read_array(
+    f, shape: tuple[int, ...], dtype: str, path: str, what: str
+) -> np.ndarray:
+    """Read the next block straight into a fresh read-only array.
+
+    There is no intermediate bytes object. numpy asks for huge pages for a
+    large allocation, so filling it takes far fewer page faults too.
+    """
+    out = np.empty(shape, dtype=dtype)
+    if f.readinto(out) != out.nbytes:
+        raise IdxFormatError(f"{path}: truncated {what}")
+    out.flags.writeable = False
+    return out
 
 
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
@@ -350,6 +388,7 @@ def save_dataset(path: str, ds: LabeledDataset) -> None:
 
 
 def load_dataset(path: str) -> LabeledDataset:
+    """Read a save_dataset container; its labels and inputs are read-only."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, path, "magic")
         if magic != CONTAINER_MAGIC:
@@ -359,10 +398,6 @@ def load_dataset(path: str) -> LabeledDataset:
         )
         if version != CONTAINER_VERSION:
             raise IdxFormatError(f"{path}: unsupported version {version}")
-        labels = np.frombuffer(
-            _read_exact(f, 8 * n, path, "labels"), dtype="<i8"
-        ).astype(np.int64)
-        inputs = np.frombuffer(
-            _read_exact(f, 8 * n * dim, path, "inputs"), dtype="<f8"
-        ).reshape(n, dim)
+        labels = _read_array(f, (n,), "<i8", path, "labels")
+        inputs = _read_array(f, (n, dim), "<f8", path, "inputs")
     return LabeledDataset(inputs=inputs, labels=labels, num_classes=num_classes)

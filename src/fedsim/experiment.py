@@ -114,8 +114,10 @@ class SyntheticDataset:
                   "test_per_class"):
             if getattr(self, k) < 1:
                 raise SpecError(f"dataset.{k}: must be >= 1, got {getattr(self, k)}")
-        if not self.noise_sd > 0:
-            raise SpecError(f"dataset.noise_sd: must be > 0, got {self.noise_sd}")
+        if not 0 < self.noise_sd < math.inf:
+            raise SpecError(
+                f"dataset.noise_sd: must be > 0 and finite, got {self.noise_sd}"
+            )
         for k in ("shift", "class_scale"):
             if not math.isfinite(getattr(self, k)):
                 raise SpecError(f"dataset.{k}: must be finite, got {getattr(self, k)}")
@@ -146,8 +148,10 @@ class DirichletPartition:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise SpecError(f"partition.alpha: must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise SpecError(
+                f"partition.alpha: must be > 0 and finite, got {self.alpha}"
+            )
 
 
 DATASETS = {
@@ -183,8 +187,10 @@ class EvalSpec:
         if self.personalization_epochs < 0:
             raise SpecError("evaluation.personalization_epochs must be >= 0")
         lr = self.personalization_lr
-        if lr is not None and not lr > 0:
-            raise SpecError(f"evaluation.personalization_lr must be > 0, got {lr}")
+        if lr is not None and not 0 < lr < math.inf:
+            raise SpecError(
+                f"evaluation.personalization_lr must be > 0 and finite, got {lr}"
+            )
         if self.checkpoint_every < 0:
             raise SpecError("evaluation.checkpoint_every must be >= 0")
 
@@ -276,6 +282,8 @@ def parse_spec(
             obj = json.load(f)
     except json.JSONDecodeError as e:
         raise SpecError(f"{path}: not valid JSON: {e}") from e
+    except ValueError as e:  # bad UTF-8, or an int past the digit limit
+        raise SpecError(f"{path}: {e}") from e
     obj = _require_obj(obj, "spec")
     for key, value in (("seed", seed), ("out", out)):
         if value is not None:

@@ -9,6 +9,7 @@ prediction samples backbone weights from the induced multivariate Student-t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +42,9 @@ class NiwGlobalPosterior:
             )
         if not np.all(self.v0_diag > 0):
             raise ValueError("v0_diag entries must be positive")
+        # predictive_scale divides by l0
+        if not 0 < self.l0 < math.inf:
+            raise ValueError(f"l0 must be positive and finite, got {self.l0}")
         if not self.n0 - self.d + 1 > 2:
             raise ValueError(
                 f"predictive needs n0 - d + 1 > 2, got {self.n0 - self.d + 1}"

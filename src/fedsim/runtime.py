@@ -116,16 +116,18 @@ class FederatedConfig:
             )
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
-        if not self.mu_prox >= 0:
-            raise ConfigError(f"mu_prox must be >= 0, got {self.mu_prox}")
+        if not 0 <= self.mu_prox < math.inf:
+            raise ConfigError(f"mu_prox must be >= 0 and finite, got {self.mu_prox}")
         if not 0.0 < self.p_keep <= 1.0:
             raise ConfigError(f"p_keep must be in (0, 1], got {self.p_keep}")
         for name in ("epsilon", "sigma_sq", "lr", "lr_decay"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if not self.theory_lbar >= 0:
-            raise ConfigError(f"theory_lbar must be >= 0, got {self.theory_lbar}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.theory_lbar < math.inf:
+            raise ConfigError(
+                f"theory_lbar must be >= 0 and finite, got {self.theory_lbar}"
+            )
 
     @property
     def n_f(self) -> int:

@@ -280,6 +280,18 @@ class TestMalformed:
             load_checkpoint(bad)
         assert str(info.value).startswith(f"{bad}: ")
 
+    @pytest.mark.parametrize("l0", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_bad_niw_l0_names_file(self, tmp_path, l0):
+        # the Student-t predictive scale divides by l0
+        def edit(sections):
+            state = {**json.loads(sections["state"]), "l0": l0}
+            sections["state"] = json.dumps(state).encode()
+
+        bad = self.rewrite(tmp_path, edit, "niw")
+        with pytest.raises(CheckpointError, match="malformed content: l0") as info:
+            load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+
     def test_resume_of_malformed_file_exits_with_message(self, tmp_path, capsys):
         from fedsim.cli import main
 

@@ -1,9 +1,12 @@
 """Tests for dataset loading, synthetic generation, and partitioning."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import data, nn
 from fedsim.rng import stream
@@ -293,3 +296,191 @@ class TestContainer:
         cut.write_bytes(blob[:-5])
         with pytest.raises(data.IdxFormatError, match="truncated"):
             data.load_dataset(str(cut))
+
+    def test_short_blocks_name_the_file_and_block(self, tmp_path):
+        ds, _ = synth(1, 2, 3, 4, 0.5, stream(17, "tr"))
+        path = tmp_path / "ds.bin"
+        data.save_dataset(str(path), ds)
+        blob = path.read_bytes()
+        labels_end = 4 + 16 + 8 * len(ds)
+        for keep, what in ((labels_end - 1, "labels"), (len(blob) - 1, "inputs")):
+            cut = tmp_path / f"cut-{what}.bin"
+            cut.write_bytes(blob[:keep])
+            with pytest.raises(data.IdxFormatError) as info:
+                data.load_dataset(str(cut))
+            assert str(info.value) == f"{cut}: truncated {what}"
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        ds, _ = synth(2, 3, 5, 7, 1.0, stream(18, "rt"))
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        data.save_dataset(str(first), ds)
+        back = data.load_dataset(str(first))
+        data.save_dataset(str(second), back)
+        assert first.read_bytes() == second.read_bytes()
+        assert back.inputs.tobytes() == ds.inputs.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        ds, _ = synth(1, 2, 3, 4, 0.5, stream(19, "ro"))
+        path = str(tmp_path / "ds.bin")
+        data.save_dataset(path, ds)
+        back = data.load_dataset(path)
+        for arr in (back.inputs, back.labels):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_empty_container_round_trips(self, tmp_path):
+        ds = data.LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
+        path = str(tmp_path / "empty.bin")
+        data.save_dataset(path, ds)
+        back = data.load_dataset(path)
+        assert back.inputs.shape == (0, 3) and back.num_classes == 2
+
+
+# Reference versions of the Partition and LabeledDataset checks: Python sets
+# of indices, and np.isfinite over the inputs before the range test. The
+# shipped checks must raise the same exception with the same message on
+# every input.
+
+
+def oracle_partition_check(client_indices, train_indices, test_indices):
+    k = len(client_indices)
+    if not (len(train_indices) == len(test_indices) == k):
+        raise ValueError("sub-split lists must match client count")
+    seen: set[int] = set()
+    for cid in range(k):
+        idx = np.asarray(client_indices[cid], dtype=np.int64)
+        if idx.size == 0:
+            raise data.PartitionError(f"client {cid} received no data")
+        if idx.min() < 0:
+            raise ValueError(f"client {cid} has a negative index")
+        here = set(int(i) for i in idx)
+        if len(here) != idx.size or here & seen:
+            raise ValueError(f"client {cid} overlaps another client's indices")
+        seen |= here
+        sub = np.concatenate([train_indices[cid], test_indices[cid]])
+        if not np.array_equal(np.sort(sub), np.sort(idx)):
+            raise ValueError(f"client {cid} sub-splits do not tile its indices")
+
+
+def oracle_input_check(inputs):
+    if not np.isfinite(inputs).all():
+        raise ValueError("inputs contain non-finite values")
+    if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
+        raise ValueError("inputs must lie in [0, 1]")
+
+
+def outcome(check, *args):
+    """(exception type, message) raised by check(*args), or None."""
+    try:
+        check(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+CLIENT_FAULTS = ("empty", "negative", "duplicate", "overlap")
+SPLIT_FAULTS = ("drop", "extra", "move_value")
+
+
+@st.composite
+def faulty_partitions(draw):
+    """A valid partition of range(n) with up to four planted faults."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 30))
+    order = draw(st.permutations(range(n)))
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    clients = [[i for i, o in zip(order, owner) if o == c] for c in range(k)]
+    pick = lambda: draw(st.integers(0, k - 1))
+    for fault in draw(st.lists(st.sampled_from(CLIENT_FAULTS), max_size=4)):
+        c = pick()
+        if fault == "empty":
+            clients[c] = []
+        elif fault == "negative":
+            clients[c].insert(draw(st.integers(0, len(clients[c]))), -draw(st.integers(1, 3)))
+        elif fault == "duplicate" and clients[c]:
+            clients[c].append(draw(st.sampled_from(clients[c])))
+        elif fault == "overlap":
+            other = pick()
+            if clients[other]:
+                clients[c].insert(0, draw(st.sampled_from(clients[other])))
+    trains, tests = [], []
+    for idx in clients:
+        to_test = draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx)))
+        trains.append([i for i, t in zip(idx, to_test) if not t])
+        tests.append([i for i, t in zip(idx, to_test) if t])
+    for fault in draw(st.lists(st.sampled_from(SPLIT_FAULTS), max_size=2)):
+        part = draw(st.sampled_from([trains, tests]))[pick()]
+        if fault == "drop" and part:
+            part.pop(draw(st.integers(0, len(part) - 1)))
+        elif fault == "extra":
+            part.append(draw(st.integers(-1, n)))
+        elif fault == "move_value" and part:
+            part[draw(st.integers(0, len(part) - 1))] += 1
+    arrays = lambda lists: tuple(np.array(x, dtype=np.int64) for x in lists)
+    return arrays(clients), arrays(trains), arrays(tests)
+
+
+PIXEL_FAULTS = (np.nan, np.inf, -np.inf, -1e-300, -0.5, 1.0 + 2**-52, 7.0, -0.0, 0.0, 1.0)
+
+
+@st.composite
+def faulty_inputs(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    inputs = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=rows * cols, max_size=rows * cols)),
+        dtype=np.float64,
+    ).reshape(rows, cols)
+    if inputs.size:
+        for value in draw(st.lists(st.sampled_from(PIXEL_FAULTS), max_size=3)):
+            inputs.flat[draw(st.integers(0, inputs.size - 1))] = value
+    return inputs
+
+
+# derandomized so that every run of the suite tries the same cases
+ORACLE = settings(derandomize=True, database=None, max_examples=400, deadline=None)
+
+
+class TestChecksMatchOracles:
+    @ORACLE
+    @given(faulty_partitions())
+    def test_partition_check(self, lists):
+        expected = outcome(oracle_partition_check, *lists)
+        assert outcome(data.Partition, *lists) == expected
+
+    @ORACLE
+    @given(faulty_inputs())
+    def test_input_check(self, inputs):
+        labels = np.zeros(inputs.shape[0], dtype=np.int64)
+        expected = outcome(oracle_input_check, inputs)
+        assert outcome(data.LabeledDataset, inputs, labels, 1) == expected
+
+    @pytest.mark.parametrize("clients,named", [
+        # the lowest client holding a repeat is named, wherever the first copy is
+        (([3, 4], [5, 6], [4, 7], [5]), 2),
+        (([3, 4], [5, 5], [3]), 1),
+        (([9, 8, 9], [8]), 0),
+        (([1], [2, 3], [3, 1]), 2),
+    ])
+    def test_overlap_names_lowest_repeating_client(self, clients, named):
+        lists = tuple(np.array(c, dtype=np.int64) for c in clients)
+        empty = tuple(np.array([], dtype=np.int64) for _ in clients)
+        message = f"client {named} overlaps another client's indices"
+        assert outcome(oracle_partition_check, lists, lists, empty) == (ValueError, message)
+        assert outcome(data.Partition, lists, lists, empty) == (ValueError, message)
+
+
+def test_validating_inputs_allocates_no_temporary():
+    # the isfinite check this replaced made a bool array of 1/8 the bytes
+    rng = np.random.default_rng(0)
+    inputs = rng.random((6000, 784))
+    labels = rng.integers(0, 10, size=6000)
+    tracemalloc.start()
+    try:
+        ds = data.LabeledDataset(inputs, labels, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.inputs is inputs
+    assert peak <= 0.05 * inputs.nbytes, f"peak {peak} of {inputs.nbytes} input bytes"

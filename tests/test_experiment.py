@@ -190,6 +190,8 @@ class TestParseSpec:
         *((key, math.nan) for key in (
             "participation", "p_keep", "epsilon", "sigma_sq", "mu_prox", "lr",
             "lr_decay", "theory_lbar")),
+        *((key, math.inf) for key in (
+            "epsilon", "sigma_sq", "mu_prox", "lr", "lr_decay", "theory_lbar")),
     ])
     def test_out_of_range_federated_values_rejected(self, key, value):
         with pytest.raises(SpecError, match=f"^federated: {key} ") as info:
@@ -207,10 +209,18 @@ class TestParseSpec:
         ({"model": {"hidden": None}}, "model.hidden: expected a list"),
         ({"federated": {"seed": 3}}, "federated.seed: unknown key"),
         ({"federated": {"sample_count": 3}}, "federated.sample_count: unknown key"),
+        ({"evaluation": {"personalization_lr": math.inf}}, "evaluation.personalization_lr"),
+        ({"partition": {"kind": "dirichlet", "alpha": math.inf}}, "partition.alpha"),
     ])
     def test_out_of_range_spec_values_rejected(self, over, match):
         with pytest.raises(SpecError, match=match.replace(".", r"\.")):
             parse_spec_dict(tiny_spec_obj(**over))
+
+    def test_infinite_synthetic_noise_rejected(self):
+        obj = tiny_spec_obj()
+        obj["dataset"]["noise_sd"] = math.inf
+        with pytest.raises(SpecError, match=r"dataset\.noise_sd: must be > 0 and finite"):
+            parse_spec_dict(obj)
 
     @pytest.mark.parametrize("key,value", [
         ("shift", math.nan), ("shift", math.inf), ("class_scale", math.nan),
@@ -266,6 +276,22 @@ class TestParseSpec:
         path.write_text("{not json")
         with pytest.raises(SpecError, match="not valid JSON"):
             parse_spec(str(path))
+
+    def test_infinity_in_file_rejected_at_parse_time(self, tmp_path):
+        # json reads Infinity as a float; it used to fail in round 1
+        text = json.dumps(tiny_spec_obj(federated={"lr": 0.5}))
+        path = tmp_path / "inf.json"
+        path.write_text(text.replace('"lr": 0.5', '"lr": Infinity'))
+        with pytest.raises(SpecError, match="^federated: lr must be positive and finite"):
+            parse_spec(str(path))
+
+    def test_integer_past_digit_limit_names_file(self, tmp_path):
+        text = json.dumps(tiny_spec_obj(seed=5))
+        path = tmp_path / "digits.json"
+        path.write_text(text.replace('"seed": 5', '"seed": ' + "9" * 5000))
+        with pytest.raises(SpecError, match="digits") as info:
+            parse_spec(str(path))
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_build_id_ignores_out_dir(self):
         a = resolved_spec(parse_spec_dict(tiny_spec_obj(out="a")))
