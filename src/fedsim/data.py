@@ -5,14 +5,18 @@ desk-scale heterogeneous experiments, the two client partitioners (label
 shards and Dirichlet proportions) with per-client train/test sub-splits, and
 a small binary container for reproducible dataset snapshots.
 
-Setup reads and checks each dataset once: the container loader reads every
-block straight into its array, `LabeledDataset` validates the inputs with
-one min and one max pass, and `Partition` checks client overlap with one
-sort of all the clients' indices.
+Setup reads and checks each dataset once: both loaders check a block's
+declared size against the file before allocating it, the container loader
+reads every block straight into its array, `LabeledDataset` validates the
+inputs with one min and one max pass, and `Partition` checks client overlap
+with one sort of all the clients' indices.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -228,7 +232,19 @@ def dirichlet_partition(
     )
 
 
+def _check_remaining(f, count: int, path: str, what: str) -> None:
+    """Fail before anything is allocated if a regular file is too short.
+
+    Header sizes are untrusted: a short file that declares a huge block
+    would otherwise ask for that much memory first.
+    """
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode) and count > st.st_size - f.tell():
+        raise IdxFormatError(f"{path}: truncated {what}")
+
+
 def _read_exact(f, count: int, path: str, what: str) -> bytes:
+    _check_remaining(f, count, path, what)
     data = f.read(count)
     if len(data) != count:
         raise IdxFormatError(f"{path}: truncated {what}")
@@ -243,6 +259,7 @@ def _read_array(
     There is no intermediate bytes object. numpy asks for huge pages for a
     large allocation, so filling it takes far fewer page faults too.
     """
+    _check_remaining(f, math.prod(shape) * np.dtype(dtype).itemsize, path, what)
     out = np.empty(shape, dtype=dtype)
     if f.readinto(out) != out.nbytes:
         raise IdxFormatError(f"{path}: truncated {what}")

@@ -72,6 +72,65 @@ def prototype_weights(m: np.ndarray, prototypes, sigma_sq: float) -> np.ndarray:
     return mix_penalty(m, prototypes, sigma_sq)[1]
 
 
+def prototype_bounds(prototypes) -> tuple[list[float], list[float]]:
+    """(hi, lo): max_i |r_k,i| and min_i |r_k,i| of each prototype r_k.
+
+    A NaN entry makes both bounds NaN.
+    """
+    hi, lo = [], []
+    for r in prototypes:
+        mag = np.abs(r)
+        hi.append(float(mag.max()))
+        lo.append(float(mag.min()))
+    return hi, lo
+
+
+def majorizer_center(wts, prototypes, hi, lo, term: np.ndarray) -> np.ndarray:
+    """sum_k w_k r_k in a fresh array, the bits of a sum from zeros in k order.
+
+    `hi` and `lo` are `prototype_bounds(prototypes)`; `term` is scratch of a
+    prototype's shape. The sum is `((w_0 r_0 + 0.0) + w_1 r_1) + ...`, unless
+    one prototype j = argmax w dominates: S < 2^-60 L, where
+    L = fl(|w_j| lo_j) and S is the floating-point sum of fl(|w_k| hi_k)
+    over k != j in k order. Then the center is the single product w_j r_j,
+    and this is exact:
+
+    - Rounding is monotone and symmetric, so every product the sum would add
+      has |fl(w_k r_k,i)| <= fl(|w_k| hi_k), every partial sum of the
+      k != j terms is at most S in magnitude (also when a bound underflows),
+      and P = fl(w_j r_j,i) has |P| >= L > 0, so P is not zero.
+    - A normal P has float neighbours at least 2^-53 |P| away, so adding
+      t with |t| <= S < 2^-60 |P| rounds back to P. A subnormal P has
+      |P| < 2^-1022, so every such t is a float below 2^-1082: a zero.
+    - By induction over the sum's order, the partial sum is the small terms
+      alone before w_j r_j is added and P at every step after, so the sum
+      is P bit for bit (P is not zero, so the sign of a zero never matters).
+    - A NaN bound or weight, an infinite S, or lo_j = 0 (L = 0) fails the
+      test and takes the full sum; an infinite entry of r_j gives the same
+      infinity either way.
+
+    The single product skips the K - 1 products and sums that run in
+    subnormal arithmetic once a prototype's responsibility underflows.
+    """
+    j = int(np.argmax(wts))
+    # Python floats: a bound that underflows neither warns nor trips errstate
+    w = [float(x) for x in wts]
+    rest = 0.0
+    for k in range(len(prototypes)):
+        if k != j:
+            rest += abs(w[k]) * hi[k]
+    # scaling by 2^60 is exact short of overflow, which fails the test
+    if rest * 2.0**60 < abs(w[j]) * lo[j]:
+        return np.multiply(wts[j], prototypes[j])
+    # adding 0.0 to w_0 r_0 gives the bits of a sum started from zeros
+    # (-0.0 becomes +0.0)
+    center = np.multiply(wts[0], prototypes[0])
+    center += 0.0
+    for k in range(1, len(prototypes)):
+        center += np.multiply(wts[k], prototypes[k], out=term)
+    return center
+
+
 def mix_objective(
     global_post: MixtureGlobalPosterior,
     arch: nn.MlpArch,
@@ -87,6 +146,12 @@ def mix_objective(
     responsibility-weighted prototype average, curvature 1/(sigma^2 |D_i|)),
     which has the same gradient there; otherwise its gradient joins the data
     gradient and the driver takes plain SGD steps.
+
+    The majorizer center is a fresh array at every step, from
+    `majorizer_center`: the single product w_j r_j when one prototype
+    dominates, otherwise the full weighted sum. The prototype bounds it
+    tests are computed once per objective, since the prototypes do not
+    change within a client update.
     """
     if data_size < 1:
         raise ValueError(f"data_size must be >= 1, got {data_size}")
@@ -94,6 +159,7 @@ def mix_objective(
     quad = 1.0 / (sigma_sq * data_size)
     term = np.empty_like(protos[0])  # one prototype's term, rewritten for each
     pen_grad = None if majorize else np.empty_like(protos[0])
+    hi, lo = prototype_bounds(protos) if majorize else (None, None)
 
     def objective(m, batch):
         ce, g = nn.loss_and_grad(m, arch, batch)
@@ -110,13 +176,8 @@ def mix_objective(
             g += pen_grad
             return loss, g, None, 0.0
         # a fresh center at every step: the driver recomputes its prox terms
-        # whenever the center is a new object. Adding 0.0 to w_0 r_0 gives
-        # the bits of a sum started from zeros (-0.0 becomes +0.0).
-        center = np.multiply(wts[0], protos[0])
-        center += 0.0
-        for j in range(1, len(protos)):
-            center += np.multiply(wts[j], protos[j], out=term)
-        return loss, g, center, quad
+        # whenever the center is a new object
+        return loss, g, majorizer_center(wts, protos, hi, lo, term), quad
 
     return objective
 
@@ -235,8 +296,13 @@ def mix_personalize(
 
     if warm_start == "per_prototype":
         candidates = [train(r, objective, epochs) for r in global_post.prototypes]
+        # the objective's loss, ce + pen / |D^p|, from a forward pass alone
         full = nn.Batch(inputs=inputs, labels=labels)
-        scores = [objective(m, full)[0] for m in candidates]
+        scores = [
+            nn.mean_loss(m, arch, full)
+            + mix_penalty(m, global_post.prototypes, global_post.sigma_sq)[0] / n
+            for m in candidates
+        ]
         return candidates[int(np.argmin(scores))]
 
     # proxy: plain fine-tune one epoch from the gating-weighted average

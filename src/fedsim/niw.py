@@ -216,21 +216,29 @@ def predictive_scale(global_post: NiwGlobalPosterior) -> np.ndarray:
 
 
 def niw_sample_global(
-    global_post: NiwGlobalPosterior, rng: np.random.Generator
+    global_post: NiwGlobalPosterior,
+    rng: np.random.Generator,
+    sqrt_scale: np.ndarray | None = None,
 ) -> np.ndarray:
     """One multivariate Student-t draw: m0 + sqrt(scale) * z * sqrt(nu/u).
 
     z is a standard normal per coordinate and u a single shared chi-square(nu)
-    draw, nu = n0 - d + 1.
+    draw, nu = n0 - d + 1. The draw is built in place in z's array: times
+    sqrt(scale), times sqrt(nu/u), plus m0, the bits of the expression above.
+    A caller drawing many times passes `sqrt_scale`,
+    sqrt(predictive_scale(global_post)), computed once.
     """
     nu = global_post.t_dof
     if nu <= 0:
         raise ValueError(f"Student-t dof must be positive, got {nu}")
-    z = rng.standard_normal(global_post.d)
+    if sqrt_scale is None:
+        sqrt_scale = np.sqrt(predictive_scale(global_post))
+    theta = rng.standard_normal(global_post.d)
     u = rng.chisquare(nu)
-    return global_post.m0 + np.sqrt(predictive_scale(global_post)) * z * np.sqrt(
-        nu / u
-    )
+    theta *= sqrt_scale
+    theta *= np.sqrt(nu / u)
+    theta += global_post.m0
+    return theta
 
 
 def niw_global_predict(
@@ -245,8 +253,9 @@ def niw_global_predict(
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     batch = nn.Batch(inputs=x_batch, labels=np.zeros(len(x_batch), dtype=np.int64))
     probs = np.zeros((x_batch.shape[0], arch.num_classes))
+    sqrt_scale = np.sqrt(predictive_scale(global_post))
     for _ in range(sample_count):
-        theta = niw_sample_global(global_post, rng)
+        theta = niw_sample_global(global_post, rng, sqrt_scale)
         probs += nn.softmax(nn.forward(theta, arch, batch))
     return probs / sample_count
 

@@ -10,7 +10,8 @@ A dropout mask acts on each layer's input: `(a * keep) @ W`, not
 signed zero, so both accumulate identical products in the same order and a
 masked forward pass equals a forward pass over mask-applied parameters bit
 for bit, without copying any weight matrix. `loss_and_grad` writes every
-gradient entry in place in the fresh vector it returns.
+gradient entry in place in the fresh vector it returns; `mean_loss` is its
+loss alone, from a forward pass, and gives the same bits.
 """
 
 from __future__ import annotations
@@ -233,6 +234,35 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+def _mean_nll(logits: np.ndarray, y: np.ndarray):
+    """(mean cross-entropy, log-probabilities) of integer labels y."""
+    num_classes = logits.shape[1]
+    if y.min() < 0 or y.max() >= num_classes:
+        raise ValueError(
+            f"labels must lie in [0, {num_classes}), got range "
+            f"[{y.min()}, {y.max()}]"
+        )
+    logp = log_softmax(logits)
+    per_sample = -logp[np.arange(len(y)), y]
+    if not np.all(np.isfinite(per_sample)):
+        raise NonFiniteLoss(int(np.flatnonzero(~np.isfinite(per_sample))[0]))
+    return float(per_sample.mean()), logp
+
+
+def mean_loss(
+    params: np.ndarray,
+    arch: MlpArch,
+    batch: Batch,
+    mask: DropoutMask | None = None,
+) -> float:
+    """Mean cross-entropy over the batch, from one forward pass.
+
+    The same bits as `loss_and_grad(...)[0]`: both take their logits from
+    `_layer_inputs` and their loss from `_mean_nll`.
+    """
+    return _mean_nll(forward(params, arch, batch, mask), batch.labels)[0]
+
+
 def loss_and_grad(
     params: np.ndarray,
     arch: MlpArch,
@@ -246,18 +276,8 @@ def loss_and_grad(
     """
     X, y = batch.inputs, batch.labels
     _check_inputs(params, arch, X, mask)
-    if y.min() < 0 or y.max() >= arch.num_classes:
-        raise ValueError(
-            f"labels must lie in [0, {arch.num_classes}), got range "
-            f"[{y.min()}, {y.max()}]"
-        )
-
     activations = _layer_inputs(params, arch, X, mask)
-    logp = log_softmax(activations[-1])
-    per_sample = -logp[np.arange(len(y)), y]
-    if not np.all(np.isfinite(per_sample)):
-        raise NonFiniteLoss(int(np.flatnonzero(~np.isfinite(per_sample))[0]))
-    loss = float(per_sample.mean())
+    loss, logp = _mean_nll(activations[-1], y)
 
     grad = np.empty_like(params)  # every entry is written below
     delta = np.exp(logp)

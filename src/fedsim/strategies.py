@@ -20,8 +20,12 @@ head of the data gradient each objective returns and scales that gradient
 in place, so every objective returns a fresh one at each step. FedProx and
 NIW hand the driver the same center and weight objects (the global mean or
 m0, and mu or w) at every step, so their proximal terms are computed once
-per client update; the mixture majorizer builds a fresh center at every
-step, and its terms are computed at every step.
+per client update. The mixture majorizer hands over a fresh center at every
+step, and its terms are computed at every step: when one prototype
+dominates the responsibilities, the center is that prototype's single
+weighted copy; otherwise it is the full weighted sum, built fresh.
+A mixture client starts from its retained mean or from the prototype with
+the lowest loss on its data, scored by forward passes alone.
 """
 
 from __future__ import annotations
@@ -213,7 +217,7 @@ class MixtureStrategy(Strategy):
         if config.mixture_client_init == "retained" and retained is not None:
             return retained
         batch = nn.Batch(inputs=inputs, labels=labels)
-        scores = [nn.loss_and_grad(r, arch, batch)[0] for r in state.prototypes]
+        scores = [nn.mean_loss(r, arch, batch) for r in state.prototypes]
         return state.prototypes[int(np.argmin(scores))]
 
     def client_update(

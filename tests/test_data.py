@@ -185,6 +185,31 @@ class TestLoadIdx:
         with pytest.raises(data.IdxFormatError, match="truncated"):
             data.load_idx(str(short), lab)
 
+    def test_huge_declared_sizes_are_truncation_not_allocation(self, tmp_path):
+        img, lab = write_idx_fixture(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        big_img = tmp_path / "big-images.idx"
+        big_img.write_bytes(
+            struct.pack(">IIII", data.IDX_IMAGES_MAGIC, 2**31, 2**15, 2**15)
+            + b"\x00" * 64
+        )
+        big_lab = tmp_path / "big-labels.idx"
+        big_lab.write_bytes(
+            struct.pack(">II", data.IDX_LABELS_MAGIC, 2**31) + b"\x00" * 8
+        )
+        for images, labels, cut, what in (
+            (str(big_img), lab, big_img, "pixel data"),
+            (img, str(big_lab), big_lab, "label data"),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(data.IdxFormatError) as info:
+                    data.load_idx(images, labels)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == f"{cut}: truncated {what}"
+            assert peak < 2**20
+
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_fixture(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
         lab3 = tmp_path / "three.idx"
@@ -309,6 +334,25 @@ class TestContainer:
             with pytest.raises(data.IdxFormatError) as info:
                 data.load_dataset(str(cut))
             assert str(info.value) == f"{cut}: truncated {what}"
+
+    def test_huge_declared_sizes_are_truncation_not_allocation(self, tmp_path):
+        # 84 bytes that declare n = 2^31 rows of dim 2^30, then 2 rows of 2^30
+        for n, dim, what in ((2**31, 2**30, "labels"), (2, 2**30, "inputs")):
+            path = tmp_path / f"lying-{what}.bin"
+            path.write_bytes(
+                data.CONTAINER_MAGIC
+                + struct.pack("<IIII", data.CONTAINER_VERSION, n, dim, 2)
+                + b"\x00" * 64
+            )
+            tracemalloc.start()
+            try:
+                with pytest.raises(data.IdxFormatError) as info:
+                    data.load_dataset(str(path))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == f"{path}: truncated {what}"
+            assert peak < 2**20
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         ds, _ = synth(2, 3, 5, 7, 1.0, stream(18, "rt"))

@@ -7,6 +7,8 @@ and single-model prediction at K=1.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import mixture, nn, optim
 from fedsim.optim import local_train, prox_objective, total_loss_and_grad
@@ -213,12 +215,115 @@ class TestClientLossGrad:
         strategy.client_update(state, 0, x, y, arch, config, 0.1, 1)
         assert calls == {"mix_penalty": 6, "prototype_weights": 0, "steps": 6}
 
+    def test_client_start_scores_prototypes_by_forward_passes(self, monkeypatch):
+        rng = stream(26, "start")
+        arch = nn.MlpArch((4, 5, 3))
+        config = FederatedConfig(n_clients=1, strategy="mixture", k_prototypes=3)
+        strategy = STRATEGIES["mixture"]
+        state = strategy.init_state(arch, nn.init_params(arch, rng), config, 30)
+        x = rng.normal(size=(30, 4))
+        y = rng.integers(0, 3, size=30)
+        full = nn.Batch(inputs=x, labels=y)
+        want = int(np.argmin(
+            [nn.loss_and_grad(r, arch, full)[0] for r in state.prototypes]
+        ))
+
+        def no_backward(*args, **kwargs):
+            raise AssertionError("prototype scoring ran a backward pass")
+
+        monkeypatch.setattr(nn, "loss_and_grad", no_backward)
+        start = strategy._start(state, x, y, arch, config, None)
+        assert start is state.prototypes[want]
+
     def test_rejects_empty_dataset_size(self):
         arch = nn.MlpArch((4, 5, 3))
         gp = make_global([np.zeros(nn.param_count(arch))],
                          gating_arch=nn.MlpArch((4, 5, 1)))
         with pytest.raises(ValueError, match="data_size"):
             mixture.mix_objective(gp, arch, 0)
+
+
+def summed_center(wts, protos):
+    """The majorizer center as a full sum from zeros in prototype order."""
+    center = np.multiply(wts[0], protos[0])
+    center += 0.0
+    term = np.empty_like(center)
+    for j in range(1, len(protos)):
+        center += np.multiply(wts[j], protos[j], out=term)
+    return center
+
+
+# weights from 1 down to 1e-300 and 0; entries near 1e-90, signed zeros,
+# NaN and infinities among ordinary values
+WEIGHTS = st.one_of(
+    st.sampled_from([1.0, 0.5, 1e-231, 1e-300, 0.0]),
+    st.floats(-300.0, 0.0).map(lambda e: 10.0**e),
+)
+ENTRIES = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(0.5, 2.0).map(lambda x: x * 1e-90),
+    st.floats(-2.0, -0.5).map(lambda x: x * 1e-90),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 2.0**-1074]),
+)
+
+
+@st.composite
+def center_cases(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    wts = np.array([draw(WEIGHTS) for _ in range(k)])
+    protos = []
+    for _ in range(k):
+        # a quarter of the prototypes hold ordinary values only, so the
+        # single-product path is taken often
+        plain = draw(st.booleans()) and draw(st.booleans())
+        values = st.floats(0.1, 3.0) if plain else ENTRIES
+        protos.append(np.array([draw(values) for _ in range(n)]))
+    return wts, tuple(protos)
+
+
+class TestMajorizerCenter:
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(center_cases())
+    def test_equals_the_full_sum_bit_for_bit(self, case):
+        wts, protos = case
+        hi, lo = mixture.prototype_bounds(protos)
+        with np.errstate(all="ignore"):
+            want = summed_center(wts, protos)
+            got = mixture.majorizer_center(
+                wts, protos, hi, lo, np.empty_like(protos[0])
+            )
+        assert got.tobytes() == want.tobytes()
+
+    def test_dominant_prototype_is_a_fresh_single_product(self):
+        r0, r1 = np.array([1e-90, -2e-90, 0.0]), np.array([0.5, -1.5, 2.0])
+        wts = np.array([1e-231, 1.0])
+        hi, lo = mixture.prototype_bounds((r0, r1))
+        with np.errstate(under="raise"):
+            got = mixture.majorizer_center(wts, (r0, r1), hi, lo, np.empty(3))
+        assert got is not r1
+        assert got.tobytes() == r1.tobytes()
+
+    def test_dominated_client_objective_runs_without_subnormals(self):
+        # a collapsed prototype: entries near 1e-90 and a responsibility near
+        # 1e-231, so each w_0 r_0,i is a subnormal number
+        rng = stream(25, "collapsed")
+        arch = nn.MlpArch((4, 5, 3))
+        r1 = nn.init_params(arch, rng)
+        r0 = rng.uniform(0.5, 2.0, r1.size) * rng.choice([-1e-90, 1e-90], r1.size)
+        sigma_sq = float((r1 - r0) @ (r1 - r0)) / (2.0 * 531.0)
+        gp = make_global([r0, r1], sigma_sq=sigma_sq,
+                         gating_arch=nn.MlpArch((4, 5, 2)))
+        wts = mixture.prototype_weights(r1, gp.prototypes, sigma_sq)
+        assert 1e-232 < wts[0] < 1e-230
+        objective = mixture.mix_objective(gp, arch, 40)
+        x = rng.normal(size=(40, 4))
+        y = rng.integers(0, 3, size=40)
+        with np.errstate(under="raise"):
+            _, _, center, _ = objective(r1.copy(), nn.Batch(x[:10], y[:10]))
+            m, _ = local_train(r1, objective, x, y, 10, 1, 0.1, stream(25, "b"))
+        assert center.tobytes() == summed_center(wts, gp.prototypes).tobytes()
+        assert np.all(np.isfinite(m))
 
 
 class TestEStep:

@@ -373,6 +373,34 @@ class TestGlobalPredict:
         batch = nn.Batch(inputs=x, labels=np.zeros(5, dtype=np.int64))
         assert np.array_equal(probs, nn.softmax(nn.forward(theta, arch, batch)))
 
+    @pytest.mark.parametrize("sample_count", [1, 4])
+    def test_in_place_draws_keep_the_bits(self, sample_count):
+        # the draws as one expression each, fresh arrays and scale every time
+        arch = nn.MlpArch((3, 4, 2))
+        d = nn.param_count(arch)
+        rng = np.random.default_rng(10)
+        post = niw.NiwGlobalPosterior(
+            m0=rng.normal(size=d),
+            v0_diag=rng.uniform(0.5, 1.0, size=d),
+            l0=5.0,
+            n0=float(d + 49),
+            d=d,
+        )
+        x = rng.normal(size=(6, 3))
+        batch = nn.Batch(inputs=x, labels=np.zeros(6, dtype=np.int64))
+        draws = stream(11, "eval")
+        want = np.zeros((6, 2))
+        for _ in range(sample_count):
+            z = draws.standard_normal(d)
+            u = draws.chisquare(post.t_dof)
+            theta = post.m0 + np.sqrt(niw.predictive_scale(post)) * z * np.sqrt(
+                post.t_dof / u
+            )
+            want += nn.softmax(nn.forward(theta, arch, batch))
+        want /= sample_count
+        got = niw.niw_global_predict(x, post, arch, sample_count, stream(11, "eval"))
+        assert got.tobytes() == want.tobytes()
+
     def test_rows_are_distributions(self):
         arch = nn.MlpArch((3, 4, 6))
         d = nn.param_count(arch)

@@ -256,6 +256,25 @@ class TestLossAndGrad:
         with pytest.raises(ValueError):
             nn.loss_and_grad(params, arch, batch)
 
+    @pytest.mark.parametrize("kind", ["none", "p0.5"])
+    def test_mean_loss_is_the_loss_of_loss_and_grad(self, kind):
+        params = protocol_params()
+        for rows in (50, 7):
+            batch, mask = protocol_batch(rows, rows), protocol_mask(kind)
+            loss, _ = nn.loss_and_grad(params, PROTOCOL, batch, mask)
+            got = nn.mean_loss(params, PROTOCOL, batch, mask)
+            assert np.float64(got).tobytes() == np.float64(loss).tobytes()
+
+    def test_mean_loss_checks_like_loss_and_grad(self):
+        arch = nn.MlpArch((2, 2, 2))
+        batch = nn.Batch(inputs=np.ones((3, 2)), labels=np.array([0, 1, 0]))
+        with pytest.raises(nn.NonFiniteLoss) as exc:
+            nn.mean_loss(np.full(nn.param_count(arch), np.nan), arch, batch)
+        assert exc.value.batch_index == 0
+        bad = nn.Batch(inputs=np.ones((1, 2)), labels=np.array([2]))
+        with pytest.raises(ValueError, match="labels must lie"):
+            nn.mean_loss(np.zeros(nn.param_count(arch)), arch, bad)
+
     def test_loss_nonnegative(self):
         arch = nn.MlpArch((3, 4, 5))
         rng = np.random.default_rng(12)
