@@ -95,7 +95,8 @@ class _Retained:
 
 
 def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
-    """Write the run's resumable state; atomic via rename."""
+    """Write the run's resumable state; atomic via rename, durable via fsync
+    of the file before the rename and of its directory after it."""
     arrays: dict[str, np.ndarray] = {}
     state = codec.encode(run.strategy_state, "arr:state", arrays)
     records = codec.encode(tuple(run.records), "arr:records", arrays)
@@ -127,7 +128,14 @@ def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
             f.write(nb)
             f.write(struct.pack("<Q", len(payload)))
             f.write(payload)
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _read_sections(f, path: str) -> dict[str, bytes]:

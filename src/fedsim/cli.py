@@ -56,7 +56,7 @@ def _cmd_resume(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite == "all":
-        report = verify.run_all(seed=args.seed)
+        report = verify.run_all(seed=args.seed, mutation=args.mutate)
     else:
         report = verify.run_suite(args.suite, seed=args.seed, mutation=args.mutate)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -321,7 +321,11 @@ def build_id(resolved: dict) -> str:
     return h.hexdigest()[:12]
 
 
-def _align_num_classes(train, test):
+def _file_datasets(train, test, test_path: str):
+    """The loaded train and test sets, sharing one class count."""
+    # global accuracy divides by the test-set size
+    if len(test) == 0:
+        raise SpecError(f"{test_path}: the test set has no rows")
     nc = max(train.num_classes, test.num_classes)
     if train.num_classes != nc:
         train = data.LabeledDataset(train.inputs, train.labels, nc)
@@ -335,10 +339,10 @@ def build_datasets(spec: ExperimentSpec):
     if ds["kind"] == "idx":
         train = data.load_idx(ds["train_images"], ds["train_labels"])
         test = data.load_idx(ds["test_images"], ds["test_labels"])
-        return _align_num_classes(train, test)
+        return _file_datasets(train, test, ds["test_images"])
     if ds["kind"] == "container":
-        return _align_num_classes(
-            data.load_dataset(ds["train"]), data.load_dataset(ds["test"])
+        return _file_datasets(
+            data.load_dataset(ds["train"]), data.load_dataset(ds["test"]), ds["test"]
         )
     rng = stream(spec.seed, "data")
     train, _, test, _ = data.synth_train_test(

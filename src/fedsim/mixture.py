@@ -46,6 +46,15 @@ class MixtureGlobalPosterior:
         return len(self.prototypes)
 
 
+def sq_dists(m: np.ndarray, prototypes) -> np.ndarray:
+    """||m - r_j||^2 for each prototype r_j, through one scratch vector."""
+    diff = np.empty_like(m)
+    out = np.empty(len(prototypes))
+    for j, r in enumerate(prototypes):
+        out[j] = np.subtract(m, r, out=diff) @ diff
+    return out
+
+
 def mix_penalty(
     m: np.ndarray, prototypes, sigma_sq: float
 ) -> tuple[float, np.ndarray]:
@@ -56,11 +65,7 @@ def mix_penalty(
     Max-subtraction keeps the evaluation finite for arbitrarily large
     distances.
     """
-    dists = np.empty(len(prototypes))
-    for j, r in enumerate(prototypes):
-        diff = m - r
-        dists[j] = float(diff @ diff) / (2.0 * sigma_sq)
-    a = -dists
+    a = -(sq_dists(m, prototypes) / (2.0 * sigma_sq))
     a_max = a.max()
     exp_shift = np.exp(a - a_max)
     total = exp_shift.sum()
@@ -145,13 +150,9 @@ def mix_objective(
     penalty is handed to the driver as its Jensen majorizer at m (center =
     responsibility-weighted prototype average, curvature 1/(sigma^2 |D_i|)),
     which has the same gradient there; otherwise its gradient joins the data
-    gradient and the driver takes plain SGD steps.
-
-    The majorizer center is a fresh array at every step, from
-    `majorizer_center`: the single product w_j r_j when one prototype
-    dominates, otherwise the full weighted sum. The prototype bounds it
-    tests are computed once per objective, since the prototypes do not
-    change within a client update.
+    gradient and the driver takes plain SGD steps. The prototype bounds that
+    `majorizer_center` tests are computed once per objective: the prototypes
+    do not change within a client update.
     """
     if data_size < 1:
         raise ValueError(f"data_size must be >= 1, got {data_size}")
@@ -222,11 +223,7 @@ def mix_server_objective(prototypes, client_means, sigma_sq: float) -> float:
 
 def nearest_prototype(m: np.ndarray, prototypes) -> int:
     """argmin_j ||m - r_j||, ties broken by lowest index."""
-    dists = []
-    for r in prototypes:
-        diff = m - r
-        dists.append(float(diff @ diff))
-    return int(np.argmin(dists))
+    return int(np.argmin(sq_dists(m, prototypes)))
 
 
 def gating_local_update(
@@ -253,12 +250,10 @@ def mix_global_predict(
     x_batch: np.ndarray, global_post: MixtureGlobalPosterior, arch: nn.MlpArch
 ) -> np.ndarray:
     """sum_j g_j(x) softmax(forward(x; r_j)): gating-weighted expert mixture."""
-    dummy = np.zeros(len(x_batch), dtype=np.int64)
-    batch = nn.Batch(inputs=x_batch, labels=dummy)
-    g = nn.softmax(nn.forward(global_post.gating, global_post.gating_arch, batch))
+    g = nn.softmax(nn.forward(global_post.gating, global_post.gating_arch, x_batch))
     out = np.zeros((x_batch.shape[0], arch.num_classes))
     for j, r in enumerate(global_post.prototypes):
-        out += g[:, j : j + 1] * nn.softmax(nn.forward(r, arch, batch))
+        out += g[:, j : j + 1] * nn.softmax(nn.forward(r, arch, x_batch))
     return out
 
 
@@ -267,15 +262,15 @@ def mix_personalize(
     labels: np.ndarray,
     global_post: MixtureGlobalPosterior,
     arch: nn.MlpArch,
+    config,
     epochs: int,
     lr: float,
     rng: np.random.Generator,
-    batch_size: int = 50,
-    warm_start: str = "proxy",
 ) -> np.ndarray:
     """Fine-tune a personal mean on CE + (1/|D^p|) mix_penalty by plain SGD.
 
-    warm_start="proxy": one epoch of plain fine-tuning from the
+    `config` (a `runtime.FederatedConfig`) gives the batch size and the warm
+    start. warm_start="proxy": one epoch of plain fine-tuning from the
     gating-weighted prototype average gives a proxy local mean; start at the
     prototype nearest to it. warm_start="per_prototype": run the optimization
     from every prototype and keep the result with the lowest final objective
@@ -284,17 +279,15 @@ def mix_personalize(
     n = inputs.shape[0]
     if n < 1:
         raise ValueError("personal training data is empty")
-    if warm_start not in WARM_STARTS:
-        raise ValueError(f"unknown warm_start {warm_start!r}")
     objective = mix_objective(global_post, arch, n, majorize=False)
 
     def train(start, obj, run_epochs):
         m, _ = optim.local_train(
-            start, obj, inputs, labels, batch_size, run_epochs, lr, rng
+            start, obj, inputs, labels, config.batch_size, run_epochs, lr, rng
         )
         return m
 
-    if warm_start == "per_prototype":
+    if config.warm_start == "per_prototype":
         candidates = [train(r, objective, epochs) for r in global_post.prototypes]
         # the objective's loss, ce + pen / |D^p|, from a forward pass alone
         full = nn.Batch(inputs=inputs, labels=labels)
@@ -306,9 +299,8 @@ def mix_personalize(
         return candidates[int(np.argmin(scores))]
 
     # proxy: plain fine-tune one epoch from the gating-weighted average
-    dummy = np.zeros(n, dtype=np.int64)
     g = nn.softmax(
-        nn.forward(global_post.gating, global_post.gating_arch, nn.Batch(inputs, dummy))
+        nn.forward(global_post.gating, global_post.gating_arch, inputs)
     ).mean(axis=0)
     proxy = np.zeros_like(global_post.prototypes[0])
     for j, r in enumerate(global_post.prototypes):

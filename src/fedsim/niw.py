@@ -45,10 +45,8 @@ class NiwGlobalPosterior:
         # predictive_scale divides by l0
         if not 0 < self.l0 < math.inf:
             raise ValueError(f"l0 must be positive and finite, got {self.l0}")
-        if not self.n0 - self.d + 1 > 2:
-            raise ValueError(
-                f"predictive needs n0 - d + 1 > 2, got {self.n0 - self.d + 1}"
-            )
+        if not self.t_dof > 2:
+            raise ValueError(f"predictive needs n0 - d + 1 > 2, got {self.t_dof}")
 
     @property
     def t_dof(self) -> float:
@@ -223,14 +221,12 @@ def niw_sample_global(
     """One multivariate Student-t draw: m0 + sqrt(scale) * z * sqrt(nu/u).
 
     z is a standard normal per coordinate and u a single shared chi-square(nu)
-    draw, nu = n0 - d + 1. The draw is built in place in z's array: times
-    sqrt(scale), times sqrt(nu/u), plus m0, the bits of the expression above.
-    A caller drawing many times passes `sqrt_scale`,
-    sqrt(predictive_scale(global_post)), computed once.
+    draw, nu = n0 - d + 1 (above 2 for every posterior). The draw is built
+    in place in z's array: times sqrt(scale), times sqrt(nu/u), plus m0, the
+    bits of the expression above. A caller drawing many times passes
+    `sqrt_scale`, sqrt(predictive_scale(global_post)), computed once.
     """
     nu = global_post.t_dof
-    if nu <= 0:
-        raise ValueError(f"Student-t dof must be positive, got {nu}")
     if sqrt_scale is None:
         sqrt_scale = np.sqrt(predictive_scale(global_post))
     theta = rng.standard_normal(global_post.d)
@@ -251,12 +247,11 @@ def niw_global_predict(
     """Class probabilities averaged over S Student-t backbone draws."""
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    batch = nn.Batch(inputs=x_batch, labels=np.zeros(len(x_batch), dtype=np.int64))
     probs = np.zeros((x_batch.shape[0], arch.num_classes))
     sqrt_scale = np.sqrt(predictive_scale(global_post))
     for _ in range(sample_count):
         theta = niw_sample_global(global_post, rng, sqrt_scale)
-        probs += nn.softmax(nn.forward(theta, arch, batch))
+        probs += nn.softmax(nn.forward(theta, arch, x_batch))
     return probs / sample_count
 
 
@@ -265,24 +260,26 @@ def niw_personalize(
     labels: np.ndarray,
     global_post: NiwGlobalPosterior,
     arch: nn.MlpArch,
+    config,
     epochs: int,
     lr: float,
     rng: np.random.Generator,
-    p_keep: float = 1.0 - 0.001,
-    batch_size: int = 50,
-    penalty_mode: str = "literal",
 ) -> np.ndarray:
     """Fine-tune a personal mean on local data, head trainable.
 
     Same objective as the client update with 1/|D^p| downweighting of the
-    penalty, warm-started at m0; rng draws both the batch order and the
-    dropout masks.
+    penalty, warm-started at m0; `config` (a `runtime.FederatedConfig`) gives
+    p_keep, the penalty mode and the batch size, and rng draws both the batch
+    order and the dropout masks.
     """
     n = inputs.shape[0]
     if n < 1:
         raise ValueError("personal training data is empty")
-    objective = niw_objective(global_post, arch, n, p_keep, penalty_mode, rng)
+    objective = niw_objective(
+        global_post, arch, n, config.p_keep, config.penalty_mode, rng
+    )
     m, _ = optim.local_train(
-        global_post.m0, objective, inputs, labels, batch_size, epochs, lr, rng
+        global_post.m0, objective, inputs, labels, config.batch_size, epochs, lr,
+        rng,
     )
     return m

@@ -9,9 +9,7 @@ A dropout mask acts on each layer's input: `(a * keep) @ W`, not
 `a @ (W * keep)`. For finite values `(x*0)*w` and `x*(w*0)` are the same
 signed zero, so both accumulate identical products in the same order and a
 masked forward pass equals a forward pass over mask-applied parameters bit
-for bit, without copying any weight matrix. `loss_and_grad` writes every
-gradient entry in place in the fresh vector it returns; `mean_loss` is its
-loss alone, from a forward pass, and gives the same bits.
+for bit, without copying any weight matrix.
 """
 
 from __future__ import annotations
@@ -188,9 +186,9 @@ def _check_inputs(
     _check_params(params, arch)
     if mask is not None:
         _check_mask(mask, arch)
-    if X.shape[1] != arch.input_dim:
+    if X.ndim != 2 or X.shape[1] != arch.input_dim:
         raise DimensionMismatch(
-            0, f"input dim {X.shape[1]} != arch input dim {arch.input_dim}"
+            0, f"inputs of shape {X.shape} != (rows, {arch.input_dim})"
         )
 
 
@@ -217,12 +215,12 @@ def _layer_inputs(
 def forward(
     params: np.ndarray,
     arch: MlpArch,
-    batch: Batch,
+    x: np.ndarray,
     mask: DropoutMask | None = None,
 ) -> np.ndarray:
-    """Logits (batch_size, num_classes); dropped groups act as zeros."""
-    _check_inputs(params, arch, batch.inputs, mask)
-    return _layer_inputs(params, arch, batch.inputs, mask)[-1]
+    """Logits (rows of x, num_classes); dropped groups act as zeros."""
+    _check_inputs(params, arch, x, mask)
+    return _layer_inputs(params, arch, x, mask)[-1]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -260,7 +258,7 @@ def mean_loss(
     The same bits as `loss_and_grad(...)[0]`: both take their logits from
     `_layer_inputs` and their loss from `_mean_nll`.
     """
-    return _mean_nll(forward(params, arch, batch, mask), batch.labels)[0]
+    return _mean_nll(forward(params, arch, batch.inputs, mask), batch.labels)[0]
 
 
 def loss_and_grad(

@@ -209,14 +209,9 @@ def init_run(
 
 
 def sample_participants(
-    n_clients: int, participation: float, rng: np.random.Generator
+    n_clients: int, n_f: int, rng: np.random.Generator
 ) -> list[int]:
-    """floor(N*f) distinct ids, uniform over subsets, returned sorted."""
-    n_f = int(math.floor(n_clients * participation))
-    if n_f < 1:
-        raise ConfigError(
-            f"N_f must be >= 1: floor({n_clients} * {participation}) = 0"
-        )
+    """n_f distinct ids of n_clients, uniform over subsets, returned sorted."""
     ids = rng.choice(n_clients, size=n_f, replace=False)
     return sorted(int(i) for i in ids)
 
@@ -233,9 +228,8 @@ def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
     config = run.config
     r = run.round_index
     started = time.perf_counter()
-    ids = sample_participants(
-        config.n_clients, config.participation, stream(config.seed, "part", r)
-    )
+    rng = stream(config.seed, "part", r)
+    ids = sample_participants(config.n_clients, config.n_f, rng)
     lr = lr_at(config, r)
     results: list[ClientResult] = []
     for cid in ids:  # ascending id order keeps reductions reproducible
@@ -247,12 +241,10 @@ def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
                 run.strategy_state, cid, inputs, labels, run.arch, config, lr, r,
                 retained=cl.retained,
             )
+            if not np.isfinite(res.params).all():
+                raise FloatingPointError("non-finite client parameters")
         except (FloatingPointError, ValueError) as e:
             raise ClientUpdateError(cid, r, e) from e
-        if not np.isfinite(res.params).all():
-            raise ClientUpdateError(
-                cid, r, FloatingPointError("non-finite client parameters")
-            )
         results.append(res)
     new_state, objective = run.strategy.aggregate(run.strategy_state, results, config)
     if config.body_update:
@@ -317,8 +309,7 @@ def evaluate_personalized(
         )
         tx = run.train_ds.inputs[cl.test_indices]
         ty = run.train_ds.labels[cl.test_indices]
-        batch = nn.Batch(inputs=tx, labels=ty)
-        pred = nn.forward(m, run.arch, batch).argmax(axis=1)
+        pred = nn.forward(m, run.arch, tx).argmax(axis=1)
         accs.append(float((pred == ty).mean()))
     if not accs:
         raise ValueError("no client has a personal test split")

@@ -2,30 +2,18 @@
 
 Every strategy trains through one driver, `optim.local_train`, on one local
 objective: `optim.prox_objective` for FedAvg (mu = 0) and FedProx,
-`niw.niw_objective` and `mixture.mix_objective`. The driver takes a
-forward-backward splitting step: an explicit gradient step on the data term
-followed by the exact proximal map of a per-step quadratic model of the
-penalty. For FedProx and the NIW strategy the quadratic model is the penalty
-itself, so the step is exact; the mixture strategy uses the Jensen majorizer
-of its log-sum-exp penalty at the current iterate, which has the same
-gradient there. With one prototype the majorizer is the FedProx penalty, so
-the K=1 reduction holds bit for bit. FedAvg has no penalty and takes plain
-SGD steps. FedBABU is FedAvg with the head frozen during training (the
-config forces `body_update` for it); the frozen head is the slice
-`nn.head_span`.
-
-The driver owns what it steps on. It trains a working copy of the starting
-point in place, so the global state is never written. It zeroes the frozen
-head of the data gradient each objective returns and scales that gradient
-in place, so every objective returns a fresh one at each step. FedProx and
-NIW hand the driver the same center and weight objects (the global mean or
-m0, and mu or w) at every step, so their proximal terms are computed once
-per client update. The mixture majorizer hands over a fresh center at every
-step, and its terms are computed at every step: when one prototype
-dominates the responsibilities, the center is that prototype's single
-weighted copy; otherwise it is the full weighted sum, built fresh.
-A mixture client starts from its retained mean or from the prototype with
-the lowest loss on its data, scored by forward passes alone.
+`niw.niw_objective` and `mixture.mix_objective`. The `optim` module
+docstring sets out the driver's splitting step and what the driver and each
+objective own. For FedProx and the NIW strategy the step's quadratic model
+is the penalty itself, so the step is exact; the mixture strategy uses the
+Jensen majorizer of its log-sum-exp penalty at the current iterate, which
+has the same gradient there. With one prototype the majorizer is the FedProx
+penalty, so the K=1 reduction holds bit for bit. FedAvg has no penalty and
+takes plain SGD steps. FedBABU is FedAvg with the head frozen during
+training (the config forces `body_update` for it); the frozen head is the
+slice `nn.head_span`. A mixture client starts from its retained mean or from
+the prototype with the lowest loss on its data, scored by forward passes
+alone.
 """
 
 from __future__ import annotations
@@ -47,13 +35,15 @@ class ClientResult:
 
 
 def _local_train(m, objective, client_id, inputs, labels, arch, config, lr, round_idx):
-    """The client update's epochs: shared batch stream and head freezing."""
+    """The client update's epochs, with the shared batch stream and head
+    freezing; returns the final mean and the mean loss over the steps."""
     head = nn.head_span(arch) if config.body_update else None
     brng = stream(config.seed, "batch", client_id, round_idx)
-    return optim.local_train(
+    m, losses = optim.local_train(
         m, objective, inputs, labels, config.batch_size, config.local_epochs, lr,
         brng, head,
     )
+    return m, float(np.mean(losses))
 
 
 def _restore_slice(new: np.ndarray, old: np.ndarray, keep: slice) -> np.ndarray:
@@ -115,10 +105,10 @@ class FedAvgStrategy(Strategy):
         retained=None,
     ) -> ClientResult:
         objective = optim.prox_objective(arch, self._mu(config), state)
-        m, losses = _local_train(
+        m, loss = _local_train(
             state, objective, client_id, inputs, labels, arch, config, lr, round_idx
         )
-        return ClientResult(client_id=client_id, params=m, loss=float(np.mean(losses)))
+        return ClientResult(client_id=client_id, params=m, loss=loss)
 
     def aggregate(self, state, results, config):
         new = baselines.fedavg_aggregate([r.params for r in results])
@@ -128,8 +118,7 @@ class FedAvgStrategy(Strategy):
         return _restore_slice(new_state, prev_state, nn.head_span(arch))
 
     def global_predict(self, state, x, arch, config, rng):
-        batch = nn.Batch(inputs=x, labels=np.zeros(len(x), dtype=np.int64))
-        return nn.softmax(nn.forward(state, arch, batch))
+        return nn.softmax(nn.forward(state, arch, x))
 
     def personalize(self, state, inputs, labels, arch, config, epochs, lr, rng):
         m, _ = optim.local_train(
@@ -162,11 +151,11 @@ class NiwStrategy(Strategy):
             state, arch, inputs.shape[0], config.p_keep, config.penalty_mode,
             mrng if config.p_keep < 1.0 else None,
         )
-        m, losses = _local_train(
+        m, loss = _local_train(
             state.m0, objective, client_id, inputs, labels, arch, config, lr,
             round_idx,
         )
-        return ClientResult(client_id=client_id, params=m, loss=float(np.mean(losses)))
+        return ClientResult(client_id=client_id, params=m, loss=loss)
 
     def aggregate(self, state, results, config):
         means = [r.params for r in results]
@@ -188,9 +177,7 @@ class NiwStrategy(Strategy):
 
     def personalize(self, state, inputs, labels, arch, config, epochs, lr, rng):
         return niw.niw_personalize(
-            inputs, labels, state, arch, epochs, lr, rng,
-            p_keep=config.p_keep, batch_size=config.batch_size,
-            penalty_mode=config.penalty_mode,
+            inputs, labels, state, arch, config, epochs, lr, rng
         )
 
 
@@ -225,7 +212,7 @@ class MixtureStrategy(Strategy):
         retained=None,
     ) -> ClientResult:
         n = inputs.shape[0]
-        m, losses = _local_train(
+        m, loss = _local_train(
             self._start(state, inputs, labels, arch, config, retained),
             mixture.mix_objective(state, arch, n), client_id, inputs, labels, arch,
             config, lr, round_idx,
@@ -239,9 +226,7 @@ class MixtureStrategy(Strategy):
                 beta, state.gating_arch, inputs[idx], j_star, lr,
                 head_frozen=config.body_update,
             )
-        return ClientResult(
-            client_id=client_id, params=m, loss=float(np.mean(losses)), beta=beta
-        )
+        return ClientResult(client_id=client_id, params=m, loss=loss, beta=beta)
 
     def aggregate(self, state, results, config):
         means = [r.params for r in results]
@@ -267,8 +252,7 @@ class MixtureStrategy(Strategy):
 
     def personalize(self, state, inputs, labels, arch, config, epochs, lr, rng):
         return mixture.mix_personalize(
-            inputs, labels, state, arch, epochs, lr, rng,
-            batch_size=config.batch_size, warm_start=config.warm_start,
+            inputs, labels, state, arch, config, epochs, lr, rng
         )
 
 

@@ -11,8 +11,7 @@ Four suites:
                  objective must be non-increasing after burn-in
 
 The client-side checks evaluate the local objectives that
-`optim.local_train` trains with; an objective's total gradient is
-`data_grad + quad_diag * (m - quad_center)`.
+`optim.local_train` trains with, by their total gradients.
 
 Each suite returns a machine-readable report dict. A failed check carries
 the first failing case (trial index and sampled sizes) so it can be
@@ -29,7 +28,6 @@ import numpy as np
 from . import data, mixture, niw, nn, optim, runtime
 from .rng import stream
 
-SUITES = ("reductions", "oracles", "samplers", "convergence")
 MUTATIONS = ("niw-v0", "niw-m0")
 
 REDUCTION_TOL = 1e-9
@@ -39,21 +37,13 @@ EM_SLACK = 1e-10
 FD_TOL = 1e-5
 
 
-def _rel_err(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.abs(b), 1e-12)
-    return float(np.max(np.abs(a - b) / denom))
+def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)))
 
 
 def _random_arch(rng, max_params: int = 100) -> nn.MlpArch:
     while True:
-        sizes = (
-            int(rng.integers(2, 5)),
-            int(rng.integers(2, 6)),
-            int(rng.integers(2, 5)),
-        )
-        arch = nn.MlpArch(sizes)
+        arch = nn.MlpArch((rng.integers(2, 5), rng.integers(2, 6), rng.integers(2, 5)))
         if nn.param_count(arch) <= max_params:
             return arch
 
@@ -65,23 +55,61 @@ def _random_batch(rng, arch: nn.MlpArch, n: int) -> nn.Batch:
     )
 
 
-def _check(name: str, trials: int, body) -> dict:
-    """Run body(trial) -> (err, case) over all trials; collect the worst."""
-    max_err = 0.0
-    failing = None
-    for t in range(trials):
-        err, case = body(t)
-        if err > max_err:
-            max_err = err
-        if case is not None and failing is None:
-            failing = {"trial": t, **case}
+def _result(name: str, trials: int, max_err: float, failing, **extra) -> dict:
     return {
         "name": name,
         "passed": failing is None,
         "trials": trials,
         "max_err": max_err,
         "failing_case": failing,
+        **extra,
     }
+
+
+def _check(name: str, trials: int, tol: float, body) -> dict:
+    """Run body(trial) -> (err, case) over all trials; the first case whose
+    err exceeds tol fails the check."""
+    max_err = 0.0
+    failing = None
+    for t in range(trials):
+        err, case = body(t)
+        max_err = max(max_err, err)
+        if err > tol and failing is None:
+            failing = {"trial": t, **case}
+    return _result(name, trials, max_err, failing)
+
+
+def _gap(objective_a, objective_b, m, batch) -> float:
+    """Largest difference between two objectives' losses and total gradients."""
+    loss_a, grad_a = optim.total_loss_and_grad(objective_a, m, batch)
+    loss_b, grad_b = optim.total_loss_and_grad(objective_b, m, batch)
+    return max(abs(loss_a - loss_b), float(np.max(np.abs(grad_a - grad_b))))
+
+
+def _mixture_post(prototypes, sigma_sq: float, input_dim: int):
+    gating_arch = nn.MlpArch((input_dim, 2, len(prototypes)))
+    return mixture.MixtureGlobalPosterior(
+        prototypes=tuple(prototypes),
+        sigma_sq=sigma_sq,
+        epsilon=1e-8,
+        gating=np.zeros(nn.param_count(gating_arch)),
+        gating_arch=gating_arch,
+    )
+
+
+def _k1_mstep(seed: int, tag: str, max_d: int, max_n: int):
+    """K=1 M-step against its closed form, the shrunk sum of client means."""
+    def body(t):
+        rng = stream(seed, "verify", tag, t)
+        d = int(rng.integers(1, max_d))
+        n = int(rng.integers(1, max_n))
+        sigma_sq = float(rng.uniform(0.05, 2.0))
+        means = [rng.normal(size=d) for _ in range(n)]
+        (r_new,) = mixture.mix_m_step(means, np.ones((n, 1)), sigma_sq, n)
+        err = _rel_err(r_new, np.sum(means, axis=0) / (n + sigma_sq))
+        return err, {"d": d, "n": n, "err": err}
+
+    return body
 
 
 # ---------------------------------------------------------------- reductions
@@ -99,8 +127,7 @@ def _reduction_checks(seed: int) -> list[dict]:
         )
         expect = n / (n + 1) * np.mean(means, axis=0)
         err = float(np.max(np.abs(new.m0 - expect)))
-        case = {"d": d, "n": n, "err": err} if err > REDUCTION_TOL else None
-        return err, case
+        return err, {"d": d, "n": n, "err": err}
 
     def niw_grad(t):
         rng = stream(seed, "verify", "red-niw-grad", t)
@@ -117,28 +144,12 @@ def _reduction_checks(seed: int) -> list[dict]:
             d=d,
         )
         m = post.m0 + rng.normal(size=d) * 0.3
-        loss_a, grad_a = optim.total_loss_and_grad(
-            niw.niw_objective(post, arch, n_i, p_keep=1.0), m, batch
-        )
         mu = (post.n0 + d + 1) / (v * n_i)
-        loss_b, grad_b = optim.total_loss_and_grad(
-            optim.prox_objective(arch, mu, post.m0), m, batch
+        err = _gap(
+            niw.niw_objective(post, arch, n_i, p_keep=1.0),
+            optim.prox_objective(arch, mu, post.m0), m, batch,
         )
-        err = max(abs(loss_a - loss_b), float(np.max(np.abs(grad_a - grad_b))))
-        case = {"arch": list(arch.layer_sizes), "err": err} if err > REDUCTION_TOL else None
-        return err, case
-
-    def mix_mstep(t):
-        rng = stream(seed, "verify", "red-mix-mstep", t)
-        d = int(rng.integers(1, 101))
-        n = int(rng.integers(1, 11))
-        sigma_sq = float(rng.uniform(0.05, 2.0))
-        means = [rng.normal(size=d) for _ in range(n)]
-        (r_new,) = mixture.mix_m_step(means, np.ones((n, 1)), sigma_sq, n)
-        expect = np.sum(means, axis=0) / (n + sigma_sq)
-        err = _rel_err(r_new, expect)
-        case = {"d": d, "n": n, "err": err} if err > REDUCTION_TOL else None
-        return err, case
+        return err, {"arch": list(arch.layer_sizes), "err": err}
 
     def mix_grad(t):
         rng = stream(seed, "verify", "red-mix-grad", t)
@@ -149,29 +160,20 @@ def _reduction_checks(seed: int) -> list[dict]:
         sigma_sq = float(rng.uniform(0.05, 2.0))
         g = rng.normal(size=d) * 0.5
         m = g + rng.normal(size=d) * 0.3
-        gating_arch = nn.MlpArch((arch.layer_sizes[0], 2, 1))
-        post = mixture.MixtureGlobalPosterior(
-            prototypes=(g,),
-            sigma_sq=sigma_sq,
-            epsilon=1e-8,
-            gating=np.zeros(nn.param_count(gating_arch)),
-            gating_arch=gating_arch,
+        post = _mixture_post((g,), sigma_sq, arch.layer_sizes[0])
+        err = _gap(
+            mixture.mix_objective(post, arch, n_i),
+            optim.prox_objective(arch, 1.0 / (sigma_sq * n_i), g), m, batch,
         )
-        loss_a, grad_a = optim.total_loss_and_grad(
-            mixture.mix_objective(post, arch, n_i), m, batch
-        )
-        loss_b, grad_b = optim.total_loss_and_grad(
-            optim.prox_objective(arch, 1.0 / (sigma_sq * n_i), g), m, batch
-        )
-        err = max(abs(loss_a - loss_b), float(np.max(np.abs(grad_a - grad_b))))
-        case = {"arch": list(arch.layer_sizes), "err": err} if err > REDUCTION_TOL else None
-        return err, case
+        return err, {"arch": list(arch.layer_sizes), "err": err}
 
     return [
-        _check("niw-full-participation-server-mean-vs-fedavg", 100, server_mean),
-        _check("niw-client-grad-vs-fedprox", 100, niw_grad),
-        _check("mixture-k1-mstep-vs-shrunk-mean", 100, mix_mstep),
-        _check("mixture-k1-client-grad-vs-fedprox", 100, mix_grad),
+        _check("niw-full-participation-server-mean-vs-fedavg", 100, REDUCTION_TOL,
+               server_mean),
+        _check("niw-client-grad-vs-fedprox", 100, REDUCTION_TOL, niw_grad),
+        _check("mixture-k1-mstep-vs-shrunk-mean", 100, REDUCTION_TOL,
+               _k1_mstep(seed, "red-mix-mstep", 101, 11)),
+        _check("mixture-k1-client-grad-vs-fedprox", 100, REDUCTION_TOL, mix_grad),
     ]
 
 
@@ -243,19 +245,15 @@ def gd_minimize_server_objective(client_means, n0, d, n_clients, p, eps):
     return m0, np.exp(u), norm
 
 
-def _fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.empty_like(x)
+def _fd_err(f, x: np.ndarray, g: np.ndarray, h: float = 1e-6) -> float:
+    """max |g - central differences of f at x|, relative to 1 + max|g|."""
+    fd = np.empty_like(x)
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2 * h)
-    return g
-
-
-def _fd_err(f, x, g) -> float:
-    fd = _fd_gradient(f, x)
+        fd[i] = (f(xp) - f(xm)) / (2 * h)
     return float(np.max(np.abs(fd - g)) / (1.0 + np.max(np.abs(g))))
 
 
@@ -281,23 +279,8 @@ def _oracle_checks(seed: int, mutation: str | None) -> list[dict]:
         err = max(_rel_err(m0_c, m0_star), _rel_err(v0_c, v0_star))
         if gnorm >= 1e-10:
             err = max(err, 1.0)
-        case = (
-            {"d": d, "n_clients": n_clients, "n_f": n_f, "err": err,
-             "gd_grad_norm": gnorm}
-            if err > ORACLE_REL_TOL else None
-        )
-        return err, case
-
-    def mstep_exact(t):
-        rng = stream(seed, "verify", "oracle-mstep", t)
-        d = int(rng.integers(1, 21))
-        n = int(rng.integers(1, 6))
-        sigma_sq = float(rng.uniform(0.05, 2.0))
-        means = [rng.normal(size=d) for _ in range(n)]
-        (r_new,) = mixture.mix_m_step(means, np.ones((n, 1)), sigma_sq, n)
-        err = _rel_err(r_new, np.sum(means, axis=0) / (n + sigma_sq))
-        case = {"d": d, "n": n, "err": err} if err > MSTEP_REL_TOL else None
-        return err, case
+        return err, {"d": d, "n_clients": n_clients, "n_f": n_f, "err": err,
+                     "gd_grad_norm": gnorm}
 
     def em_monotone(t):
         rng = stream(seed, "verify", "oracle-em", t)
@@ -311,12 +294,9 @@ def _oracle_checks(seed: int, mutation: str | None) -> list[dict]:
         c = mixture.mix_e_step(means, protos, sigma_sq)
         after_protos = mixture.mix_m_step(means, c, sigma_sq, n)
         after = mixture.mix_server_objective(after_protos, means, sigma_sq)
-        err = max(0.0, after - before)
-        case = (
-            {"d": d, "k": k, "n": n, "before": before, "after": after}
-            if err > EM_SLACK else None
-        )
-        return err, case
+        return max(0.0, after - before), {
+            "d": d, "k": k, "n": n, "before": before, "after": after,
+        }
 
     def grad_fd_case(t, which):
         rng = stream(seed, "verify", "oracle-fd", which, t)
@@ -338,13 +318,9 @@ def _oracle_checks(seed: int, mutation: str | None) -> list[dict]:
             objectives = [niw.niw_objective(post, arch, n_i, p_keep=0.9)]
         elif which == "mixture":
             k = int(rng.integers(1, 4))
-            gating_arch = nn.MlpArch((arch.layer_sizes[0], 2, k))
-            post = mixture.MixtureGlobalPosterior(
-                prototypes=tuple(rng.normal(size=d) * 0.5 for _ in range(k)),
-                sigma_sq=float(rng.uniform(0.05, 1.0)),
-                epsilon=1e-8,
-                gating=np.zeros(nn.param_count(gating_arch)),
-                gating_arch=gating_arch,
+            post = _mixture_post(
+                [rng.normal(size=d) * 0.5 for _ in range(k)],
+                float(rng.uniform(0.05, 1.0)), arch.layer_sizes[0],
             )
             # client training takes majorizer steps, personalization SGD steps
             objectives = [
@@ -362,19 +338,19 @@ def _oracle_checks(seed: int, mutation: str | None) -> list[dict]:
             )
             for obj in objectives
         )
-        case = {"which": which, "err": err} if err > FD_TOL else None
-        return err, case
+        return err, {"which": which, "err": err}
 
-    checks = [
-        _check("niw-server-closed-form-vs-gd", 50, niw_gd),
-        _check("mixture-k1-mstep-closed-form", 50, mstep_exact),
-        _check("mixture-em-step-monotone", 100, em_monotone),
+    return [
+        _check("niw-server-closed-form-vs-gd", 50, ORACLE_REL_TOL, niw_gd),
+        _check("mixture-k1-mstep-closed-form", 50, MSTEP_REL_TOL,
+               _k1_mstep(seed, "oracle-mstep", 21, 6)),
+        _check("mixture-em-step-monotone", 100, EM_SLACK, em_monotone),
+        *(
+            _check(f"grad-fd-{which}", 20, FD_TOL,
+                   lambda t, w=which: grad_fd_case(t, w))
+            for which in ("ce", "niw", "mixture", "fedprox")
+        ),
     ]
-    for which in ("ce", "niw", "mixture", "fedprox"):
-        checks.append(
-            _check(f"grad-fd-{which}", 20, lambda t, w=which: grad_fd_case(t, w))
-        )
-    return checks
 
 
 # ------------------------------------------------------------------ samplers
@@ -398,24 +374,16 @@ def _sampler_checks(seed: int) -> list[dict]:
             draws[i] = niw.niw_sample_global(post, stream(seed, "verify", "t", i))
         se = np.sqrt(var_true / n_draws)
         loc_err = np.abs(draws.mean(axis=0) - m0)
-        loc_ok = bool(np.all(loc_err <= 4 * se))
+        loc_ok = np.all(loc_err <= 4 * se)
         var_rel = np.abs(draws.var(axis=0) - var_true) / var_true
-        var_ok = bool(np.all(var_rel <= 0.05))
+        var_ok = np.all(var_rel <= 0.05)
         return [
-            {
-                "name": "student-t-location-within-4se",
-                "passed": loc_ok,
-                "trials": n_draws,
-                "max_err": float(np.max(loc_err / se)),
-                "failing_case": None if loc_ok else {"z_scores": (loc_err / se).tolist()},
-            },
-            {
-                "name": "student-t-variance-within-5pct",
-                "passed": var_ok,
-                "trials": n_draws,
-                "max_err": float(np.max(var_rel)),
-                "failing_case": None if var_ok else {"rel_err": var_rel.tolist()},
-            },
+            _result("student-t-location-within-4se", n_draws,
+                    float(np.max(loc_err / se)),
+                    None if loc_ok else {"z_scores": (loc_err / se).tolist()}),
+            _result("student-t-variance-within-5pct", n_draws,
+                    float(np.max(var_rel)),
+                    None if var_ok else {"rel_err": var_rel.tolist()}),
         ]
 
     def keep_rate(p_keep):
@@ -433,14 +401,11 @@ def _sampler_checks(seed: int) -> list[dict]:
         rate = kept / total
         se = np.sqrt(p_keep * (1 - p_keep) / total)
         err = abs(rate - p_keep)
-        ok = bool(err <= 3 * se)
-        return {
-            "name": f"dropout-keep-rate-p{p_keep}",
-            "passed": ok,
-            "trials": n_draws,
-            "max_err": float(err / se) if se > 0 else 0.0,
-            "failing_case": None if ok else {"rate": rate, "expected": p_keep},
-        }
+        return _result(
+            f"dropout-keep-rate-p{p_keep}", n_draws,
+            float(err / se) if se > 0 else 0.0,
+            None if err <= 3 * se else {"rate": rate, "expected": p_keep},
+        )
 
     return [*student_t(), keep_rate(0.999), keep_rate(0.8)]
 
@@ -481,23 +446,30 @@ def _convergence_checks(seed: int) -> list[dict]:
     objs = [rec.server_objective for rec in run.records]
     ra = runtime.running_average(objs)
     fit = runtime.convergence_diagnostic(ra, burn_in=10)
-    violation = float(np.max(np.maximum(np.diff(ra[10:]), 0.0)))
+    steps = np.diff(ra[10:])
     return [
-        {
-            "name": "running-average-objective-non-increasing",
-            "passed": fit.monotone,
-            "trials": len(objs),
-            "max_err": violation,
-            "failing_case": None if fit.monotone else {
-                "first_increase_at": int(np.argmax(np.diff(ra[10:]) > 1e-12)) + 11,
+        _result(
+            "running-average-objective-non-increasing", len(objs),
+            float(np.max(np.maximum(steps, 0.0))),
+            None if fit.monotone else {
+                "first_increase_at": int(np.argmax(steps > 1e-12)) + 11,
             },
-            "fit": {"c": fit.c, "offset": fit.offset, "residual": fit.residual},
-            "final_global_acc": run.records[-1].global_acc,
-        }
+            fit={"c": fit.c, "offset": fit.offset, "residual": fit.residual},
+            final_global_acc=run.records[-1].global_acc,
+        )
     ]
 
 
 # -------------------------------------------------------------------- driver
+
+
+# suite -> its checks(seed, mutation); only the oracles take a mutation
+SUITES = {
+    "reductions": lambda seed, mutation: _reduction_checks(seed),
+    "oracles": _oracle_checks,
+    "samplers": lambda seed, mutation: _sampler_checks(seed),
+    "convergence": lambda seed, mutation: _convergence_checks(seed),
+}
 
 
 def run_suite(name: str, seed: int = 0, mutation: str | None = None) -> dict:
@@ -511,14 +483,7 @@ def run_suite(name: str, seed: int = 0, mutation: str | None = None) -> dict:
         if name != "oracles":
             raise ValueError("mutations only apply to the oracles suite")
     started = time.perf_counter()
-    if name == "reductions":
-        checks = _reduction_checks(seed)
-    elif name == "oracles":
-        checks = _oracle_checks(seed, mutation)
-    elif name == "samplers":
-        checks = _sampler_checks(seed)
-    else:
-        checks = _convergence_checks(seed)
+    checks = SUITES[name](seed, mutation)
     return {
         "format": "fedsim-verify/v1",
         "suite": name,
@@ -530,13 +495,14 @@ def run_suite(name: str, seed: int = 0, mutation: str | None = None) -> dict:
     }
 
 
-def run_all(seed: int = 0) -> dict:
-    reports = [run_suite(s, seed) for s in SUITES]
+def run_all(seed: int = 0, mutation: str | None = None) -> dict:
+    """Every suite in turn; like the non-oracle suites, rejects any mutation."""
+    reports = [run_suite(s, seed, mutation) for s in SUITES]
     return {
         "format": "fedsim-verify/v1",
         "suite": "all",
         "seed": seed,
-        "mutation": None,
+        "mutation": mutation,
         "passed": all(r["passed"] for r in reports),
         "elapsed_s": sum(r["elapsed_s"] for r in reports),
         "suites": reports,

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -103,6 +104,38 @@ class TestRoundTrip:
         save_checkpoint(path, run, experiment.resolved_spec(spec))
         ck = load_checkpoint(path)
         assert ck.round_index == 1 and ck.records == []
+
+    def test_fsyncs_file_before_rename_and_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        spec, run = build_tiny_run(tmp_path)
+        path = str(tmp_path / "ck.bin")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                events.append(("fsync-dir", None))
+            else:
+                events.append(("fsync-file", info.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", None))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_checkpoint(path, run, experiment.resolved_spec(spec))
+        size = os.path.getsize(path)
+        # the file is synced complete, before the rename; the directory after
+        assert events == [("fsync-file", size), ("replace", None), ("fsync-dir", None)]
+        monkeypatch.undo()
+        plain = str(tmp_path / "plain.bin")
+        save_checkpoint(plain, run, experiment.resolved_spec(spec))
+        with open(path, "rb") as a, open(plain, "rb") as b:
+            assert a.read() == b.read()
 
 
 class TestMalformed:

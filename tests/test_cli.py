@@ -94,6 +94,12 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert not report["passed"]
 
+    def test_verify_all_rejects_mutation(self, capsys):
+        assert main(["verify", "all", "--mutate", "niw-v0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mutations only apply to the oracles suite" in captured.err
+
     def test_verify_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "everything"])

@@ -266,7 +266,7 @@ class TestSynthGenerate:
         def acc(sel):
             b = nn.Batch(inputs=ds.inputs[sel], labels=ds.labels[sel])
             return float(
-                (nn.forward(params, arch, b).argmax(axis=1) == ds.labels[sel]).mean()
+                (nn.forward(params, arch, b.inputs).argmax(axis=1) == ds.labels[sel]).mean()
             )
 
         assert acc(a) > 0.9, f"probe underfits its own cluster: {acc(a)}"

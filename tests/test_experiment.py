@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import os
+import re
 
 import numpy as np
 import pytest
@@ -447,6 +448,27 @@ class TestRunExperiment:
         )
         summary = run_experiment(parse_spec_dict(obj))
         assert summary["rounds_completed"] == 2
+
+    def test_empty_container_test_set_rejected_at_build(self, tmp_path):
+        rng = np.random.default_rng(0)
+        train, _, test, _ = data.synth_train_test(1, 3, 4, 30, 8, 0.5, rng)
+        tr_path = str(tmp_path / "train.bin")
+        te_path = str(tmp_path / "test.bin")
+        data.save_dataset(tr_path, train)
+        data.save_dataset(te_path, data.LabeledDataset(
+            test.inputs[:0], test.labels[:0], test.num_classes))
+        obj = tiny_spec_obj(
+            out=str(tmp_path / "out"),
+            dataset={"kind": "container", "train": tr_path, "test": te_path},
+            partition={"kind": "shard", "shards_per_client": 1},
+            federated={"n_clients": 3, "rounds": 2, "batch_size": 10},
+        )
+        with pytest.raises(SpecError, match=re.escape(f"{te_path}: the test set")):
+            experiment.build_run(parse_spec_dict(obj))
+        # no round runs: the run fails before its output directory is written
+        with pytest.raises(SpecError, match="the test set has no rows"):
+            run_experiment(parse_spec_dict(obj))
+        assert not os.path.exists(tmp_path / "out" / "metrics.csv")
 
     def test_idx_dataset_kind(self, tmp_path):
         rng = np.random.default_rng(1)

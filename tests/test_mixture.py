@@ -541,7 +541,7 @@ class TestGating:
             labels=np.concatenate([np.zeros(40, dtype=np.int64),
                                    np.ones(40, dtype=np.int64)]),
         )
-        pred = nn.forward(beta, arch, batch_all).argmax(axis=1)
+        pred = nn.forward(beta, arch, batch_all.inputs).argmax(axis=1)
         acc = float((pred == batch_all.labels).mean())
         assert acc > 0.9, f"gating accuracy {acc}"
 
@@ -556,7 +556,7 @@ class TestGlobalPredict:
         out = mixture.mix_global_predict(x, gp, arch)
         batch = nn.Batch(inputs=x, labels=np.zeros(5, dtype=np.int64))
         np.testing.assert_allclose(
-            out, nn.softmax(nn.forward(r, arch, batch)), atol=1e-15)
+            out, nn.softmax(nn.forward(r, arch, batch.inputs)), atol=1e-15)
 
     def test_identical_experts_ignore_gating(self):
         rng = stream(72, "pred-same")
@@ -588,7 +588,7 @@ class TestGlobalPredict:
         x = rng.normal(size=(5, 4))
         out = mixture.mix_global_predict(x, gp, arch)
         batch = nn.Batch(inputs=x, labels=np.zeros(5, dtype=np.int64))
-        expert = nn.softmax(nn.forward(protos[1], arch, batch))
+        expert = nn.softmax(nn.forward(protos[1], arch, batch.inputs))
         np.testing.assert_allclose(out, expert, atol=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -621,9 +621,9 @@ class TestPersonalize:
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, size=8)
         for mode in ("proxy", "per_prototype"):
-            m = mixture.mix_personalize(x, y, gp, arch, epochs=0, lr=0.1,
-                                        rng=stream(81, mode),
-                                        warm_start=mode)
+            m = mixture.mix_personalize(x, y, gp, arch,
+                                        FederatedConfig(warm_start=mode),
+                                        epochs=0, lr=0.1, rng=stream(81, mode))
             assert any(np.array_equal(m, r) for r in protos), mode
 
     def test_huge_sigma_reduces_to_plain_finetuning(self):
@@ -634,9 +634,9 @@ class TestPersonalize:
                          gating_arch=nn.MlpArch((4, 5, 1)))
         x = rng.normal(size=(10, 4))
         y = rng.integers(0, 3, size=10)
-        out = mixture.mix_personalize(x, y, gp, arch, epochs=2, lr=0.1,
-                                      rng=stream(82, "run"),
-                                      batch_size=10)
+        out = mixture.mix_personalize(x, y, gp, arch,
+                                      FederatedConfig(batch_size=10),
+                                      epochs=2, lr=0.1, rng=stream(82, "run"))
         # full-batch steps make the shuffle order irrelevant; the proxy
         # warm-up epoch only picks the start (here the lone prototype), so
         # the tuned result is two plain steps from r
@@ -666,10 +666,11 @@ class TestPersonalize:
 
         def accuracy(m):
             b = nn.Batch(inputs=x_test, labels=y_test)
-            return float((nn.forward(m, arch, b).argmax(axis=1) == y_test).mean())
+            return float((nn.forward(m, arch, b.inputs).argmax(axis=1) == y_test).mean())
 
-        good = mixture.mix_personalize(x_p, y_p, gp, arch, epochs=2, lr=0.1,
-                                       rng=stream(83, "good"), batch_size=10)
+        good = mixture.mix_personalize(x_p, y_p, gp, arch,
+                                       FederatedConfig(batch_size=10),
+                                       epochs=2, lr=0.1, rng=stream(83, "good"))
         # same protocol forced to start at the mismatched prototype
         bad, _ = local_train(
             m_b, mixture.mix_objective(gp, arch, 20, majorize=False), x_p, y_p,
@@ -682,11 +683,12 @@ class TestPersonalize:
         arch = nn.MlpArch((4, 5, 3))
         gp = make_global([np.zeros(nn.param_count(arch))],
                          gating_arch=nn.MlpArch((4, 5, 1)))
+        # the config that carries the warm start refuses an unknown one
         with pytest.raises(ValueError, match="warm_start"):
             mixture.mix_personalize(np.zeros((2, 4)),
                                     np.zeros(2, dtype=np.int64), gp, arch,
-                                    epochs=1, lr=0.1, rng=stream(0),
-                                    warm_start="best")
+                                    FederatedConfig(warm_start="best"),
+                                    epochs=1, lr=0.1, rng=stream(0))
 
     def test_rejects_empty_personal_data(self):
         arch = nn.MlpArch((4, 5, 3))
@@ -695,4 +697,5 @@ class TestPersonalize:
         with pytest.raises(ValueError, match="empty"):
             mixture.mix_personalize(np.zeros((0, 4)),
                                     np.zeros(0, dtype=np.int64), gp, arch,
-                                    epochs=1, lr=0.1, rng=stream(0))
+                                    FederatedConfig(), epochs=1, lr=0.1,
+                                    rng=stream(0))

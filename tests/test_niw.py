@@ -10,6 +10,7 @@ import pytest
 from fedsim import nn, niw
 from fedsim.optim import prox_objective, total_loss_and_grad
 from fedsim.rng import stream
+from fedsim.runtime import FederatedConfig
 
 from test_nn import central_diff_grad, make_batch, rel_err
 
@@ -371,7 +372,7 @@ class TestGlobalPredict:
         probs = niw.niw_global_predict(x, post, arch, 1, stream(9, "eval"))
         theta = niw.niw_sample_global(post, stream(9, "eval"))
         batch = nn.Batch(inputs=x, labels=np.zeros(5, dtype=np.int64))
-        assert np.array_equal(probs, nn.softmax(nn.forward(theta, arch, batch)))
+        assert np.array_equal(probs, nn.softmax(nn.forward(theta, arch, batch.inputs)))
 
     @pytest.mark.parametrize("sample_count", [1, 4])
     def test_in_place_draws_keep_the_bits(self, sample_count):
@@ -396,7 +397,7 @@ class TestGlobalPredict:
             theta = post.m0 + np.sqrt(niw.predictive_scale(post)) * z * np.sqrt(
                 post.t_dof / u
             )
-            want += nn.softmax(nn.forward(theta, arch, batch))
+            want += nn.softmax(nn.forward(theta, arch, batch.inputs))
         want /= sample_count
         got = niw.niw_global_predict(x, post, arch, sample_count, stream(11, "eval"))
         assert got.tobytes() == want.tobytes()
@@ -452,7 +453,8 @@ class TestPersonalize:
 
     def test_zero_epochs_returns_m0(self):
         m = niw.niw_personalize(
-            self.inputs, self.labels, self.post, self.arch, 0, 0.1, stream(0)
+            self.inputs, self.labels, self.post, self.arch, FederatedConfig(), 0,
+            0.1, stream(0),
         )
         assert np.array_equal(m, self.post.m0)
 
@@ -461,7 +463,8 @@ class TestPersonalize:
         strong = replace(self.post, v0_diag=self.post.v0_diag * 1e-7)
         assert niw.penalty_weight(strong, 0.999, 30).min() > 1e7
         m = niw.niw_personalize(
-            self.inputs, self.labels, strong, self.arch, 3, 0.1, stream(1)
+            self.inputs, self.labels, strong, self.arch, FederatedConfig(), 3, 0.1,
+            stream(1),
         )
         assert np.abs(m - self.post.m0).max() < 1e-3
 
@@ -492,8 +495,8 @@ class TestPersonalize:
             means = []
             for cid, (x, y) in enumerate(datasets):
                 m = niw.niw_personalize(
-                    x, y, post, arch, 1, 0.1, stream(3, "c", rnd, cid),
-                    batch_size=20,
+                    x, y, post, arch, FederatedConfig(batch_size=20), 1, 0.1,
+                    stream(3, "c", rnd, cid),
                 )
                 means.append(m)
             post = niw.niw_server_update(means, post, 2, 1.0 - 0.001, 1e-4)
@@ -501,10 +504,11 @@ class TestPersonalize:
         probs = niw.niw_global_predict(x0t, post, arch, 1, stream(5, "eval"))
         global_acc = float((probs.argmax(axis=1) == y0t).mean())
         m_pers = niw.niw_personalize(
-            x0, y0, post, arch, 5, 0.1, stream(6, "pers"), batch_size=20
+            x0, y0, post, arch, FederatedConfig(batch_size=20), 5, 0.1,
+            stream(6, "pers"),
         )
         batch = nn.Batch(inputs=x0t, labels=y0t)
         pers_acc = float(
-            (nn.forward(m_pers, arch, batch).argmax(axis=1) == y0t).mean()
+            (nn.forward(m_pers, arch, batch.inputs).argmax(axis=1) == y0t).mean()
         )
         assert pers_acc >= global_acc

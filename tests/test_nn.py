@@ -146,7 +146,7 @@ class TestForward:
         arch = nn.MlpArch((4, 3, 2))
         params = np.zeros(nn.param_count(arch))
         batch = make_batch(np.random.default_rng(0), 5, 4, 2)
-        assert np.array_equal(nn.forward(params, arch, batch), np.zeros((5, 2)))
+        assert np.array_equal(nn.forward(params, arch, batch.inputs), np.zeros((5, 2)))
 
     def test_hand_computed_logits(self):
         # weights all one, bias zero, input [1,1]: hidden relu([2,2]) -> logits [4,4]
@@ -156,7 +156,7 @@ class TestForward:
         params[spans[0][0]] = 1.0
         params[spans[1][0]] = 1.0
         batch = nn.Batch(inputs=np.array([[1.0, 1.0]]), labels=np.array([0]))
-        assert nn.forward(params, arch, batch).tolist() == [[4.0, 4.0]]
+        assert nn.forward(params, arch, batch.inputs).tolist() == [[4.0, 4.0]]
 
     def test_mask_all_dropped_equals_bias_path(self):
         arch = nn.MlpArch((4, 3, 2))
@@ -164,9 +164,9 @@ class TestForward:
         params = nn.init_params(arch, rng)
         batch = make_batch(rng, 6, 4, 2)
         mask = nn.DropoutMask(keep=tuple(np.zeros(s, dtype=bool) for s in (4, 3)))
-        got = nn.forward(params, arch, batch, mask)
+        got = nn.forward(params, arch, batch.inputs, mask)
         zeroed = apply_mask(params, arch, mask)
-        assert np.array_equal(got, nn.forward(zeroed, arch, batch))
+        assert np.array_equal(got, nn.forward(zeroed, arch, batch.inputs))
         # bias-only: logits identical across inputs
         assert np.allclose(got, got[0])
 
@@ -176,21 +176,23 @@ class TestForward:
         params = nn.init_params(arch, rng)
         batch = make_batch(rng, 7, 6, 3)
         mask = nn.sample_dropout_mask(0.6, arch, stream(3, "mask"))
-        via_mask = nn.forward(params, arch, batch, mask)
-        via_apply = nn.forward(apply_mask(params, arch, mask), arch, batch)
+        via_mask = nn.forward(params, arch, batch.inputs, mask)
+        via_apply = nn.forward(apply_mask(params, arch, mask), arch, batch.inputs)
         assert np.array_equal(via_mask, via_apply)
 
     def test_dimension_errors(self):
         arch = nn.MlpArch((4, 3, 2))
         batch = make_batch(np.random.default_rng(0), 2, 4, 2)
         with pytest.raises(nn.DimensionMismatch):
-            nn.forward(np.zeros(5), arch, batch)
+            nn.forward(np.zeros(5), arch, batch.inputs)
         bad_batch = make_batch(np.random.default_rng(0), 2, 3, 2)
         with pytest.raises(nn.DimensionMismatch):
-            nn.forward(np.zeros(nn.param_count(arch)), arch, bad_batch)
+            nn.forward(np.zeros(nn.param_count(arch)), arch, bad_batch.inputs)
+        with pytest.raises(nn.DimensionMismatch):  # one row, not a matrix
+            nn.forward(np.zeros(nn.param_count(arch)), arch, batch.inputs[0])
         bad_mask = nn.DropoutMask(keep=(np.ones(4, dtype=bool),))
         with pytest.raises(nn.DimensionMismatch):
-            nn.forward(np.zeros(nn.param_count(arch)), arch, batch, bad_mask)
+            nn.forward(np.zeros(nn.param_count(arch)), arch, batch.inputs, bad_mask)
 
 
 class TestLossAndGrad:
@@ -298,7 +300,7 @@ class TestDropoutSampling:
         # bias groups have no keep entry: they are always applied
         batch = make_batch(np.random.default_rng(1), 3, 10, 4)
         params = nn.init_params(arch, np.random.default_rng(2))
-        out = nn.forward(params, arch, batch, mask)
+        out = nn.forward(params, arch, batch.inputs, mask)
         b_last = params[nn.layer_spans(arch)[-1][1]]
         assert np.allclose(out, np.broadcast_to(b_last, (3, 4)))
 
@@ -365,8 +367,8 @@ def test_mask_linearity_property(sizes, seed):
     )
     mask = nn.sample_dropout_mask(0.5, arch, stream(seed, "m"))
     assert np.array_equal(
-        nn.forward(params, arch, batch, mask),
-        nn.forward(apply_mask(params, arch, mask), arch, batch),
+        nn.forward(params, arch, batch.inputs, mask),
+        nn.forward(apply_mask(params, arch, mask), arch, batch.inputs),
     )
 
 
@@ -424,11 +426,11 @@ class TestProtocolShapeBits:
     @pytest.mark.parametrize("rows", [2048, 1808, 50])
     def test_forward_bytes(self, rows, kind):
         params, batch, mask = protocol_params(), protocol_batch(rows, 1), protocol_mask(kind)
-        got = nn.forward(params, PROTOCOL, batch, mask)
+        got = nn.forward(params, PROTOCOL, batch.inputs, mask)
         assert got.tobytes() == oracle_forward(params, PROTOCOL, batch, mask).tobytes()
         if mask is not None:
             zeroed = apply_mask(params, PROTOCOL, mask)
-            assert got.tobytes() == nn.forward(zeroed, PROTOCOL, batch).tobytes()
+            assert got.tobytes() == nn.forward(zeroed, PROTOCOL, batch.inputs).tobytes()
 
     @pytest.mark.parametrize("kind", ["none", "p0.5"])
     def test_one_step_allocates_little_beyond_the_gradient(self, kind):

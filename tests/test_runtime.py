@@ -75,26 +75,26 @@ class TestConfig:
 
 class TestSampleParticipants:
     def test_full_participation_sorted(self):
-        ids = runtime.sample_participants(7, 1.0, stream(0, "p"))
+        ids = runtime.sample_participants(7, 7, stream(0, "p"))
         assert ids == list(range(7))
 
     def test_cardinality(self):
-        ids = runtime.sample_participants(100, 0.1, stream(1, "p"))
+        ids = runtime.sample_participants(100, 10, stream(1, "p"))
         assert len(ids) == len(set(ids)) == 10
 
     def test_uniform_frequencies(self):
         counts = np.zeros(10)
         draws = 10_000
         for r in range(draws):
-            for i in runtime.sample_participants(10, 0.3, stream(2, "p", r)):
+            for i in runtime.sample_participants(10, 3, stream(2, "p", r)):
                 counts[i] += 1
         freq = counts / draws
         sigma = np.sqrt(0.3 * 0.7 / draws)
         assert np.abs(freq - 0.3).max() < 4 * sigma
 
     def test_deterministic(self):
-        a = runtime.sample_participants(50, 0.2, stream(3, "p"))
-        b = runtime.sample_participants(50, 0.2, stream(3, "p"))
+        a = runtime.sample_participants(50, 10, stream(3, "p"))
+        b = runtime.sample_participants(50, 10, stream(3, "p"))
         assert a == b
 
 
@@ -290,7 +290,7 @@ class TestReductions:
         counts = np.zeros(10)
         rounds = 2000
         for r in range(rounds):
-            for i in runtime.sample_participants(10, 0.2, stream(14, "part", r)):
+            for i in runtime.sample_participants(10, 2, stream(14, "part", r)):
                 counts[i] += 1
         freq = counts / rounds
         sigma = np.sqrt(0.2 * 0.8 / rounds)
@@ -363,7 +363,7 @@ class TestPersonalization:
             tx = ds.inputs[cl.test_indices]
             ty = ds.labels[cl.test_indices]
             b = nn.Batch(inputs=tx, labels=ty)
-            pred = nn.forward(run.strategy_state, run.arch, b).argmax(axis=1)
+            pred = nn.forward(run.strategy_state, run.arch, b.inputs).argmax(axis=1)
             manual.append(float((pred == ty).mean()))
         assert report.per_client == tuple(manual)
         assert report.mean_acc == pytest.approx(np.mean(manual))
@@ -388,7 +388,7 @@ class TestPersonalization:
                 inputs=ds.inputs[cl.test_indices],
                 labels=ds.labels[cl.test_indices],
             )
-            pred = nn.forward(run.strategy_state, run.arch, b).argmax(axis=1)
+            pred = nn.forward(run.strategy_state, run.arch, b.inputs).argmax(axis=1)
             global_accs.append(float((pred == ds.labels[cl.test_indices]).mean()))
         report = runtime.evaluate_personalized(run, epochs=5, lr=0.3)
         assert report.mean_acc >= np.mean(global_accs)
@@ -407,7 +407,7 @@ class TestPersonalization:
                 inputs=ds.inputs[cl.test_indices],
                 labels=ds.labels[cl.test_indices],
             )
-            pred = nn.forward(run.strategy_state, run.arch, b).argmax(axis=1)
+            pred = nn.forward(run.strategy_state, run.arch, b.inputs).argmax(axis=1)
             global_accs.append(float((pred == ds.labels[cl.test_indices]).mean()))
         report = runtime.evaluate_personalized(run, epochs=5, lr=0.2)
         assert abs(report.mean_acc - np.mean(global_accs)) < 0.02
