@@ -406,7 +406,6 @@ def run_experiment(
     """Execute a spec to completion; returns the summary dict it wrote."""
     t0 = time.perf_counter()
     resolved = resolved_spec(spec)
-    os.makedirs(spec.out, exist_ok=True)
     run = build_run(spec)
     if resume is not None:
         if build_id(resume.spec) != build_id(resolved):
@@ -418,6 +417,8 @@ def run_experiment(
         run.records = list(resume.records)
         for cid, m in resume.retained.items():
             run.clients[cid].retained = m
+    # only a spec that built (and matches its checkpoint) gets an output dir
+    os.makedirs(spec.out, exist_ok=True)
 
     ev = spec.evaluation
     rounds = spec.config.rounds

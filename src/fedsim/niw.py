@@ -103,6 +103,7 @@ def niw_objective(
     p_keep: float,
     penalty_mode: str = "literal",
     mask_rng: np.random.Generator | None = None,
+    penalty_value: bool = True,
 ) -> optim.Objective:
     """The NIW local objective, for `optim.local_train`.
 
@@ -111,15 +112,19 @@ def niw_objective(
     The CE gradient flows only through kept dropout groups; the quadratic
     covers all coordinates and is taken by the driver's proximal step, which
     gets the same m0 and w objects at every step. One fresh mask per batch is
-    drawn from mask_rng; None trains without dropout.
+    drawn from mask_rng; None trains without dropout. Without
+    `penalty_value` the loss is the CE alone, for callers that never read it:
+    the steps are the same.
     """
     w = penalty_weight(global_post, p_keep, data_size, penalty_mode)
     m0 = global_post.m0
-    sq = np.empty_like(m0)  # (m - m0)^2, rewritten at every step
+    sq = np.empty_like(m0) if penalty_value else None  # (m - m0)^2 per step
 
     def objective(m, batch):
         mask = None if mask_rng is None else nn.sample_dropout_mask(p_keep, arch, mask_rng)
         ce, g = nn.loss_and_grad(m, arch, batch, mask)
+        if not penalty_value:
+            return ce, g, m0, w
         np.subtract(m, m0, out=sq)
         np.multiply(sq, sq, out=sq)
         return ce + 0.5 * float(w @ sq), g, m0, w
@@ -275,8 +280,9 @@ def niw_personalize(
     n = inputs.shape[0]
     if n < 1:
         raise ValueError("personal training data is empty")
+    # the loss is never read here, so the objective skips the penalty value
     objective = niw_objective(
-        global_post, arch, n, config.p_keep, config.penalty_mode, rng
+        global_post, arch, n, config.p_keep, config.penalty_mode, rng, False
     )
     m, _ = optim.local_train(
         global_post.m0, objective, inputs, labels, config.batch_size, epochs, lr,

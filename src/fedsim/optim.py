@@ -20,9 +20,10 @@ Ownership in `local_train`, which steps in place:
 - `data_grad` must be a fresh array on every call: the driver zeroes a
   frozen head in it and scales it by lr in place;
 - an objective may return the same `quad_center` and `quad_diag` objects at
-  every step (FedProx, NIW); it must not change their contents during the
-  call, because the step's fixed terms are computed from them once. A center
-  that moves (the mixture majorizer) must be a fresh array at each step.
+  every step (FedProx, NIW, a mixture step pulled to one prototype): the
+  driver caches the step's fixed terms by their identity, so an objective
+  must never write a center or diagonal it has returned. A center that moves
+  (the mixture majorizer over several prototypes) is a fresh array.
 """
 
 from __future__ import annotations

@@ -219,12 +219,12 @@ class MixtureStrategy(Strategy):
         )
         # gating learns to route this client's inputs to its nearest prototype
         j_star = mixture.nearest_prototype(m, state.prototypes)
-        beta = state.gating
+        beta = state.gating.copy()
         grng = stream(config.seed, "gate", client_id, round_idx)
         for idx in optim.epoch_batches(n, config.batch_size, 1, grng):
-            beta = mixture.gating_local_update(
+            mixture.gating_local_update(
                 beta, state.gating_arch, inputs[idx], j_star, lr,
-                head_frozen=config.body_update,
+                head_frozen=config.body_update, out=beta,
             )
         return ClientResult(client_id=client_id, params=m, loss=loss, beta=beta)
 

@@ -449,7 +449,8 @@ class TestRunExperiment:
         summary = run_experiment(parse_spec_dict(obj))
         assert summary["rounds_completed"] == 2
 
-    def test_empty_container_test_set_rejected_at_build(self, tmp_path):
+    def empty_test_set_spec(self, tmp_path):
+        """A container spec whose test file has 0 rows, and that file."""
         rng = np.random.default_rng(0)
         train, _, test, _ = data.synth_train_test(1, 3, 4, 30, 8, 0.5, rng)
         tr_path = str(tmp_path / "train.bin")
@@ -463,12 +464,22 @@ class TestRunExperiment:
             partition={"kind": "shard", "shards_per_client": 1},
             federated={"n_clients": 3, "rounds": 2, "batch_size": 10},
         )
+        return obj, te_path
+
+    def test_empty_container_test_set_rejected_at_build(self, tmp_path):
+        obj, te_path = self.empty_test_set_spec(tmp_path)
         with pytest.raises(SpecError, match=re.escape(f"{te_path}: the test set")):
             experiment.build_run(parse_spec_dict(obj))
         # no round runs: the run fails before its output directory is written
         with pytest.raises(SpecError, match="the test set has no rows"):
             run_experiment(parse_spec_dict(obj))
         assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+
+    def test_spec_rejected_at_build_leaves_no_output_directory(self, tmp_path):
+        obj, _ = self.empty_test_set_spec(tmp_path)
+        with pytest.raises(SpecError):
+            run_experiment(parse_spec_dict(obj))
+        assert not os.path.exists(tmp_path / "out")
 
     def test_idx_dataset_kind(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -296,13 +296,20 @@ class TestMajorizerCenter:
         assert got.tobytes() == want.tobytes()
 
     def test_dominant_prototype_is_a_fresh_single_product(self):
+        # with w_j = 1.0 the single product is r_j itself; any other dominant
+        # weight gives a fresh array
         r0, r1 = np.array([1e-90, -2e-90, 0.0]), np.array([0.5, -1.5, 2.0])
-        wts = np.array([1e-231, 1.0])
         hi, lo = mixture.prototype_bounds((r0, r1))
         with np.errstate(under="raise"):
-            got = mixture.majorizer_center(wts, (r0, r1), hi, lo, np.empty(3))
-        assert got is not r1
-        assert got.tobytes() == r1.tobytes()
+            got = mixture.majorizer_center(
+                np.array([1e-231, 1.0]), (r0, r1), hi, lo, np.empty(3)
+            )
+            scaled = mixture.majorizer_center(
+                np.array([1e-231, 0.75]), (r0, r1), hi, lo, np.empty(3)
+            )
+        assert got is r1
+        assert scaled is not r1
+        assert scaled.tobytes() == (0.75 * r1).tobytes()
 
     def test_dominated_client_objective_runs_without_subnormals(self):
         # a collapsed prototype: entries near 1e-90 and a responsibility near
@@ -324,6 +331,121 @@ class TestMajorizerCenter:
             m, _ = local_train(r1, objective, x, y, 10, 1, 0.1, stream(25, "b"))
         assert center.tobytes() == summed_center(wts, gp.prototypes).tobytes()
         assert np.all(np.isfinite(m))
+
+
+def full_objective(gp, arch, data_size):
+    """The majorizer objective computed in full at every step: all K
+    distances, `mix_penalty` and `majorizer_center`."""
+    protos, sigma_sq = gp.prototypes, gp.sigma_sq
+    hi, lo = mixture.prototype_bounds(protos)
+
+    def objective(m, batch):
+        ce, g = nn.loss_and_grad(m, arch, batch)
+        pen, wts = mixture.mix_penalty(m, protos, sigma_sq)
+        center = mixture.majorizer_center(wts, protos, hi, lo, np.empty_like(m))
+        return ce + pen / data_size, g, center, 1.0 / (sigma_sq * data_size)
+
+    return objective
+
+
+FAST_ARCH = nn.MlpArch((3, 4, 2))
+
+
+@st.composite
+def fast_path_cases(draw):
+    """Prototypes from near ties to hard assignments: spreads from 0 to far
+    apart, some collapsed to 1e-90 scale, a signed zero entry (lo = 0), and
+    sigma^2 from tiny to huge or set so that the first and last prototype's
+    logit gap lies around the thresholds of the single-distance step."""
+    k = draw(st.integers(1, 3))
+    rng = stream(draw(st.integers(0, 2**16)), "fast-path")
+    base = nn.init_params(FAST_ARCH, rng)
+    protos = []
+    for _ in range(k):
+        spread = draw(st.sampled_from([0.0, 1e-13, 1e-3, 0.3, 3.0, 50.0]))
+        scale = draw(st.sampled_from([1.0, 1.0, 1e-90]))
+        protos.append((base + spread * rng.normal(size=base.size)) * scale)
+    if draw(st.booleans()):
+        r = protos[draw(st.integers(0, k - 1))]
+        r[draw(st.integers(0, base.size - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    sep = float((protos[0] - protos[-1]) @ (protos[0] - protos[-1]))
+    gap = draw(st.one_of(st.none(), st.floats(10.0, 800.0)))
+    if gap is not None and sep > 0.0:
+        sigma_sq = sep / (2.0 * gap)
+    else:
+        sigma_sq = draw(st.sampled_from([1e-300, 1e-9, 1e-3, 0.1, 1e6, 1e300]))
+    return tuple(protos), sigma_sq, draw(st.integers(0, k - 1)), rng
+
+
+def outcome(fn):
+    """The bytes of fn()'s result, or the class of what it raised."""
+    try:
+        return fn().tobytes()
+    except nn.NonFiniteUpdate as e:
+        return type(e)
+
+
+class TestFastPaths:
+    """The single-distance majorizer step and the reused prototype center
+    give the bits of the full computation."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(fast_path_cases())
+    def test_objective_and_training_keep_the_bits(self, case):
+        protos, sigma_sq, start, rng = case
+        gp = make_global(protos, sigma_sq=sigma_sq,
+                         gating_arch=nn.MlpArch((3, 4, len(protos))))
+        x = rng.normal(size=(24, 3))
+        y = rng.integers(0, 2, size=24)
+        batch = nn.Batch(x[:8], y[:8])
+        fast = mixture.mix_objective(gp, FAST_ARCH, 24)
+        full = full_objective(gp, FAST_ARCH, 24)
+        points = [protos[start], protos[start] + 1e-3, protos[-1], protos[0] * 0.5]
+        with np.errstate(all="ignore"):
+            for m in points:
+                got, want = fast(m.copy(), batch), full(m.copy(), batch)
+                assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[2].tobytes() == want[2].tobytes()
+                assert got[3] == want[3]
+            trained = [
+                outcome(lambda obj=obj: local_train(
+                    protos[start], obj, x, y, 8, 2, 0.1, stream(7, "b"))[0])
+                for obj in (mixture.mix_objective(gp, FAST_ARCH, 24), full)
+            ]
+        assert trained[0] == trained[1]
+
+    def test_hard_assignment_takes_the_fast_path(self, monkeypatch):
+        # prototypes far apart against sigma^2: the softmax is a hard argmax,
+        # as at protocol shape from round 1
+        rng = stream(27, "hard")
+        arch = nn.MlpArch((4, 5, 3))
+        r0 = nn.init_params(arch, rng)
+        protos = (r0, r0 + 5.0 * rng.normal(size=r0.size))
+        gp = make_global(protos, gating_arch=nn.MlpArch((4, 5, 2)))
+        x = rng.normal(size=(40, 4))
+        y = rng.integers(0, 3, size=40)
+        objective = mixture.mix_objective(gp, arch, 40)
+        _, _, center, _ = objective(r0 + 1e-3, nn.Batch(x[:10], y[:10]))
+        assert center is r0
+        assert mixture.certified_penalty(
+            r0 + 1e-3, 0, protos, gp.sigma_sq,
+            mixture.prototype_separations(protos), *mixture.prototype_bounds(protos),
+            np.empty_like(r0),
+        ) is not None
+
+        recomputed = []
+        step = optim.prox_quadratic_step
+
+        def counted(params, grad, lr, center, quad, terms):
+            recomputed.append(terms.get("key") is None or terms["key"][0] is not center)
+            return step(params, grad, lr, center, quad, terms)
+
+        monkeypatch.setattr(optim, "prox_quadratic_step", counted)
+        config = FederatedConfig(n_clients=1, strategy="mixture", batch_size=10)
+        STRATEGIES["mixture"].client_update(gp, 0, x, y, arch, config, 0.1, 1)
+        assert len(recomputed) == 4
+        assert sum(recomputed) == 1
 
 
 class TestEStep:
@@ -508,6 +630,20 @@ class TestGating:
         batch = nn.Batch(inputs=x, labels=np.ones(5, dtype=np.int64))
         _, grad = nn.loss_and_grad(beta, arch, batch)
         np.testing.assert_array_equal(out, nn.sgd_step(beta, grad, 0.2))
+
+    def test_in_place_step_has_the_fresh_steps_bits(self):
+        rng = stream(65, "gate-out")
+        arch = nn.MlpArch((4, 5, 2))
+        beta = nn.init_params(arch, rng)
+        x = rng.normal(size=(6, 4))
+        for frozen in (False, True):
+            want = mixture.gating_local_update(beta, arch, x, 1, 0.3, frozen)
+            work = beta.copy()
+            got = mixture.gating_local_update(
+                work, arch, x, 1, 0.3, frozen, out=work
+            )
+            assert got is work
+            assert got.tobytes() == want.tobytes()
 
     def test_distance_ties_pick_lowest_index(self):
         protos = (np.array([1.0, 0.0]), np.array([0.0, 1.0]),

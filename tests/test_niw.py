@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedsim import nn, niw
-from fedsim.optim import prox_objective, total_loss_and_grad
+from fedsim.optim import local_train, prox_objective, total_loss_and_grad
 from fedsim.rng import stream
 from fedsim.runtime import FederatedConfig
 
@@ -457,6 +457,31 @@ class TestPersonalize:
             0.1, stream(0),
         )
         assert np.array_equal(m, self.post.m0)
+
+    def test_skipping_the_penalty_value_keeps_the_bits(self):
+        # personalization never reads the loss; training on the full
+        # objective (value computed) from the same stream gives the same mean
+        config = FederatedConfig(batch_size=7)
+        got = niw.niw_personalize(
+            self.inputs, self.labels, self.post, self.arch, config, 2, 0.1,
+            stream(2, "pers"),
+        )
+        rng = stream(2, "pers")
+        full = niw.niw_objective(
+            self.post, self.arch, 30, config.p_keep, config.penalty_mode, rng
+        )
+        want, _ = local_train(
+            self.post.m0, full, self.inputs, self.labels, 7, 2, 0.1, rng
+        )
+        assert got.tobytes() == want.tobytes()
+        # without the value the loss is the dropout CE alone
+        m, batch = self.post.m0 + 0.1, nn.Batch(self.inputs, self.labels)
+        ce_only = niw.niw_objective(
+            self.post, self.arch, 30, config.p_keep, config.penalty_mode,
+            stream(3, "mask"), penalty_value=False,
+        )
+        mask = nn.sample_dropout_mask(config.p_keep, self.arch, stream(3, "mask"))
+        assert ce_only(m, batch)[0] == nn.loss_and_grad(m, self.arch, batch, mask)[0]
 
     def test_strong_prior_limit_pins_to_m0(self):
         # the penalty weight scales as 1/v0, so a tiny v0 is a very strong prior
