@@ -201,7 +201,7 @@ def _checkpoint_from_sections(sections: dict[str, bytes]) -> Checkpoint:
     strategy = STRATEGIES.get(meta.strategy)
     if strategy is None:
         raise CheckpointError(f"unknown strategy {meta.strategy!r}")
-    return Checkpoint(
+    ck = Checkpoint(
         spec=jsec(dict, "spec"),
         round_index=meta.round_index,
         records=list(jsec(tuple[RoundRecord, ...], "records")),
@@ -211,6 +211,14 @@ def _checkpoint_from_sections(sections: dict[str, bytes]) -> Checkpoint:
             for cid in jsec(_Retained, "retained").client_ids
         },
     )
+    # resume rewrites metrics.csv from the records and continues at round_index
+    rounds = [rec.round_index for rec in ck.records]
+    if ck.round_index < 1 or rounds != list(range(1, ck.round_index)):
+        raise CheckpointError(
+            f"meta.round_index {ck.round_index} does not follow records of rounds "
+            f"{rounds}; expected rounds 1..n in order, then n + 1"
+        )
+    return ck
 
 
 def load_checkpoint(path: str) -> Checkpoint:

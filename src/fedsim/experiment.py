@@ -416,6 +416,11 @@ def run_experiment(
         run.round_index = resume.round_index
         run.records = list(resume.records)
         for cid, m in resume.retained.items():
+            if not 0 <= cid < len(run.clients):
+                raise checkpoint.CheckpointError(
+                    f"checkpoint retains client {cid}, outside the run's "
+                    f"{len(run.clients)} clients"
+                )
             run.clients[cid].retained = m
     # only a spec that built (and matches its checkpoint) gets an output dir
     os.makedirs(spec.out, exist_ok=True)

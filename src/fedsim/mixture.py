@@ -325,26 +325,21 @@ def nearest_prototype(m: np.ndarray, prototypes) -> int:
 
 
 def gating_local_update(
-    beta: np.ndarray,
-    gating_arch: nn.MlpArch,
-    batch_inputs: np.ndarray,
-    j_star: int,
-    lr: float,
-    head_frozen: bool = False,
-    out: np.ndarray | None = None,
+    beta, gating_arch, inputs, j_star, batch_size, lr, rng, head_frozen=False
 ) -> np.ndarray:
-    """One CE SGD step teaching the gating net to output j* on these inputs.
+    """One epoch of CE SGD teaching the gating net to output j* on these inputs.
 
     j* is the client's nearest prototype, `nearest_prototype(m_i, prototypes)`.
-    The step goes into a fresh array or, with `out` (beta itself allowed),
-    in place, as `nn.sgd_step`.
+    The epoch runs through `optim.local_train` with every label set to j*, and
+    returns the final gating parameters; beta itself is not written.
     """
-    labels = np.full(batch_inputs.shape[0], j_star, dtype=np.int64)
-    batch = nn.Batch(inputs=batch_inputs, labels=labels)
-    _, grad = nn.loss_and_grad(beta, gating_arch, batch)
-    if head_frozen:
-        grad[nn.head_span(gating_arch)] = 0.0
-    return nn.sgd_step(beta, grad, lr, out)
+    labels = np.full(inputs.shape[0], j_star, dtype=np.int64)
+    head = nn.head_span(gating_arch) if head_frozen else None
+    beta, _ = optim.local_train(
+        beta, optim.prox_objective(gating_arch), inputs, labels, batch_size, 1, lr,
+        rng, head,
+    )
+    return beta
 
 
 def mix_global_predict(

@@ -8,7 +8,8 @@ small, but stays stable for arbitrarily stiff quadratic weights (the
 hierarchical-posterior penalty weight scales with the parameter count and can
 exceed 2/lr by orders of magnitude, where explicit SGD diverges).
 
-Every minibatch loop that trains a model runs through `local_train`. A local
+Every minibatch loop that trains a model, the mixture gating net's included,
+runs through `local_train`, and only this module calls `nn.sgd_step`. A local
 objective maps `(m, batch)` to `(loss, data_grad, quad_center, quad_diag)`:
 the step is `prox_quadratic_step` on that quadratic, or a plain SGD step on
 `data_grad` when `quad_center` is None. Either way the objective's total
@@ -65,14 +66,6 @@ def prox_quadratic_step(
     return np.divide(half, terms["denom"], out=half)
 
 
-def epoch_batches(n: int, batch_size: int, epochs: int, rng: np.random.Generator):
-    """Reshuffled minibatch index arrays, identical across strategies."""
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            yield order[lo : lo + batch_size]
-
-
 def prox_objective(
     arch: nn.MlpArch, mu: float = 0.0, center: np.ndarray | None = None
 ) -> Objective:
@@ -107,6 +100,8 @@ def local_train(
 ) -> tuple[np.ndarray, list[float]]:
     """Minibatch epochs of `objective` from m; returns (final m, batch losses).
 
+    Each epoch draws one permutation of the rows from rng and walks it in
+    batches of `batch_size`, so every strategy sees the same batch order.
     `head` is a slice of coordinates whose data gradient is zeroed (a frozen
     head). The steps update one working copy of m in place; m itself is never
     written to (see the module docstring for what the objective must allow).
@@ -114,14 +109,19 @@ def local_train(
     m = m.copy()
     terms: dict = {}
     losses = []
-    for idx in epoch_batches(inputs.shape[0], batch_size, epochs, rng):
-        batch = nn.Batch(inputs=inputs[idx], labels=labels[idx])
-        loss, g, center, quad = objective(m, batch)
-        losses.append(loss)
-        if head is not None:
-            g[head] = 0.0
-        if center is None:
-            nn.sgd_step(m, g, lr, m)
-        else:
-            prox_quadratic_step(m, g, lr, center, quad, terms)
+    n = inputs.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            idx = order[lo : lo + batch_size]
+            loss, g, center, quad = objective(
+                m, nn.Batch(inputs=inputs[idx], labels=labels[idx])
+            )
+            losses.append(loss)
+            if head is not None:
+                g[head] = 0.0
+            if center is None:
+                nn.sgd_step(m, g, lr, m)
+            else:
+                prox_quadratic_step(m, g, lr, center, quad, terms)
     return m, losses

@@ -13,7 +13,8 @@ takes plain SGD steps. FedBABU is FedAvg with the head frozen during
 training (the config forces `body_update` for it); the frozen head is the
 slice `nn.head_span`. A mixture client starts from its retained mean or from
 the prototype with the lowest loss on its data, scored by forward passes
-alone.
+alone; its gating net then takes one epoch through the same driver
+(`mixture.gating_local_update`), on CE toward its nearest prototype.
 """
 
 from __future__ import annotations
@@ -211,21 +212,17 @@ class MixtureStrategy(Strategy):
         self, state, client_id, inputs, labels, arch, config, lr, round_idx,
         retained=None,
     ) -> ClientResult:
-        n = inputs.shape[0]
         m, loss = _local_train(
             self._start(state, inputs, labels, arch, config, retained),
-            mixture.mix_objective(state, arch, n), client_id, inputs, labels, arch,
-            config, lr, round_idx,
+            mixture.mix_objective(state, arch, inputs.shape[0]), client_id, inputs,
+            labels, arch, config, lr, round_idx,
         )
         # gating learns to route this client's inputs to its nearest prototype
-        j_star = mixture.nearest_prototype(m, state.prototypes)
-        beta = state.gating.copy()
-        grng = stream(config.seed, "gate", client_id, round_idx)
-        for idx in optim.epoch_batches(n, config.batch_size, 1, grng):
-            mixture.gating_local_update(
-                beta, state.gating_arch, inputs[idx], j_star, lr,
-                head_frozen=config.body_update, out=beta,
-            )
+        beta = mixture.gating_local_update(
+            state.gating, state.gating_arch, inputs,
+            mixture.nearest_prototype(m, state.prototypes), config.batch_size, lr,
+            stream(config.seed, "gate", client_id, round_idx), config.body_update,
+        )
         return ClientResult(client_id=client_id, params=m, loss=loss, beta=beta)
 
     def aggregate(self, state, results, config):

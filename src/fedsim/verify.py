@@ -7,8 +7,10 @@ Four suites:
                  descent minimizer; EM monotonicity; finite-difference
                  gradient checks
     samplers     Student-t and dropout-mask moment checks
-    convergence  a seeded 200-round run whose running-average server
-                 objective must be non-increasing after burn-in
+    convergence  a seeded 200-round run of `CONVERGENCE_SPEC`, built by
+                 `experiment.build_run` as `fedsim run` builds it, whose
+                 running-average server objective must be non-increasing
+                 after burn-in
 
 The client-side checks evaluate the local objectives that
 `optim.local_train` trains with, by their total gradients.
@@ -25,7 +27,7 @@ import time
 
 import numpy as np
 
-from . import data, mixture, niw, nn, optim, runtime
+from . import experiment, mixture, niw, nn, optim, runtime
 from .rng import stream
 
 MUTATIONS = ("niw-v0", "niw-m0")
@@ -413,29 +415,27 @@ def _sampler_checks(seed: int) -> list[dict]:
 # --------------------------------------------------------------- convergence
 
 
-def convergence_run(seed: int = 0, rounds: int = 200):
-    """Seeded heterogeneous run used by the convergence check."""
-    rng = stream(seed, "verify", "conv-data")
-    train, _, test, _ = data.synth_train_test(
-        num_clusters=2, num_classes=4, dims=10, per_class_train=225,
-        per_class_test=25, shift_scale=1.0, rng=rng,
+# the convergence run's experiment, at the suite's seed
+CONVERGENCE_SPEC = {
+    "name": "synth_convergence", "seed": 0,
+    "dataset": {"kind": "synthetic", "clusters": 2, "classes": 4, "dims": 10,
+                "train_per_class": 225, "test_per_class": 25, "shift": 1.0},
+    "partition": {"kind": "shard", "shards_per_client": 2},
+    "model": {"hidden": [16]},
+    "federated": {"n_clients": 10, "participation": 1.0, "local_epochs": 1,
+                  "rounds": 200, "strategy": "niw", "batch_size": 50, "lr": 0.1,
+                  "penalty_mode": "literal"},
+    "evaluation": {"eval_every": 20, "personalize": False},
+}
+
+
+def convergence_run(seed: int = 0):
+    """`CONVERGENCE_SPEC` at this seed, built and trained as `fedsim run` does;
+    only the last round is evaluated."""
+    run = experiment.build_run(
+        experiment.parse_spec_dict({**CONVERGENCE_SPEC, "seed": seed})
     )
-    config = runtime.FederatedConfig(
-        n_clients=10,
-        participation=1.0,
-        local_epochs=1,
-        rounds=rounds,
-        strategy="niw",
-        penalty_mode="literal",
-        lr=0.1,
-        batch_size=50,
-        seed=seed,
-    )
-    part = data.shard_partition(
-        train.labels, config.n_clients, 2, stream(seed, "verify", "conv-part")
-    )
-    arch = nn.MlpArch((train.input_dim, 16, train.num_classes))
-    run = runtime.init_run(config, arch, train, test, part)
+    rounds = run.config.rounds
     for r in range(1, rounds + 1):
         runtime.run_round(run, evaluate=(r == rounds))
     return run

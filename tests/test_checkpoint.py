@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 import struct
 
@@ -325,6 +326,32 @@ class TestMalformed:
             load_checkpoint(bad)
         assert str(info.value).startswith(f"{bad}: ")
 
+    @pytest.mark.parametrize("round_index,rounds", [
+        (1, [1, 2]), (-3, []), (0, []), (4, [1, 2]), (3, [2, 1]), (3, [1, 1]),
+    ])
+    def test_round_index_must_follow_the_records(
+        self, tmp_path, capsys, round_index, rounds
+    ):
+        """Resume rewrites metrics.csv from the records and continues at
+        round_index, so the two must describe rounds 1..n then n + 1."""
+        def edit(sections):
+            meta = json.loads(sections["meta"])
+            sections["meta"] = json.dumps({**meta, "round_index": round_index}).encode()
+            recs = [json.loads(one_record(round_index=r))[0] for r in rounds]
+            sections["records"] = json.dumps(recs).encode()
+
+        bad = self.rewrite(tmp_path, edit)
+        match = f"meta.round_index {round_index} does not follow records of rounds {rounds}"
+        with pytest.raises(CheckpointError, match=re.escape(match)) as info:
+            load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+        from fedsim.cli import main
+
+        out = tmp_path / "resumed"
+        assert main(["resume", bad, "--out", str(out)]) == 1
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_of_malformed_file_exits_with_message(self, tmp_path, capsys):
         from fedsim.cli import main
 
@@ -372,6 +399,33 @@ class TestResume:
         m_full = open(tmp_path / "full" / "metrics.csv", "rb").read()
         m_res = open(tmp_path / "resumed" / "metrics.csv", "rb").read()
         assert m_full == m_res
+
+    @pytest.mark.parametrize("cid", [-1, 4, 999])
+    def test_resume_rejects_retained_client_outside_the_run(self, tmp_path, capsys, cid):
+        """A retained id outside [0, n_clients) would index another client
+        (negative ids) or no client at all; resume refuses the file."""
+        obj = tiny_spec_obj(
+            out=str(tmp_path / "full"),
+            federated={"rounds": 4, "strategy": "mixture",
+                       "mixture_client_init": "retained"},
+            evaluation={"checkpoint_every": 2},
+        )
+        experiment.run_experiment(experiment.parse_spec_dict(obj))
+        mid = os.path.join(str(tmp_path / "full"), "checkpoint_round00002.bin")
+        with open(mid, "rb") as f:
+            sections = checkpoint._read_sections(f, mid)
+        kept = next(k for k in sections if k.startswith("arr:retained:"))
+        sections["retained"] = json.dumps({"client_ids": [cid]}).encode()
+        sections[f"arr:retained:{cid}"] = sections[kept]
+        bad = str(tmp_path / "bad.bin")
+        write_sections(bad, sections)
+        from fedsim.cli import main
+
+        out = tmp_path / "resumed"
+        assert main(["resume", bad, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint retains client {cid}, outside the run's 4 clients\n"
+        assert not out.exists()
 
     def test_resume_rejects_mismatched_spec(self, tmp_path):
         spec, run = build_tiny_run(tmp_path, sub="a")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import data, experiment
+from fedsim import data, experiment, verify
 from fedsim.runtime import ConfigError
 from fedsim.experiment import (
     SpecError,
@@ -309,6 +309,10 @@ class TestParseSpec:
             name: build_id(resolved_spec(parse_spec(os.path.join(spec_dir, name))))
             for name in sorted(os.listdir(spec_dir))
         }
+        # the convergence suite's spec, moved from specs/synth_convergence.json
+        ids["verify.CONVERGENCE_SPEC"] = build_id(
+            resolved_spec(parse_spec_dict(verify.CONVERGENCE_SPEC))
+        )
         assert ids == {
             "mnist_fedavg.json": "6d0eba81b733",
             "mnist_fedbabu.json": "ecaaa79ea343",
@@ -316,8 +320,8 @@ class TestParseSpec:
             "mnist_mixture.json": "a7baa61d7423",
             "mnist_niw.json": "1fafbf51c10d",
             "quickstart.json": "98936d4ea615",
-            "synth_convergence.json": "49a286cd56c3",
             "synth_niw.json": "546f2648a4be",
+            "verify.CONVERGENCE_SPEC": "49a286cd56c3",
         }
 
 

@@ -603,6 +603,20 @@ class TestServerObjective:
             assert after <= before + 1e-10, f"trial {trial}: {before} -> {after}"
 
 
+def fresh_gating_epoch(beta, arch, x, j_star, batch_size, lr, rng, head_frozen):
+    """The reference gating epoch: a loop of fresh `nn.sgd_step` calls over
+    the batch order `optim.local_train` draws from rng."""
+    labels = np.full(x.shape[0], j_star, dtype=np.int64)
+    order = rng.permutation(x.shape[0])
+    for lo in range(0, x.shape[0], batch_size):
+        idx = order[lo : lo + batch_size]
+        _, grad = nn.loss_and_grad(beta, arch, nn.Batch(inputs=x[idx], labels=labels[idx]))
+        if head_frozen:
+            grad[nn.head_span(arch)] = 0.0
+        beta = nn.sgd_step(beta, grad, lr)
+    return beta
+
+
 class TestGating:
     def test_single_prototype_labels_zero(self):
         rng = stream(61, "gate-k1")
@@ -612,10 +626,9 @@ class TestGating:
         m = rng.normal(size=3)
         j_star = mixture.nearest_prototype(m, (m + 1,))
         assert j_star == 0
-        out = mixture.gating_local_update(beta, arch, x, j_star, lr=0.1)
-        batch = nn.Batch(inputs=x, labels=np.zeros(6, dtype=np.int64))
-        _, grad = nn.loss_and_grad(beta, arch, batch)
-        np.testing.assert_array_equal(out, nn.sgd_step(beta, grad, 0.1))
+        out = mixture.gating_local_update(beta, arch, x, j_star, 6, 0.1, stream(1, "b"))
+        want = fresh_gating_epoch(beta, arch, x, 0, 6, 0.1, stream(1, "b"), False)
+        assert out.tobytes() == want.tobytes()
 
     def test_label_is_nearest_prototype_index(self):
         rng = stream(62, "gate-near")
@@ -626,24 +639,25 @@ class TestGating:
         m = protos[1].copy()
         j_star = mixture.nearest_prototype(m, protos)
         assert j_star == 1
-        out = mixture.gating_local_update(beta, arch, x, j_star, lr=0.2)
-        batch = nn.Batch(inputs=x, labels=np.ones(5, dtype=np.int64))
-        _, grad = nn.loss_and_grad(beta, arch, batch)
-        np.testing.assert_array_equal(out, nn.sgd_step(beta, grad, 0.2))
+        out = mixture.gating_local_update(beta, arch, x, j_star, 5, 0.2, stream(2, "b"))
+        want = fresh_gating_epoch(beta, arch, x, 1, 5, 0.2, stream(2, "b"), False)
+        assert out.tobytes() == want.tobytes()
 
     def test_in_place_step_has_the_fresh_steps_bits(self):
+        """The driver's in-place steps over several batches, with the head
+        zeroed and not, have the bits of fresh steps; beta is not written."""
         rng = stream(65, "gate-out")
         arch = nn.MlpArch((4, 5, 2))
         beta = nn.init_params(arch, rng)
-        x = rng.normal(size=(6, 4))
+        before = beta.copy()
+        x = rng.normal(size=(23, 4))
         for frozen in (False, True):
-            want = mixture.gating_local_update(beta, arch, x, 1, 0.3, frozen)
-            work = beta.copy()
             got = mixture.gating_local_update(
-                work, arch, x, 1, 0.3, frozen, out=work
+                beta, arch, x, 1, 5, 0.3, stream(3, "b"), frozen
             )
-            assert got is work
+            want = fresh_gating_epoch(beta, arch, x, 1, 5, 0.3, stream(3, "b"), frozen)
             assert got.tobytes() == want.tobytes()
+        assert beta.tobytes() == before.tobytes()
 
     def test_distance_ties_pick_lowest_index(self):
         protos = (np.array([1.0, 0.0]), np.array([0.0, 1.0]),
@@ -655,7 +669,9 @@ class TestGating:
         arch = nn.MlpArch((4, 5, 2))
         beta = nn.init_params(arch, rng)
         x = rng.normal(size=(6, 4))
-        out = mixture.gating_local_update(beta, arch, x, 0, lr=0.1, head_frozen=True)
+        out = mixture.gating_local_update(
+            beta, arch, x, 0, 2, 0.1, stream(4, "b"), head_frozen=True
+        )
         head = nn.head_span(arch)
         np.testing.assert_array_equal(out[head], beta[head])
         assert not np.array_equal(out[: head.start], beta[: head.start])
@@ -669,9 +685,10 @@ class TestGating:
         x_b = rng.normal(loc=-1.5, scale=0.4, size=(40, 4))
         j_a = mixture.nearest_prototype(protos[0] + 0.01, protos)
         j_b = mixture.nearest_prototype(protos[1] - 0.01, protos)
-        for _ in range(200):
-            beta = mixture.gating_local_update(beta, arch, x_a, j_a, 0.2)
-            beta = mixture.gating_local_update(beta, arch, x_b, j_b, 0.2)
+        brng = stream(5, "b")
+        for _ in range(100):
+            beta = mixture.gating_local_update(beta, arch, x_a, j_a, 20, 0.2, brng)
+            beta = mixture.gating_local_update(beta, arch, x_b, j_b, 20, 0.2, brng)
         batch_all = nn.Batch(
             inputs=np.vstack([x_a, x_b]),
             labels=np.concatenate([np.zeros(40, dtype=np.int64),

@@ -6,6 +6,9 @@ per call. These tests pin what that must not change: the caller's vectors,
 the objectives' centers and weights, and the bits of every step.
 """
 
+import ast
+import os
+
 import numpy as np
 import pytest
 
@@ -161,3 +164,23 @@ class TestStepBits:
         start = nn.init_params(ARCH, rng)
         with pytest.raises(nn.NonFiniteUpdate):
             optim.local_train(start, objective, x, y, 4, 1, 10.0, rng)
+
+
+def test_only_optim_calls_sgd_step():
+    """Every training loop goes through `optim.local_train`: a call to
+    `nn.sgd_step` anywhere else in fedsim is a hand-written loop."""
+    src = os.path.dirname(optim.__file__)
+    callers = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "optim.py":
+            continue
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == "sgd_step":
+                callers.append(f"{name}:{node.lineno}")
+    assert callers == []
