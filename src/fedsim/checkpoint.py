@@ -2,9 +2,9 @@
 
 A checkpoint holds everything needed to continue a run bit-for-bit: the
 resolved experiment description, the next round index, the round records
-logged so far, the strategy's global state, and any retained per-client
-iterates. Randomness never needs saving because every stream is derived
-from (seed, purpose tags, round index) on demand.
+logged so far, and the strategy's global state; clients keep no state.
+Randomness never needs saving because every stream is derived from (seed,
+purpose tags, round index) on demand.
 
 Layout, all integers little-endian:
 
@@ -22,12 +22,10 @@ Sections, in file order:
     spec                the resolved experiment description
     records             the RoundRecords, encoded as below
     state               the strategy's global state, encoded as below
-    retained            {"client_ids": [...]}
     arr:state...        the state's arrays, sorted by name
-    arr:retained:<id>   each listed client's retained iterate
 
-The meta, records, state and retained sections are what `codec.encode`
-makes of `_Meta`, the RoundRecords, the strategy's state and `_Retained`.
+The meta, records and state sections are what `codec.encode` makes of
+`_Meta`, the RoundRecords and the strategy's state.
 Each array goes to its own section, named by extending `arr:state` with each
 field name and tuple index on the way down (`arr:state` for a bare vector,
 `arr:state:m0`, `arr:state:prototypes:0`); the JSON holds the name. Loading
@@ -55,7 +53,7 @@ from .runtime import RoundRecord, RunState
 from .strategies import STRATEGIES
 
 MAGIC = b"FSCK"
-VERSION = 2
+VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -78,7 +76,6 @@ class Checkpoint:
     round_index: int
     records: list[RoundRecord]
     strategy_state: object
-    retained: dict[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -89,11 +86,6 @@ class _Meta:
     strategy: str
 
 
-@dataclass(frozen=True)
-class _Retained:
-    client_ids: tuple[int, ...]
-
-
 def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
     """Write the run's resumable state; atomic via rename, durable via fsync
     of the file before the rename and of its directory after it."""
@@ -101,22 +93,14 @@ def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
     state = codec.encode(run.strategy_state, "arr:state", arrays)
     records = codec.encode(tuple(run.records), "arr:records", arrays)
     meta = _Meta("fedsim-checkpoint", VERSION, run.round_index, run.config.strategy)
-    retained = _Retained(
-        tuple(c.client_id for c in run.clients if c.retained is not None)
-    )
     sections: list[tuple[str, bytes]] = [
         ("meta", _canonical_json(codec.encode(meta))),
         ("spec", _canonical_json(spec)),
         ("records", _canonical_json(records)),
         ("state", _canonical_json(state)),
-        ("retained", _canonical_json(codec.encode(retained))),
     ]
     for name in sorted(arrays):
         sections.append((name, _array_bytes(arrays[name])))
-    for cid in retained.client_ids:
-        sections.append(
-            (f"arr:retained:{cid}", _array_bytes(run.clients[cid].retained))
-        )
 
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -206,10 +190,6 @@ def _checkpoint_from_sections(sections: dict[str, bytes]) -> Checkpoint:
         round_index=meta.round_index,
         records=list(jsec(tuple[RoundRecord, ...], "records")),
         strategy_state=jsec(strategy.state_type, "state"),
-        retained={
-            cid: array(f"arr:retained:{cid}")
-            for cid in jsec(_Retained, "retained").client_ids
-        },
     )
     # resume rewrites metrics.csv from the records and continues at round_index
     rounds = [rec.round_index for rec in ck.records]

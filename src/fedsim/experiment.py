@@ -175,8 +175,7 @@ class ModelSpec:
 class EvalSpec:
     eval_every: int = 1
     personalize: bool = True
-    personalization_epochs: int = 5
-    personalization_lr: float | None = None  # default: the training lr
+    personalization_epochs: int = 5  # fine-tuned at the training lr
     checkpoint_every: int = 0
     # passed on to FederatedConfig, which checks it
     sample_count: int = FederatedConfig.sample_count
@@ -186,11 +185,6 @@ class EvalSpec:
             raise SpecError(f"evaluation.eval_every must be >= 1, got {self.eval_every}")
         if self.personalization_epochs < 0:
             raise SpecError("evaluation.personalization_epochs must be >= 0")
-        lr = self.personalization_lr
-        if lr is not None and not 0 < lr < math.inf:
-            raise SpecError(
-                f"evaluation.personalization_lr must be > 0 and finite, got {lr}"
-            )
         if self.checkpoint_every < 0:
             raise SpecError("evaluation.checkpoint_every must be >= 0")
 
@@ -412,16 +406,20 @@ def run_experiment(
             raise SpecError(
                 "checkpoint spec does not match the experiment being resumed"
             )
+        # the spec does not pin the checkpoint's state arrays to the model
+        have, want = {}, {}
+        codec.encode(resume.strategy_state, "arr:state", have)
+        codec.encode(run.strategy_state, "arr:state", want)
+        for name in sorted(have.keys() | want.keys()):
+            got, need = (a[name].shape if name in a else None for a in (have, want))
+            if got != need:
+                raise checkpoint.CheckpointError(
+                    f"checkpoint section {name!r} has shape {got}, "
+                    f"the run expects {need}"
+                )
         run.strategy_state = resume.strategy_state
         run.round_index = resume.round_index
         run.records = list(resume.records)
-        for cid, m in resume.retained.items():
-            if not 0 <= cid < len(run.clients):
-                raise checkpoint.CheckpointError(
-                    f"checkpoint retains client {cid}, outside the run's "
-                    f"{len(run.clients)} clients"
-                )
-            run.clients[cid].retained = m
     # only a spec that built (and matches its checkpoint) gets an output dir
     os.makedirs(spec.out, exist_ok=True)
 
@@ -454,7 +452,7 @@ def run_experiment(
     if ev.personalize:
         if any(c.test_indices.size > 0 for c in run.clients):
             report = runtime.evaluate_personalized(
-                run, epochs=ev.personalization_epochs, lr=ev.personalization_lr
+                run, epochs=ev.personalization_epochs
             )
             personalization = {
                 **codec.encode(report), "epochs": ev.personalization_epochs,

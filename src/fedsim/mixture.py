@@ -16,8 +16,6 @@ import numpy as np
 
 from . import nn, optim
 
-WARM_STARTS = ("proxy", "per_prototype")
-
 
 @dataclass(frozen=True)
 class MixtureGlobalPosterior:
@@ -41,10 +39,6 @@ class MixtureGlobalPosterior:
             )
         if self.gating.shape != (nn.param_count(self.gating_arch),):
             raise ValueError("gating parameter vector does not match gating_arch")
-
-    @property
-    def k(self) -> int:
-        return len(self.prototypes)
 
 
 def sq_dists(m: np.ndarray, prototypes, diffs=None) -> np.ndarray:
@@ -365,17 +359,14 @@ def mix_personalize(
 ) -> np.ndarray:
     """Fine-tune a personal mean on CE + (1/|D^p|) mix_penalty by plain SGD.
 
-    `config` (a `runtime.FederatedConfig`) gives the batch size and the warm
-    start. warm_start="proxy": one epoch of plain fine-tuning from the
-    gating-weighted prototype average gives a proxy local mean; start at the
-    prototype nearest to it. warm_start="per_prototype": run the optimization
-    from every prototype and keep the result with the lowest final objective
-    on the personal data. 0 epochs returns a copy of the warm-start prototype.
+    `config` (a `runtime.FederatedConfig`) gives the batch size. One epoch
+    of plain fine-tuning from the gating-weighted prototype average gives a
+    proxy local mean; the fine-tune starts at the prototype nearest to it.
+    0 epochs returns a copy of that prototype.
     """
     n = inputs.shape[0]
     if n < 1:
         raise ValueError("personal training data is empty")
-    objective = mix_objective(global_post, arch, n, majorize=False)
 
     def train(start, obj, run_epochs):
         m, _ = optim.local_train(
@@ -383,18 +374,6 @@ def mix_personalize(
         )
         return m
 
-    if config.warm_start == "per_prototype":
-        candidates = [train(r, objective, epochs) for r in global_post.prototypes]
-        # the objective's loss, ce + pen / |D^p|, from a forward pass alone
-        full = nn.Batch(inputs=inputs, labels=labels)
-        scores = [
-            nn.mean_loss(m, arch, full)
-            + mix_penalty(m, global_post.prototypes, global_post.sigma_sq)[0] / n
-            for m in candidates
-        ]
-        return candidates[int(np.argmin(scores))]
-
-    # proxy: plain fine-tune one epoch from the gating-weighted average
     g = nn.softmax(
         nn.forward(global_post.gating, global_post.gating_arch, inputs)
     ).mean(axis=0)
@@ -403,4 +382,4 @@ def mix_personalize(
         proxy += g[j] * r
     proxy = train(proxy, optim.prox_objective(arch), 1)
     start = global_post.prototypes[nearest_prototype(proxy, global_post.prototypes)]
-    return train(start, objective, epochs)
+    return train(start, mix_objective(global_post, arch, n, majorize=False), epochs)

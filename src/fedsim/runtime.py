@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, mixture, niw, nn
+from . import data, niw, nn
 from .rng import stream
 from .strategies import STRATEGIES, ClientResult, Strategy
 
 LR_SCHEDULES = ("constant_decay", "theory")
-MIXTURE_CLIENT_INITS = ("from_server", "retained")
 
 
 class ConfigError(ValueError):
@@ -49,8 +48,6 @@ def default_rounds(local_epochs: int) -> int:
 _CHOICES = {
     "strategy": STRATEGIES,
     "lr_schedule": LR_SCHEDULES,
-    "mixture_client_init": MIXTURE_CLIENT_INITS,
-    "warm_start": mixture.WARM_STARTS,
     "penalty_mode": niw.PENALTY_MODES,
 }
 
@@ -68,14 +65,11 @@ class FederatedConfig:
     k_prototypes: int = 2
     mu_prox: float = 0.01
     lr: float = 0.1
-    lr_decay: float = 0.1
-    lr_milestones: tuple[int, ...] | None = None  # default: one decay at 50%
+    lr_decay: float = 0.1  # applied once, past half the rounds
     lr_schedule: str = "constant_decay"
     theory_lbar: float = 1.0
     batch_size: int = 50
     body_update: bool = False
-    warm_start: str = "proxy"
-    mixture_client_init: str = "from_server"
     penalty_mode: str = "literal"
     sample_count: int = 10  # predictive draws for the NIW strategy
     seed: int = 0
@@ -98,11 +92,6 @@ class FederatedConfig:
             raise ConfigError(f"n_clients must fit in a float, got {self.n_clients}")
         if self.rounds is None:
             object.__setattr__(self, "rounds", default_rounds(self.local_epochs))
-        if self.lr_milestones is None:
-            milestones = (self.rounds // 2,) if self.rounds >= 2 else ()
-        else:
-            milestones = tuple(int(m) for m in self.lr_milestones)
-        object.__setattr__(self, "lr_milestones", milestones)
         if self.strategy == "fedbabu" and not self.body_update:
             object.__setattr__(self, "body_update", True)
         if not 0.0 < self.participation <= 1.0:
@@ -153,7 +142,6 @@ class ClientState:
     client_id: int
     train_indices: np.ndarray
     test_indices: np.ndarray
-    retained: np.ndarray | None = None
 
     def __post_init__(self):
         if np.asarray(self.train_indices).size == 0:
@@ -219,8 +207,8 @@ def sample_participants(
 def lr_at(config: FederatedConfig, round_index: int) -> float:
     if config.lr_schedule == "theory":
         return 1.0 / (config.theory_lbar + math.sqrt(round_index))
-    decays = sum(1 for m in config.lr_milestones if m > 0 and round_index > m)
-    return config.lr * config.lr_decay**decays
+    half = config.rounds // 2
+    return config.lr * (config.lr_decay if round_index > half > 0 else 1.0)
 
 
 def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
@@ -238,8 +226,7 @@ def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
         labels = run.train_ds.labels[cl.train_indices]
         try:
             res = run.strategy.client_update(
-                run.strategy_state, cid, inputs, labels, run.arch, config, lr, r,
-                retained=cl.retained,
+                run.strategy_state, cid, inputs, labels, run.arch, config, lr, r
             )
             if not np.isfinite(res.params).all():
                 raise FloatingPointError("non-finite client parameters")
@@ -249,9 +236,6 @@ def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
     new_state, objective = run.strategy.aggregate(run.strategy_state, results, config)
     if config.body_update:
         new_state = run.strategy.restore_heads(new_state, run.strategy_state, run.arch)
-    if config.mixture_client_init == "retained":
-        for res in results:
-            run.clients[res.client_id].retained = res.params
     run.strategy_state = new_state
 
     if evaluate:
@@ -291,11 +275,8 @@ class PersonalizationReport:
     per_client: tuple[float, ...]
 
 
-def evaluate_personalized(
-    run: RunState, epochs: int, lr: float | None = None
-) -> PersonalizationReport:
-    """Fine-tune per client on its train split, score on its test split."""
-    lr = run.config.lr if lr is None else lr
+def evaluate_personalized(run: RunState, epochs: int) -> PersonalizationReport:
+    """Fine-tune per client on its train split at config.lr; score on its test split."""
     accs = []
     for cl in run.clients:
         if cl.test_indices.size == 0:
@@ -304,8 +285,8 @@ def evaluate_personalized(
         labels = run.train_ds.labels[cl.train_indices]
         rng = stream(run.config.seed, "personalize", cl.client_id)
         m = run.strategy.personalize(
-            run.strategy_state, inputs, labels, run.arch, run.config, epochs, lr,
-            rng,
+            run.strategy_state, inputs, labels, run.arch, run.config, epochs,
+            run.config.lr, rng,
         )
         tx = run.train_ds.inputs[cl.test_indices]
         ty = run.train_ds.labels[cl.test_indices]

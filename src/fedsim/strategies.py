@@ -11,10 +11,10 @@ has the same gradient there. With one prototype the majorizer is the FedProx
 penalty, so the K=1 reduction holds bit for bit. FedAvg has no penalty and
 takes plain SGD steps. FedBABU is FedAvg with the head frozen during
 training (the config forces `body_update` for it); the frozen head is the
-slice `nn.head_span`. A mixture client starts from its retained mean or from
-the prototype with the lowest loss on its data, scored by forward passes
-alone; its gating net then takes one epoch through the same driver
-(`mixture.gating_local_update`), on CE toward its nearest prototype.
+slice `nn.head_span`. Clients keep no state between rounds. A mixture
+client starts from the prototype with the lowest loss on its data, scored by
+forward passes alone; its gating net then takes one epoch through the same
+driver (`mixture.gating_local_update`), on CE toward its nearest prototype.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .rng import stream
 
 @dataclass(frozen=True)
 class ClientResult:
-    client_id: int
     params: np.ndarray  # final local mean m_i
     loss: float  # mean training loss over the local steps
     beta: np.ndarray | None = None  # mixture gating parameters
@@ -63,8 +62,7 @@ class Strategy:
         raise NotImplementedError
 
     def client_update(
-        self, state, client_id, inputs, labels, arch, config, lr, round_idx,
-        retained=None,
+        self, state, client_id, inputs, labels, arch, config, lr, round_idx
     ) -> ClientResult:
         raise NotImplementedError
 
@@ -102,14 +100,13 @@ class FedAvgStrategy(Strategy):
         return init_params.copy()
 
     def client_update(
-        self, state, client_id, inputs, labels, arch, config, lr, round_idx,
-        retained=None,
+        self, state, client_id, inputs, labels, arch, config, lr, round_idx
     ) -> ClientResult:
         objective = optim.prox_objective(arch, self._mu(config), state)
         m, loss = _local_train(
             state, objective, client_id, inputs, labels, arch, config, lr, round_idx
         )
-        return ClientResult(client_id=client_id, params=m, loss=loss)
+        return ClientResult(params=m, loss=loss)
 
     def aggregate(self, state, results, config):
         new = baselines.fedavg_aggregate([r.params for r in results])
@@ -144,8 +141,7 @@ class NiwStrategy(Strategy):
         return replace(post, m0=init_params.copy())
 
     def client_update(
-        self, state, client_id, inputs, labels, arch, config, lr, round_idx,
-        retained=None,
+        self, state, client_id, inputs, labels, arch, config, lr, round_idx
     ) -> ClientResult:
         mrng = stream(config.seed, "mask", client_id, round_idx)
         objective = niw.niw_objective(
@@ -156,7 +152,7 @@ class NiwStrategy(Strategy):
             state.m0, objective, client_id, inputs, labels, arch, config, lr,
             round_idx,
         )
-        return ClientResult(client_id=client_id, params=m, loss=loss)
+        return ClientResult(params=m, loss=loss)
 
     def aggregate(self, state, results, config):
         means = [r.params for r in results]
@@ -201,19 +197,16 @@ class MixtureStrategy(Strategy):
             gating_arch=gating_arch,
         )
 
-    def _start(self, state, inputs, labels, arch, config, retained):
-        if config.mixture_client_init == "retained" and retained is not None:
-            return retained
+    def _start(self, state, inputs, labels, arch):
         batch = nn.Batch(inputs=inputs, labels=labels)
         scores = [nn.mean_loss(r, arch, batch) for r in state.prototypes]
         return state.prototypes[int(np.argmin(scores))]
 
     def client_update(
-        self, state, client_id, inputs, labels, arch, config, lr, round_idx,
-        retained=None,
+        self, state, client_id, inputs, labels, arch, config, lr, round_idx
     ) -> ClientResult:
         m, loss = _local_train(
-            self._start(state, inputs, labels, arch, config, retained),
+            self._start(state, inputs, labels, arch),
             mixture.mix_objective(state, arch, inputs.shape[0]), client_id, inputs,
             labels, arch, config, lr, round_idx,
         )
@@ -223,7 +216,7 @@ class MixtureStrategy(Strategy):
             mixture.nearest_prototype(m, state.prototypes), config.batch_size, lr,
             stream(config.seed, "gate", client_id, round_idx), config.body_update,
         )
-        return ClientResult(client_id=client_id, params=m, loss=loss, beta=beta)
+        return ClientResult(params=m, loss=loss, beta=beta)
 
     def aggregate(self, state, results, config):
         means = [r.params for r in results]

@@ -80,24 +80,6 @@ class TestRoundTrip:
         assert len(ck.records) == 1
         assert_same_bits(ck.records, run.records, "records")
         assert_same_bits(ck.strategy_state, run.strategy_state, "state")
-        assert ck.retained == {}
-
-    def test_retained_client_states_round_trip(self, tmp_path):
-        spec, run = build_tiny_run(
-            tmp_path,
-            federated={"strategy": "mixture", "mixture_client_init": "retained"},
-        )
-        runtime.run_round(run, evaluate=False)
-        path = str(tmp_path / "ck.bin")
-        save_checkpoint(path, run, experiment.resolved_spec(spec))
-        ck = load_checkpoint(path)
-        stored = {c.client_id: c.retained for c in run.clients
-                  if c.retained is not None}
-        assert set(ck.retained) == set(stored)
-        for cid, arr in stored.items():
-            assert_same_bits(ck.retained[cid], arr, f"retained {cid}")
-        assert_same_bits(ck.records, run.records, "records")
-        assert_same_bits(ck.strategy_state, run.strategy_state, "state")
 
     def test_empty_run_round_trip(self, tmp_path):
         spec, run = build_tiny_run(tmp_path)
@@ -165,16 +147,27 @@ class TestMalformed:
             load_checkpoint(str(bad))
 
     def test_version_1_file_rejected(self, tmp_path):
-        """A file in the v1 layout (per-type state manifest) is refused by
-        its version number before any section is read."""
-        bad = str(tmp_path / "v1.bin")
+        """v1 layout: a per-type state manifest."""
+        self.assert_old_version_rejected(tmp_path, 1)
+
+    def test_version_2_file_rejected(self, tmp_path):
+        """v2 layout: retained per-client iterates."""
+        self.assert_old_version_rejected(tmp_path, 2)
+
+    @staticmethod
+    def assert_old_version_rejected(tmp_path, version):
+        """A file of an older layout is refused by its version number before
+        any section is read."""
+        bad = str(tmp_path / f"v{version}.bin")
         write_sections(bad, {
             "meta": b'{"format":"fedsim-checkpoint","round_index":1,'
-                    b'"strategy":"fedavg","version":1}',
+                    b'"strategy":"fedavg","version":%d}' % version,
             "state": b'{"kind":"params"}',
-        }, version=1)
-        with pytest.raises(CheckpointError,
-                           match="unsupported checkpoint version 1, expected 2"):
+        }, version=version)
+        with pytest.raises(
+            CheckpointError,
+            match=f"unsupported checkpoint version {version}, expected 3",
+        ):
             load_checkpoint(bad)
 
     def test_huge_section_length_is_truncation(self, tmp_path):
@@ -237,7 +230,6 @@ class TestMalformed:
         ("records", "global_acc", 0, "fedavg"),
         ("state", "l0", None, "niw"),
         ("state", "gating_arch", None, "mixture"),
-        ("retained", "client_ids", None, "fedavg"),
     ])
     def test_missing_field_names_file(self, tmp_path, section, key, index, strategy):
         def add_record(sections):
@@ -262,10 +254,6 @@ class TestMalformed:
         pytest.param("records", one_record(round_index=1.7), id="record-round_index-1.7"),
         pytest.param("state", ("l0", '"217"'), id="state-l0-str"),
         pytest.param("meta", ("round_index", "2.9"), id="meta-round_index-2.9"),
-        pytest.param("retained", {
-            "retained": b'{"client_ids": ["2"]}',
-            "arr:retained:2": checkpoint._array_bytes(np.zeros(3)),
-        }, id="retained-client-id-str"),
     ])
     def test_wrong_json_shape_names_file(self, tmp_path, section, payload):
         def edit(sections):
@@ -274,8 +262,6 @@ class TestMalformed:
                 obj = {**json.loads(sections[section]), key: None}
                 text = json.dumps(obj).replace(f'"{key}": null', f'"{key}": {raw}')
                 sections[section] = text.encode()
-            elif isinstance(payload, dict):  # whole sections
-                sections.update(payload)
             else:
                 sections[section] = payload
 
@@ -386,11 +372,10 @@ class TestResume:
         assert np.array_equal(a.strategy_state.m0, b.strategy_state.m0)
         assert np.array_equal(a.strategy_state.v0_diag, b.strategy_state.v0_diag)
 
-    def test_resume_retained_mixture(self, tmp_path):
+    def test_resume_mixture_matches_uninterrupted_run(self, tmp_path):
         obj = tiny_spec_obj(
             out=str(tmp_path / "full"),
-            federated={"rounds": 4, "strategy": "mixture",
-                       "mixture_client_init": "retained"},
+            federated={"rounds": 4, "strategy": "mixture"},
             evaluation={"checkpoint_every": 2},
         )
         experiment.run_experiment(experiment.parse_spec_dict(obj))
@@ -400,31 +385,33 @@ class TestResume:
         m_res = open(tmp_path / "resumed" / "metrics.csv", "rb").read()
         assert m_full == m_res
 
-    @pytest.mark.parametrize("cid", [-1, 4, 999])
-    def test_resume_rejects_retained_client_outside_the_run(self, tmp_path, capsys, cid):
-        """A retained id outside [0, n_clients) would index another client
-        (negative ids) or no client at all; resume refuses the file."""
+    @pytest.mark.parametrize("strategy,section", [
+        ("fedavg", "arr:state"), ("mixture", "arr:state:prototypes:1"),
+    ])
+    def test_resume_rejects_state_array_of_wrong_shape(
+        self, tmp_path, capsys, strategy, section
+    ):
+        """The file loads, since nothing in it ties an array's length to the
+        model; resume refuses it before it creates the output directory."""
         obj = tiny_spec_obj(
             out=str(tmp_path / "full"),
-            federated={"rounds": 4, "strategy": "mixture",
-                       "mixture_client_init": "retained"},
+            federated={"rounds": 4, "strategy": strategy},
             evaluation={"checkpoint_every": 2},
         )
         experiment.run_experiment(experiment.parse_spec_dict(obj))
         mid = os.path.join(str(tmp_path / "full"), "checkpoint_round00002.bin")
         with open(mid, "rb") as f:
             sections = checkpoint._read_sections(f, mid)
-        kept = next(k for k in sections if k.startswith("arr:retained:"))
-        sections["retained"] = json.dumps({"client_ids": [cid]}).encode()
-        sections[f"arr:retained:{cid}"] = sections[kept]
+        sections[section] = checkpoint._array_bytes(np.zeros(3))
         bad = str(tmp_path / "bad.bin")
         write_sections(bad, sections)
+        load_checkpoint(bad)
         from fedsim.cli import main
 
         out = tmp_path / "resumed"
         assert main(["resume", bad, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: checkpoint retains client {cid}, outside the run's 4 clients\n"
+        assert err.startswith(f"error: checkpoint section {section!r} has shape (3,)")
         assert not out.exists()
 
     def test_resume_rejects_mismatched_spec(self, tmp_path):
@@ -455,11 +442,10 @@ FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None
 @pytest.fixture(scope="module")
 def valid_blobs(tmp_path_factory):
     """A valid tiny checkpoint per state layout: a bare parameter vector, the
-    NIW posterior, and the mixture posterior with retained client iterates."""
+    NIW posterior, and the mixture posterior."""
     tmp = tmp_path_factory.mktemp("fuzz")
     blobs = []
-    for fed in ({"strategy": "fedavg"}, {"strategy": "niw"},
-                {"strategy": "mixture", "mixture_client_init": "retained"}):
+    for fed in ({"strategy": "fedavg"}, {"strategy": "niw"}, {"strategy": "mixture"}):
         spec, run = build_tiny_run(tmp, sub=fed["strategy"], federated=fed)
         runtime.run_round(run, evaluate=False)
         path = tmp / f"{fed['strategy']}.bin"

@@ -200,6 +200,7 @@ class TestParseSpec:
         assert isinstance(info.value.__cause__, ConfigError)
 
     @pytest.mark.parametrize("over,match", [
+        # personalization_lr is no longer an option: any value is an unknown key
         ({"evaluation": {"personalization_lr": -0.1}}, "evaluation.personalization_lr"),
         ({"evaluation": {"personalization_lr": 0.0}}, "evaluation.personalization_lr"),
         ({"evaluation": {"personalization_lr": math.nan}}, "evaluation.personalization_lr"),
@@ -232,13 +233,18 @@ class TestParseSpec:
         with pytest.raises(SpecError, match=rf"dataset\.{key}: must be finite"):
             parse_spec_dict(obj)
 
-    def test_null_personalization_lr_means_training_lr(self):
-        spec = parse_spec_dict(tiny_spec_obj(evaluation={"personalization_lr": None}))
-        assert spec.evaluation.personalization_lr is None
+    @pytest.mark.parametrize("block,key,value", [
+        ("federated", "warm_start", "proxy"),
+        ("federated", "mixture_client_init", "from_server"),
+        ("federated", "lr_milestones", [2]),
+        ("evaluation", "personalization_lr", None),
+    ])
+    def test_removed_options_rejected_at_parse_time(self, block, key, value):
+        with pytest.raises(SpecError, match=rf"^{block}\.{key}: unknown key"):
+            parse_spec_dict(tiny_spec_obj(**{block: {key: value}}))
 
     @pytest.mark.parametrize("key", [
-        "strategy", "lr_schedule", "mixture_client_init", "warm_start",
-        "penalty_mode",
+        "strategy", "lr_schedule", "penalty_mode",
     ])
     def test_unknown_choice_rejected_at_parse_time(self, key):
         with pytest.raises(SpecError, match=f"^federated: unknown {key} 'bogus'"):
@@ -259,7 +265,6 @@ class TestParseSpec:
     def test_resolved_spec_has_no_unset_fields(self):
         res = resolved_spec(parse_spec_dict(tiny_spec_obj()))
         assert res["federated"]["rounds"] == 4
-        assert res["federated"]["lr_milestones"] == [2]
         assert res["evaluation"]["sample_count"] == 10
         assert res["model"]["hidden"] == [8]
 
@@ -314,14 +319,14 @@ class TestParseSpec:
             resolved_spec(parse_spec_dict(verify.CONVERGENCE_SPEC))
         )
         assert ids == {
-            "mnist_fedavg.json": "6d0eba81b733",
-            "mnist_fedbabu.json": "ecaaa79ea343",
-            "mnist_fedprox.json": "9c877fabc592",
-            "mnist_mixture.json": "a7baa61d7423",
-            "mnist_niw.json": "1fafbf51c10d",
-            "quickstart.json": "98936d4ea615",
-            "synth_niw.json": "546f2648a4be",
-            "verify.CONVERGENCE_SPEC": "49a286cd56c3",
+            "mnist_fedavg.json": "4951e896cdfd",
+            "mnist_fedbabu.json": "4bfaa78853be",
+            "mnist_fedprox.json": "b29eb343d017",
+            "mnist_mixture.json": "8094312d56f9",
+            "mnist_niw.json": "ff6c82b386f4",
+            "quickstart.json": "794db7a7efdf",
+            "synth_niw.json": "4533f9aa149d",
+            "verify.CONVERGENCE_SPEC": "825955768962",
         }
 
 

@@ -29,13 +29,8 @@ CASES = {
     "niw_body_normalized": {
         "strategy": "niw", "body_update": True, "penalty_mode": "normalized",
     },
-    "mixture_proxy": {"strategy": "mixture", "warm_start": "proxy"},
-    "mixture_per_prototype_retained_body": {
-        "strategy": "mixture",
-        "warm_start": "per_prototype",
-        "mixture_client_init": "retained",
-        "body_update": True,
-    },
+    "mixture_proxy": {"strategy": "mixture"},
+    "mixture_body": {"strategy": "mixture", "body_update": True},
 }
 
 # sha256 of: metrics.csv, repr(per-client personalized accuracies),
@@ -76,10 +71,10 @@ GOLDEN = {
         "86de15428afbca2f9aca3b6a6810ec070ebbad52a2eb53ba5d06f779578aa8ba",
         "59a591f928d9d076d769ba9f04ece83b95ec4c18d9052fe675d58b9ea85f6ddb",
     ),
-    "mixture_per_prototype_retained_body": (
-        "97fca3af54322932e1c3971fa331d9f427113bb51481438a95a669e6f0a26cbe",
-        "0977ee24106305536457708e618e8a8e6e4e44a6084746d72b81409c9b656735",
-        "ef8bdbab809cdafc4b4f670f7ded095514322cd7d0dce261b3dcc0a5cba190bd",
+    "mixture_body": (
+        "314862770bf6a7e652cd2b3e8bffbbd1f837334e9beea8bc18882fc2ddae5430",
+        "feb6218ceefe0b43b8c1bf9a931c131d25ab31a08355edc44aabd466831879a3",
+        "446bd8b36d6b83d879128c2fc6909fa848fa115a223367e64d0613aebe290d37",
     ),
 }
 

@@ -232,7 +232,7 @@ class TestClientLossGrad:
             raise AssertionError("prototype scoring ran a backward pass")
 
         monkeypatch.setattr(nn, "loss_and_grad", no_backward)
-        start = strategy._start(state, x, y, arch, config, None)
+        start = strategy._start(state, x, y, arch)
         assert start is state.prototypes[want]
 
     def test_rejects_empty_dataset_size(self):
@@ -773,11 +773,9 @@ class TestPersonalize:
         gp = make_global(protos, gating_arch=nn.MlpArch((4, 5, 2)))
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, size=8)
-        for mode in ("proxy", "per_prototype"):
-            m = mixture.mix_personalize(x, y, gp, arch,
-                                        FederatedConfig(warm_start=mode),
-                                        epochs=0, lr=0.1, rng=stream(81, mode))
-            assert any(np.array_equal(m, r) for r in protos), mode
+        m = mixture.mix_personalize(x, y, gp, arch, FederatedConfig(), epochs=0,
+                                    lr=0.1, rng=stream(81, "proxy"))
+        assert any(np.array_equal(m, r) for r in protos)
 
     def test_huge_sigma_reduces_to_plain_finetuning(self):
         rng = stream(82, "ps")
@@ -831,17 +829,6 @@ class TestPersonalize:
         )
         acc_good, acc_bad = accuracy(good), accuracy(bad)
         assert acc_good >= acc_bad + 0.3, f"good {acc_good} vs bad {acc_bad}"
-
-    def test_rejects_unknown_warm_start(self):
-        arch = nn.MlpArch((4, 5, 3))
-        gp = make_global([np.zeros(nn.param_count(arch))],
-                         gating_arch=nn.MlpArch((4, 5, 1)))
-        # the config that carries the warm start refuses an unknown one
-        with pytest.raises(ValueError, match="warm_start"):
-            mixture.mix_personalize(np.zeros((2, 4)),
-                                    np.zeros(2, dtype=np.int64), gp, arch,
-                                    FederatedConfig(warm_start="best"),
-                                    epochs=1, lr=0.1, rng=stream(0))
 
     def test_rejects_empty_personal_data(self):
         arch = nn.MlpArch((4, 5, 3))

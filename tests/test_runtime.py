@@ -104,11 +104,13 @@ class TestLrSchedule:
         assert runtime.lr_at(cfg, 50) == pytest.approx(0.1)
         assert runtime.lr_at(cfg, 51) == pytest.approx(0.01)
 
-    def test_custom_milestones(self):
-        cfg = runtime.FederatedConfig(
-            n_clients=2, rounds=40, lr_milestones=(10, 20)
-        )
-        assert runtime.lr_at(cfg, 25) == pytest.approx(0.001)
+    @pytest.mark.parametrize("rounds,decayed", [(1, ()), (2, (2,)), (3, (2, 3))])
+    def test_decays_once_past_half_the_rounds(self, rounds, decayed):
+        """Exact bits: lr * lr_decay once past rounds // 2 > 0, lr before."""
+        cfg = runtime.FederatedConfig(n_clients=2, rounds=rounds)
+        lrs = [runtime.lr_at(cfg, r) for r in range(1, rounds + 1)]
+        assert lrs == [0.1 * 0.1 if r in decayed else 0.1
+                       for r in range(1, rounds + 1)]
 
     def test_theory_schedule(self):
         cfg = runtime.FederatedConfig(
@@ -253,8 +255,7 @@ class TestReductions:
                 means.append(rm.params)
             # the mixture server applies the sigma^2-shrunk mean
             results = [
-                ClientResult(client_id=i, params=m, loss=0.0, beta=state.gating)
-                for i, m in enumerate(means)
+                ClientResult(params=m, loss=0.0, beta=state.gating) for m in means
             ]
             new_state, _ = mix.aggregate(state, results, cfg_m)
             expect = sum(means) / (n_clients + sigma_sq)
@@ -390,7 +391,7 @@ class TestPersonalization:
             )
             pred = nn.forward(run.strategy_state, run.arch, b.inputs).argmax(axis=1)
             global_accs.append(float((pred == ds.labels[cl.test_indices]).mean()))
-        report = runtime.evaluate_personalized(run, epochs=5, lr=0.3)
+        report = runtime.evaluate_personalized(run, epochs=5)
         assert report.mean_acc >= np.mean(global_accs)
         assert report.mean_acc > 0.8
 
@@ -409,7 +410,7 @@ class TestPersonalization:
             )
             pred = nn.forward(run.strategy_state, run.arch, b.inputs).argmax(axis=1)
             global_accs.append(float((pred == ds.labels[cl.test_indices]).mean()))
-        report = runtime.evaluate_personalized(run, epochs=5, lr=0.2)
+        report = runtime.evaluate_personalized(run, epochs=5)
         assert abs(report.mean_acc - np.mean(global_accs)) < 0.02
 
 
