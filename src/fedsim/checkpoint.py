@@ -1,4 +1,4 @@
-"""Run checkpoints: versioned, length-prefixed binary sections.
+"""Run checkpoints: versioned zip archives of uncompressed sections.
 
 A checkpoint holds everything needed to continue a run bit-for-bit: the
 resolved experiment description, the next round index, the round records
@@ -6,15 +6,10 @@ logged so far, and the strategy's global state; clients keep no state.
 Randomness never needs saving because every stream is derived from (seed,
 purpose tags, round index) on demand.
 
-Layout, all integers little-endian:
-
-    magic    4 bytes  b"FSCK"
-    version  u32
-    sections until EOF, each:
-        u32   name length
-        name  ascii bytes
-        u64   payload length
-        payload bytes
+Layout: a zip archive whose entries are the sections, each stored
+uncompressed (`ZIP_STORED`) with the fixed date of a bare `ZipInfo`. Every
+entry carries the CRC-32 of its payload, which `zipfile` checks on each read.
+`meta.version` is the format version.
 
 Sections, in file order:
 
@@ -43,7 +38,7 @@ from __future__ import annotations
 import io
 import json
 import os
-import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +47,7 @@ from . import codec
 from .runtime import RoundRecord, RunState
 from .strategies import STRATEGIES
 
-MAGIC = b"FSCK"
-VERSION = 3
+VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -104,14 +98,10 @@ def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
 
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        for name, payload in sections:
-            nb = name.encode("ascii")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<Q", len(payload)))
-            f.write(payload)
+        with zipfile.ZipFile(f, "w") as zf:
+            for name, payload in sections:
+                # a bare ZipInfo is stored uncompressed and dated 1980-01-01
+                zf.writestr(zipfile.ZipInfo(name), payload)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
@@ -122,42 +112,45 @@ def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
         os.close(dir_fd)
 
 
-def _read_sections(f, path: str) -> dict[str, bytes]:
-    head = f.read(8)
-    if len(head) < 8 or head[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", head[4:8])
-    if version != VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version {version}, expected {VERSION}"
-        )
-    # each length is checked against the bytes left before it is read, so a
-    # corrupt length cannot ask for a buffer larger than the file
-    end = os.fstat(f.fileno()).st_size
-    sections: dict[str, bytes] = {}
-    while True:
-        raw = f.read(4)
-        if not raw:
-            break
-        if len(raw) < 4:
-            raise CheckpointError(f"{path}: truncated section header")
-        (name_len,) = struct.unpack("<I", raw)
-        if name_len + 8 > end - f.tell():
-            raise CheckpointError(f"{path}: truncated section header")
-        try:
-            name = f.read(name_len).decode("ascii")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{path}: section name is not ASCII: {e}") from e
-        (size,) = struct.unpack("<Q", f.read(8))
-        left = end - f.tell()
-        if size > left:
-            raise CheckpointError(
-                f"{path}: section {name!r} truncated ({left} of {size} bytes)"
-            )
-        payload = f.read(size)
-        if name in sections:
-            raise CheckpointError(f"{path}: duplicate section {name!r}")
-        sections[name] = payload
+# what the archive reader raises for a corrupt file: ValueError includes the
+# UnicodeDecodeError of a name that does not decode, OSError the seek to a
+# negative entry offset
+_ZIP_ERRORS = (
+    zipfile.BadZipFile, EOFError, NotImplementedError, OSError, RuntimeError, ValueError
+)
+
+
+def _read_sections(path: str) -> dict[str, bytes]:
+    """Every entry of the archive by name, each checked against its CRC-32."""
+    size = os.path.getsize(path)
+    try:
+        zf = zipfile.ZipFile(path)
+    except _ZIP_ERRORS as e:
+        raise CheckpointError(f"{path}: not a checkpoint file, or truncated: {e}") from e
+    with zf:
+        infos = zf.infolist()
+        # every entry is checked before any is read: no decompressor runs,
+        # and a lying size cannot ask for a buffer larger than the file
+        seen = set()
+        for info in infos:
+            name = info.filename
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise CheckpointError(f"{path}: section {name!r} is compressed")
+            claimed = max(info.compress_size, info.file_size)
+            if claimed > size:
+                raise CheckpointError(
+                    f"{path}: section {name!r} truncated ({claimed} bytes "
+                    f"claimed in a file of {size})"
+                )
+            if name in seen:
+                raise CheckpointError(f"{path}: duplicate section {name!r}")
+            seen.add(name)
+        sections = {}
+        for info in infos:
+            try:
+                sections[info.filename] = zf.read(info)
+            except _ZIP_ERRORS as e:
+                raise CheckpointError(f"{path}: section {info.filename!r}: {e}") from e
     return sections
 
 
@@ -180,6 +173,10 @@ def _checkpoint_from_sections(sections: dict[str, bytes]) -> Checkpoint:
         return codec.decode(tp, obj, name, array)
 
     meta = jsec(_Meta, "meta")
+    if meta.version != VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {meta.version}, expected {VERSION}"
+        )
     if meta.format != "fedsim-checkpoint":
         raise CheckpointError(f"unexpected meta format {meta.format!r}")
     strategy = STRATEGIES.get(meta.strategy)
@@ -203,8 +200,7 @@ def _checkpoint_from_sections(sections: dict[str, bytes]) -> Checkpoint:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; any malformed content raises CheckpointError naming path."""
-    with open(path, "rb") as f:
-        sections = _read_sections(f, path)
+    sections = _read_sections(path)
     try:
         return _checkpoint_from_sections(sections)
     except CheckpointError as e:

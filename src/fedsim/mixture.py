@@ -21,7 +21,6 @@ from . import nn, optim
 class MixtureGlobalPosterior:
     prototypes: tuple[np.ndarray, ...]  # K vectors of length d
     sigma_sq: float
-    epsilon: float
     gating: np.ndarray  # parameters of gating_arch
     gating_arch: nn.MlpArch  # backbone family with K outputs
 
@@ -30,8 +29,6 @@ class MixtureGlobalPosterior:
             raise ValueError("need at least one prototype")
         if not self.sigma_sq > 0:
             raise ValueError(f"sigma_sq must be positive, got {self.sigma_sq}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.gating_arch.num_classes != len(self.prototypes):
             raise ValueError(
                 f"gating output dim {self.gating_arch.num_classes} != "
@@ -354,12 +351,11 @@ def mix_personalize(
     arch: nn.MlpArch,
     config,
     epochs: int,
-    lr: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Fine-tune a personal mean on CE + (1/|D^p|) mix_penalty by plain SGD.
 
-    `config` (a `runtime.FederatedConfig`) gives the batch size. One epoch
+    `config` (a `runtime.FederatedConfig`) gives the batch size and lr. One epoch
     of plain fine-tuning from the gating-weighted prototype average gives a
     proxy local mean; the fine-tune starts at the prototype nearest to it.
     0 epochs returns a copy of that prototype.
@@ -370,7 +366,7 @@ def mix_personalize(
 
     def train(start, obj, run_epochs):
         m, _ = optim.local_train(
-            start, obj, inputs, labels, config.batch_size, run_epochs, lr, rng
+            start, obj, inputs, labels, config.batch_size, run_epochs, config.lr, rng
         )
         return m
 

@@ -267,14 +267,13 @@ def niw_personalize(
     arch: nn.MlpArch,
     config,
     epochs: int,
-    lr: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Fine-tune a personal mean on local data, head trainable.
 
     Same objective as the client update with 1/|D^p| downweighting of the
     penalty, warm-started at m0; `config` (a `runtime.FederatedConfig`) gives
-    p_keep, the penalty mode and the batch size, and rng draws both the batch
+    p_keep, the penalty mode, the batch size and lr, and rng draws both the batch
     order and the dropout masks.
     """
     n = inputs.shape[0]
@@ -285,7 +284,7 @@ def niw_personalize(
         global_post, arch, n, config.p_keep, config.penalty_mode, rng, False
     )
     m, _ = optim.local_train(
-        global_post.m0, objective, inputs, labels, config.batch_size, epochs, lr,
-        rng,
+        global_post.m0, objective, inputs, labels, config.batch_size, epochs,
+        config.lr, rng,
     )
     return m

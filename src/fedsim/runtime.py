@@ -285,8 +285,7 @@ def evaluate_personalized(run: RunState, epochs: int) -> PersonalizationReport:
         labels = run.train_ds.labels[cl.train_indices]
         rng = stream(run.config.seed, "personalize", cl.client_id)
         m = run.strategy.personalize(
-            run.strategy_state, inputs, labels, run.arch, run.config, epochs,
-            run.config.lr, rng,
+            run.strategy_state, inputs, labels, run.arch, run.config, epochs, rng
         )
         tx = run.train_ds.inputs[cl.test_indices]
         ty = run.train_ds.labels[cl.test_indices]

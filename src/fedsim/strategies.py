@@ -82,9 +82,7 @@ class Strategy:
     def global_predict(self, state, x, arch, config, rng) -> np.ndarray:
         raise NotImplementedError
 
-    def personalize(
-        self, state, inputs, labels, arch, config, epochs, lr, rng
-    ) -> np.ndarray:
+    def personalize(self, state, inputs, labels, arch, config, epochs, rng) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -118,10 +116,10 @@ class FedAvgStrategy(Strategy):
     def global_predict(self, state, x, arch, config, rng):
         return nn.softmax(nn.forward(state, arch, x))
 
-    def personalize(self, state, inputs, labels, arch, config, epochs, lr, rng):
+    def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         m, _ = optim.local_train(
             state, optim.prox_objective(arch), inputs, labels, config.batch_size,
-            epochs, lr, rng,
+            epochs, config.lr, rng,
         )
         return m
 
@@ -172,10 +170,8 @@ class NiwStrategy(Strategy):
     def global_predict(self, state, x, arch, config, rng):
         return niw.niw_global_predict(x, state, arch, config.sample_count, rng)
 
-    def personalize(self, state, inputs, labels, arch, config, epochs, lr, rng):
-        return niw.niw_personalize(
-            inputs, labels, state, arch, config, epochs, lr, rng
-        )
+    def personalize(self, state, inputs, labels, arch, config, epochs, rng):
+        return niw.niw_personalize(inputs, labels, state, arch, config, epochs, rng)
 
 
 class MixtureStrategy(Strategy):
@@ -192,7 +188,6 @@ class MixtureStrategy(Strategy):
         return mixture.MixtureGlobalPosterior(
             prototypes=protos,
             sigma_sq=config.sigma_sq,
-            epsilon=config.epsilon,
             gating=gating,
             gating_arch=gating_arch,
         )
@@ -240,10 +235,8 @@ class MixtureStrategy(Strategy):
     def global_predict(self, state, x, arch, config, rng):
         return mixture.mix_global_predict(x, state, arch)
 
-    def personalize(self, state, inputs, labels, arch, config, epochs, lr, rng):
-        return mixture.mix_personalize(
-            inputs, labels, state, arch, config, epochs, lr, rng
-        )
+    def personalize(self, state, inputs, labels, arch, config, epochs, rng):
+        return mixture.mix_personalize(inputs, labels, state, arch, config, epochs, rng)
 
 
 _FEDAVG = FedAvgStrategy()

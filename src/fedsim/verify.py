@@ -93,7 +93,6 @@ def _mixture_post(prototypes, sigma_sq: float, input_dim: int):
     return mixture.MixtureGlobalPosterior(
         prototypes=tuple(prototypes),
         sigma_sq=sigma_sq,
-        epsilon=1e-8,
         gating=np.zeros(nn.param_count(gating_arch)),
         gating_arch=gating_arch,
     )

@@ -6,6 +6,8 @@ import os
 import re
 import stat
 import struct
+import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -31,14 +33,11 @@ def one_record(**fields) -> bytes:
     return json.dumps([{**rec, **fields}]).encode()
 
 
-def write_sections(path, sections, version=checkpoint.VERSION):
+def write_sections(path, sections):
     """Write named payloads in the checkpoint container format."""
-    with open(path, "wb") as f:
-        f.write(checkpoint.MAGIC + struct.pack("<I", version))
+    with zipfile.ZipFile(path, "w") as zf:
         for name, payload in sections.items():
-            nb = name if isinstance(name, bytes) else name.encode("ascii")
-            f.write(struct.pack("<I", len(nb)) + nb)
-            f.write(struct.pack("<Q", len(payload)) + payload)
+            zf.writestr(zipfile.ZipInfo(name), payload)
 
 
 def assert_same_bits(a, b, where="value"):
@@ -120,6 +119,23 @@ class TestRoundTrip:
         with open(path, "rb") as a, open(plain, "rb") as b:
             assert a.read() == b.read()
 
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        """Every entry carries the fixed date of a bare ZipInfo; one written
+        by name would be stamped with the wall clock."""
+        spec, run = build_tiny_run(tmp_path, federated={"strategy": "niw"})
+        runtime.run_round(run, evaluate=False)
+        blobs = []
+        for i, now in enumerate([1.7e9, 1.7e9 + 86400]):
+            monkeypatch.setattr(time, "time", lambda: now)
+            path = tmp_path / f"ck{i}.bin"
+            save_checkpoint(str(path), run, experiment.resolved_spec(spec))
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        with zipfile.ZipFile(tmp_path / "ck0.bin") as zf:
+            infos = zf.infolist()
+        assert [i.compress_type for i in infos] == [zipfile.ZIP_STORED] * len(infos)
+        assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
+
 
 class TestMalformed:
     def make_valid(self, tmp_path):
@@ -129,22 +145,22 @@ class TestMalformed:
         return path
 
     def test_bad_magic(self, tmp_path):
-        path = self.make_valid(tmp_path)
-        blob = bytearray(open(path, "rb").read())
-        blob[:4] = b"XXXX"
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="bad magic"):
+        bad.write_bytes(b"this is not a zip archive\n" * 4)
+        with pytest.raises(CheckpointError, match="not a checkpoint file") as info:
             load_checkpoint(str(bad))
+        assert str(info.value).startswith(f"{bad}: ")
 
     def test_bad_version(self, tmp_path):
-        path = self.make_valid(tmp_path)
-        blob = bytearray(open(path, "rb").read())
-        blob[4:8] = (99).to_bytes(4, "little")
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version 99"):
-            load_checkpoint(str(bad))
+        def edit(sections):
+            meta = json.loads(sections["meta"])
+            sections["meta"] = json.dumps({**meta, "version": 99}).encode()
+
+        bad = self.rewrite(tmp_path, edit)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 99, expected 4"
+        ):
+            load_checkpoint(bad)
 
     def test_version_1_file_rejected(self, tmp_path):
         """v1 layout: a per-type state manifest."""
@@ -156,35 +172,43 @@ class TestMalformed:
 
     @staticmethod
     def assert_old_version_rejected(tmp_path, version):
-        """A file of an older layout is refused by its version number before
-        any section is read."""
-        bad = str(tmp_path / f"v{version}.bin")
-        write_sections(bad, {
-            "meta": b'{"format":"fedsim-checkpoint","round_index":1,'
-                    b'"strategy":"fedavg","version":%d}' % version,
-            "state": b'{"kind":"params"}',
-        }, version=version)
-        with pytest.raises(
-            CheckpointError,
-            match=f"unsupported checkpoint version {version}, expected 3",
-        ):
-            load_checkpoint(bad)
+        """A file of a layout before v4 (magic FSCK, u32 version, then
+        length-prefixed sections) is not a zip archive."""
+        bad = tmp_path / f"v{version}.bin"
+        sections = {
+            b"meta": b'{"format":"fedsim-checkpoint","round_index":1,'
+                     b'"strategy":"fedavg","version":%d}' % version,
+            b"state": b'{"kind":"params"}',
+        }
+        bad.write_bytes(b"FSCK" + struct.pack("<I", version) + b"".join(
+            struct.pack("<I", len(name)) + name + struct.pack("<Q", len(payload)) + payload
+            for name, payload in sections.items()
+        ))
+        with pytest.raises(CheckpointError, match="not a checkpoint file") as info:
+            load_checkpoint(str(bad))
+        assert str(info.value).startswith(f"{bad}: ")
 
-    def test_huge_section_length_is_truncation(self, tmp_path):
-        """A corrupt length prefix is reported against the bytes left in the
-        file instead of being allocated."""
-        path = self.make_valid(tmp_path)
-        blob = bytearray(open(path, "rb").read())
-        (name_len,) = struct.unpack("<I", blob[8:12])
-        blob[12 + name_len:20 + name_len] = struct.pack("<Q", 2**62)
+    def test_huge_section_length_is_truncation(self, tmp_path, monkeypatch):
+        """A central-directory size past the file's is refused before any entry
+        is read, so it is never allocated."""
+        spec, run = build_tiny_run(tmp_path)
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, run, experiment.resolved_spec(spec))
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="truncated"):
+        with zipfile.ZipFile(bad, "w") as zf:
+            for name, payload in checkpoint._read_sections(path).items():
+                zf.writestr(zipfile.ZipInfo(name), payload)
+            # written to the central directory as a zip64 extra field on close
+            info = zf.getinfo("arr:state")
+            info.file_size = info.compress_size = 2**62
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an entry was opened")
+
+        monkeypatch.setattr(zipfile.ZipFile, "open", no_read)
+        with pytest.raises(CheckpointError, match="'arr:state' truncated") as info:
             load_checkpoint(str(bad))
-        blob[8:12] = struct.pack("<I", 2**32 - 1)
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="truncated section header"):
-            load_checkpoint(str(bad))
+        assert str(info.value).startswith(f"{bad}: ")
 
     def test_truncated(self, tmp_path):
         path = self.make_valid(tmp_path)
@@ -195,22 +219,73 @@ class TestMalformed:
             load_checkpoint(str(bad))
 
     def test_missing_section(self, tmp_path):
-        path = self.make_valid(tmp_path)
-        blob = open(path, "rb").read()
-        bad = tmp_path / "bad.bin"
-        # keep only the file header; every named section is then missing
-        bad.write_bytes(blob[:8])
-        with pytest.raises(CheckpointError, match="missing section"):
-            load_checkpoint(str(bad))
+        bad = self.rewrite(tmp_path, lambda sections: sections.pop("meta"))
+        with pytest.raises(CheckpointError, match="missing section 'meta'"):
+            load_checkpoint(bad)
 
+    @pytest.mark.parametrize("section", [
+        "meta", "spec", "records", "state", "arr:state:m0", "arr:state:v0_diag",
+    ])
+    def test_flipped_bit_in_payload_names_section(self, tmp_path, section):
+        """The entry's CRC-32 catches a flip that leaves its payload readable,
+        such as the last mantissa bit of the last v0_diag entry."""
+        spec, run = build_tiny_run(tmp_path, federated={"strategy": "niw"})
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, run, experiment.resolved_spec(spec))
+        payload = checkpoint._read_sections(path)[section]
+        blob = bytearray(open(path, "rb").read())
+        end = blob.index(payload) + len(payload)
+        blob[end - 8 if section.startswith("arr:") else end - 1] ^= 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"section {section!r}: Bad CRC-32") as info:
+            load_checkpoint(str(bad))
+        assert str(info.value).startswith(f"{bad}: ")
+
+    def test_changed_digit_in_state_json_names_section(self, tmp_path):
+        """A one-digit change of l0 still parses, and the CRC-32 refuses it."""
+        spec, run = build_tiny_run(tmp_path, federated={"strategy": "niw"})
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, run, experiment.resolved_spec(spec))
+        blob = open(path, "rb").read()
+        at = blob.index(b'"l0":') + len(b'"l0":')
+        digit = blob[at:at + 1]
+        assert digit.isdigit()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob[:at] + (b"1" if digit != b"1" else b"2") + blob[at + 1:])
+        with pytest.raises(CheckpointError, match="section 'state': Bad CRC-32") as info:
+            load_checkpoint(str(bad))
+        assert str(info.value).startswith(f"{bad}: ")
+
+    def test_unsupported_zip_version_names_file(self, tmp_path):
+        """A flipped "version needed" byte in the central directory."""
+        blob = bytearray(open(self.make_valid(tmp_path), "rb").read())
+        blob[blob.index(b"PK\x01\x02") + 6] = 79
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="zip file version 7.9") as info:
+            load_checkpoint(str(bad))
+        assert str(info.value).startswith(f"{bad}: ")
+
+    def test_undecodable_local_header_name_names_section(self, tmp_path):
+        """The local header of the first entry claims a UTF-8 name whose bytes
+        do not decode; the central directory's copy of the name is intact."""
+        blob = bytearray(open(self.make_valid(tmp_path), "rb").read())
+        assert blob[30:34] == b"meta"
+        blob[7] |= 0x08  # general purpose flag bit 11: the name is UTF-8
+        blob[30] ^= 0x80
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="section 'meta': 'utf-8' codec") as info:
+            load_checkpoint(str(bad))
+        assert str(info.value).startswith(f"{bad}: ")
 
     def rewrite(self, tmp_path, edit, strategy="fedavg"):
         """A valid checkpoint with edit(sections) applied, written back out."""
         spec, run = build_tiny_run(tmp_path, federated={"strategy": strategy})
         path = str(tmp_path / "ck.bin")
         save_checkpoint(path, run, experiment.resolved_spec(spec))
-        with open(path, "rb") as f:
-            sections = checkpoint._read_sections(f, path)
+        sections = checkpoint._read_sections(path)
         edit(sections)
         bad = tmp_path / "bad.bin"
         write_sections(bad, sections)
@@ -281,15 +356,21 @@ class TestMalformed:
         assert str(info.value).startswith(f"{bad}: ")
 
     def test_non_ascii_section_name_names_file(self, tmp_path):
+        """An entry name flagged UTF-8 in the central directory whose bytes do
+        not decode."""
         def edit(sections):
-            sections["caf\u00e9".encode("utf-8")] = b"{}"
+            sections["caf\u00e9"] = b"{}"  # written as UTF-8, flag bit 11 set
 
         bad = self.rewrite(tmp_path, edit)
-        with pytest.raises(CheckpointError, match="not ASCII") as info:
+        blob = open(bad, "rb").read()
+        assert blob.count("caf\u00e9".encode()) == 2  # local header, central directory
+        with open(bad, "wb") as f:
+            f.write(blob.replace("caf\u00e9".encode(), b"caf\xff\xa9"))
+        with pytest.raises(CheckpointError, match="'utf-8' codec can't decode") as info:
             load_checkpoint(bad)
         assert str(info.value).startswith(f"{bad}: ")
 
-    @pytest.mark.parametrize("key", ["sigma_sq", "epsilon"])
+    @pytest.mark.parametrize("key", ["sigma_sq"])
     def test_nan_mixture_state_names_file(self, tmp_path, key):
         def edit(sections):
             state = {**json.loads(sections["state"]), key: float("nan")}
@@ -400,8 +481,7 @@ class TestResume:
         )
         experiment.run_experiment(experiment.parse_spec_dict(obj))
         mid = os.path.join(str(tmp_path / "full"), "checkpoint_round00002.bin")
-        with open(mid, "rb") as f:
-            sections = checkpoint._read_sections(f, mid)
+        sections = checkpoint._read_sections(mid)
         sections[section] = checkpoint._array_bytes(np.zeros(3))
         bad = str(tmp_path / "bad.bin")
         write_sections(bad, sections)
@@ -465,9 +545,9 @@ def loads_or_rejects(path):
 class TestFuzz:
     @FUZZ
     @given(which=st.integers(0, 2),
-           # half the flips land in the file header and the first section
-           # header, where the framing is
-           flips=st.lists(st.tuples(st.integers(0, 23) | st.integers(0, 2**20),
+           # half the flips land in the last 64 bytes, in the central
+           # directory and the end record that frame the archive
+           flips=st.lists(st.tuples(st.integers(-64, -1) | st.integers(0, 2**20),
                                     st.integers(1, 255)),
                           min_size=1, max_size=4))
     def test_flipped_bytes(self, valid_blobs, which, flips):
@@ -494,8 +574,7 @@ class TestFuzz:
         tmp, blobs = valid_blobs
         path = tmp / "mutant.bin"
         path.write_bytes(blobs[which])
-        with open(path, "rb") as f:
-            sections = checkpoint._read_sections(f, str(path))
+        sections = checkpoint._read_sections(str(path))
         obj = json.loads(sections[section])
         where = data.draw(st.sampled_from(list(json_paths(obj))))
         sections[section] = json.dumps(swap_value(obj, where, data.draw(JSON))).encode()

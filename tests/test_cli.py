@@ -80,7 +80,7 @@ class TestResume:
         bad = tmp_path / "ck.bin"
         bad.write_bytes(b"garbage")
         assert main(["resume", str(bad)]) == 1
-        assert "bad magic" in capsys.readouterr().err
+        assert "not a checkpoint file" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -96,7 +96,7 @@ def _personalized_sha(spec, ckpt_path) -> str:
             run.train_ds.inputs[cl.train_indices],
             run.train_ds.labels[cl.train_indices],
             run.arch, run.config, spec.evaluation.personalization_epochs,
-            run.config.lr, stream(run.config.seed, "personalize", cl.client_id),
+            stream(run.config.seed, "personalize", cl.client_id),
         )
         h.update(m.tobytes())
     return h.hexdigest()

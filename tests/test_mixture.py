@@ -19,8 +19,7 @@ from fedsim.strategies import STRATEGIES
 from test_nn import central_diff_grad, make_batch, rel_err
 
 
-def make_global(prototypes, sigma_sq=0.1, epsilon=1e-4, gating_arch=None,
-                gating=None, seed=0):
+def make_global(prototypes, sigma_sq=0.1, gating_arch=None, gating=None, seed=0):
     prototypes = tuple(np.asarray(r, dtype=np.float64) for r in prototypes)
     if gating_arch is None:
         gating_arch = nn.MlpArch((4, 6, len(prototypes)))
@@ -29,7 +28,6 @@ def make_global(prototypes, sigma_sq=0.1, epsilon=1e-4, gating_arch=None,
     return mixture.MixtureGlobalPosterior(
         prototypes=prototypes,
         sigma_sq=sigma_sq,
-        epsilon=epsilon,
         gating=gating,
         gating_arch=gating_arch,
     )
@@ -71,10 +69,6 @@ class TestTypes:
         with pytest.raises(ValueError, match="gating parameter"):
             make_global([np.zeros(3), np.zeros(3)], gating_arch=arch,
                         gating=np.zeros(3))
-
-    def test_global_posterior_needs_positive_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            make_global([np.zeros(3)], epsilon=0.0)
 
 
 class TestPenalty:
@@ -774,7 +768,7 @@ class TestPersonalize:
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, size=8)
         m = mixture.mix_personalize(x, y, gp, arch, FederatedConfig(), epochs=0,
-                                    lr=0.1, rng=stream(81, "proxy"))
+                                    rng=stream(81, "proxy"))
         assert any(np.array_equal(m, r) for r in protos)
 
     def test_huge_sigma_reduces_to_plain_finetuning(self):
@@ -787,7 +781,7 @@ class TestPersonalize:
         y = rng.integers(0, 3, size=10)
         out = mixture.mix_personalize(x, y, gp, arch,
                                       FederatedConfig(batch_size=10),
-                                      epochs=2, lr=0.1, rng=stream(82, "run"))
+                                      epochs=2, rng=stream(82, "run"))
         # full-batch steps make the shuffle order irrelevant; the proxy
         # warm-up epoch only picks the start (here the lone prototype), so
         # the tuned result is two plain steps from r
@@ -821,7 +815,7 @@ class TestPersonalize:
 
         good = mixture.mix_personalize(x_p, y_p, gp, arch,
                                        FederatedConfig(batch_size=10),
-                                       epochs=2, lr=0.1, rng=stream(83, "good"))
+                                       epochs=2, rng=stream(83, "good"))
         # same protocol forced to start at the mismatched prototype
         bad, _ = local_train(
             m_b, mixture.mix_objective(gp, arch, 20, majorize=False), x_p, y_p,
@@ -837,5 +831,5 @@ class TestPersonalize:
         with pytest.raises(ValueError, match="empty"):
             mixture.mix_personalize(np.zeros((0, 4)),
                                     np.zeros(0, dtype=np.int64), gp, arch,
-                                    FederatedConfig(), epochs=1, lr=0.1,
+                                    FederatedConfig(), epochs=1,
                                     rng=stream(0))

@@ -454,7 +454,7 @@ class TestPersonalize:
     def test_zero_epochs_returns_m0(self):
         m = niw.niw_personalize(
             self.inputs, self.labels, self.post, self.arch, FederatedConfig(), 0,
-            0.1, stream(0),
+            stream(0),
         )
         assert np.array_equal(m, self.post.m0)
 
@@ -463,7 +463,7 @@ class TestPersonalize:
         # objective (value computed) from the same stream gives the same mean
         config = FederatedConfig(batch_size=7)
         got = niw.niw_personalize(
-            self.inputs, self.labels, self.post, self.arch, config, 2, 0.1,
+            self.inputs, self.labels, self.post, self.arch, config, 2,
             stream(2, "pers"),
         )
         rng = stream(2, "pers")
@@ -488,7 +488,7 @@ class TestPersonalize:
         strong = replace(self.post, v0_diag=self.post.v0_diag * 1e-7)
         assert niw.penalty_weight(strong, 0.999, 30).min() > 1e7
         m = niw.niw_personalize(
-            self.inputs, self.labels, strong, self.arch, FederatedConfig(), 3, 0.1,
+            self.inputs, self.labels, strong, self.arch, FederatedConfig(), 3,
             stream(1),
         )
         assert np.abs(m - self.post.m0).max() < 1e-3
@@ -520,7 +520,7 @@ class TestPersonalize:
             means = []
             for cid, (x, y) in enumerate(datasets):
                 m = niw.niw_personalize(
-                    x, y, post, arch, FederatedConfig(batch_size=20), 1, 0.1,
+                    x, y, post, arch, FederatedConfig(batch_size=20), 1,
                     stream(3, "c", rnd, cid),
                 )
                 means.append(m)
@@ -529,7 +529,7 @@ class TestPersonalize:
         probs = niw.niw_global_predict(x0t, post, arch, 1, stream(5, "eval"))
         global_acc = float((probs.argmax(axis=1) == y0t).mean())
         m_pers = niw.niw_personalize(
-            x0, y0, post, arch, FederatedConfig(batch_size=20), 5, 0.1,
+            x0, y0, post, arch, FederatedConfig(batch_size=20), 5,
             stream(6, "pers"),
         )
         batch = nn.Batch(inputs=x0t, labels=y0t)

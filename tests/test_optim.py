@@ -95,7 +95,7 @@ class TestNothingOfTheCallerIsWritten:
         arrays = state_arrays(state)
         kept = [a.copy() for a in arrays]
         result = strategy.client_update(state, 0, x, y, ARCH, config, 0.1, 1)
-        personal = strategy.personalize(state, x, y, ARCH, config, 1, 0.1, stream(32, "p"))
+        personal = strategy.personalize(state, x, y, ARCH, config, 1, stream(32, "p"))
         for a, b in zip(arrays, kept):
             assert same_bits(a, b)
             assert not np.shares_memory(result.params, a)

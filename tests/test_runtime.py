@@ -237,7 +237,6 @@ class TestReductions:
             state = mixture.MixtureGlobalPosterior(
                 prototypes=(global_params.copy(),),
                 sigma_sq=sigma_sq,
-                epsilon=1e-4,
                 gating=nn.init_params(garch, stream(22, "gating")),
                 gating_arch=garch,
             )
