@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec
+from . import codec, data
 from .runtime import RoundRecord, RunState
 from .strategies import STRATEGIES
 
@@ -96,20 +96,10 @@ def save_checkpoint(path: str, run: RunState, spec: dict) -> None:
     for name in sorted(arrays):
         sections.append((name, _array_bytes(arrays[name])))
 
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        with zipfile.ZipFile(f, "w") as zf:
-            for name, payload in sections:
-                # a bare ZipInfo is stored uncompressed and dated 1980-01-01
-                zf.writestr(zipfile.ZipInfo(name), payload)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    with data.durable_write(path) as f, zipfile.ZipFile(f, "w") as zf:
+        for name, payload in sections:
+            # a bare ZipInfo is stored uncompressed and dated 1980-01-01
+            zf.writestr(zipfile.ZipInfo(name), payload)
 
 
 # what the archive reader raises for a corrupt file: ValueError includes the

@@ -8,12 +8,14 @@ a small binary container for reproducible dataset snapshots.
 Setup reads and checks each dataset once: both loaders check a block's
 declared size against the file before allocating it, the container loader
 reads every block straight into its array, `LabeledDataset` validates the
-inputs with one min and one max pass, and `Partition` checks client overlap
-with one sort of all the clients' indices.
+inputs in one pass over their bits, and `Partition` checks client overlap
+with one sort of all the clients' indices. `save_dataset` replaces a
+container atomically, so a reader never sees a half-written one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import stat
@@ -26,6 +28,8 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CONTAINER_MAGIC = b"FSDS"
 CONTAINER_VERSION = 1
+# bits of 1.0; as uint64, the bits of +0.0 .. 1.0 are exactly those at most this
+ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 class IdxFormatError(ValueError):
@@ -51,10 +55,12 @@ class LabeledDataset:
             raise ValueError(
                 f"labels shape {labels.shape} incompatible with {inputs.shape}"
             )
-        # NaN propagates through min and max and +-inf lies outside [0, 1],
-        # so the range test rejects both without a temporary; isfinite only
-        # picks the message
-        if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
+        # one pass: a float in [+0.0, 1.0] has no sign bit and sorts as a
+        # uint64 at most ONE_BITS. What fails (-0.0 among them) goes to the
+        # min/max test, where NaN propagates and +-inf lies outside [0, 1],
+        # so it decides without a temporary; isfinite only picks the message
+        if (inputs.size and inputs.view(np.uint64).max() > ONE_BITS
+                and not (inputs.min() >= 0.0 and inputs.max() <= 1.0)):
             if not np.isfinite(inputs).all():
                 raise ValueError("inputs contain non-finite values")
             raise ValueError("inputs must lie in [0, 1]")
@@ -297,7 +303,8 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     inputs = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
     return LabeledDataset(
-        inputs=inputs.astype(np.float64) / 255.0,
+        # one float64 allocation; the same bits as inputs.astype(float64) / 255
+        inputs=np.divide(inputs, 255.0, dtype=np.float64),
         labels=labels,
         num_classes=int(labels.max()) + 1 if labels.size else 1,
     )
@@ -391,9 +398,34 @@ def synth_train_test(
     return train, make(train_tags), test, make(test_tags)
 
 
+@contextlib.contextmanager
+def durable_write(path: str):
+    """A binary file that replaces path only once it is complete.
+
+    It is written as path + ".tmp", which is fsynced before the rename and
+    removed if the body raises; the directory is fsynced after the rename.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def save_dataset(path: str, ds: LabeledDataset) -> None:
     """Binary container: magic, version, dims, little-endian labels + floats."""
-    with open(path, "wb") as f:
+    with durable_write(path) as f:
         f.write(CONTAINER_MAGIC)
         f.write(
             struct.pack(

@@ -28,7 +28,7 @@ Artifacts written into the output directory:
                    index, global accuracy, mean client loss, and server
                    objective. Byte-identical across same-seed runs and
                    across checkpoint resume.
-    summary.json   final/personalized accuracy, convergence fit, the fully
+    summary.json   final and personalized accuracy, convergence fit, the fully
                    resolved spec, and a build id. The "timing" block is
                    wall-clock and is excluded from determinism comparisons.
     checkpoint_round*.bin   resumable run state (see checkpoint module).
@@ -328,23 +328,34 @@ def _file_datasets(train, test, test_path: str):
     return train, test
 
 
-def build_datasets(spec: ExperimentSpec):
-    ds = spec.dataset
-    if ds["kind"] == "idx":
-        train = data.load_idx(ds["train_images"], ds["train_labels"])
-        test = data.load_idx(ds["test_images"], ds["test_labels"])
-        return _file_datasets(train, test, ds["test_images"])
-    if ds["kind"] == "container":
-        return _file_datasets(
-            data.load_dataset(ds["train"]), data.load_dataset(ds["test"]), ds["test"]
-        )
-    rng = stream(spec.seed, "data")
+def _synthetic(ds: dict, seed: int):
     train, _, test, _ = data.synth_train_test(
         ds["clusters"], ds["classes"], ds["dims"], ds["train_per_class"],
-        ds["test_per_class"], ds["shift"], rng,
+        ds["test_per_class"], ds["shift"], stream(seed, "data"),
         class_scale=ds["class_scale"], noise_sd=ds["noise_sd"],
     )
     return train, test
+
+
+def load_train_set(ds: dict, seed: int) -> data.LabeledDataset:
+    """The inputs and labels that build_datasets gives a run's train set,
+    from the resolved dataset block; the class count may be lower."""
+    if ds["kind"] == "idx":
+        return data.load_idx(ds["train_images"], ds["train_labels"])
+    if ds["kind"] == "container":
+        return data.load_dataset(ds["train"])
+    return _synthetic(ds, seed)[0]
+
+
+def build_datasets(spec: ExperimentSpec):
+    ds = spec.dataset
+    if ds["kind"] == "synthetic":
+        return _synthetic(ds, spec.seed)
+    train = load_train_set(ds, spec.seed)
+    if ds["kind"] == "idx":
+        test = data.load_idx(ds["test_images"], ds["test_labels"])
+        return _file_datasets(train, test, ds["test_images"])
+    return _file_datasets(train, data.load_dataset(ds["test"]), ds["test"])
 
 
 def build_partition(spec: ExperimentSpec, labels: np.ndarray) -> data.Partition:
@@ -452,7 +463,7 @@ def run_experiment(
     if ev.personalize:
         if any(c.test_indices.size > 0 for c in run.clients):
             report = runtime.evaluate_personalized(
-                run, epochs=ev.personalization_epochs
+                run, epochs=ev.personalization_epochs, dataset=spec.dataset
             )
             personalization = {
                 **codec.encode(report), "epochs": ev.personalization_epochs,

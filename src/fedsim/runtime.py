@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, niw, nn
+from . import data, fanout, niw, nn
 from .rng import stream
 from .strategies import STRATEGIES, ClientResult, Strategy
 
@@ -275,29 +275,24 @@ class PersonalizationReport:
     per_client: tuple[float, ...]
 
 
-def evaluate_personalized(run: RunState, epochs: int) -> PersonalizationReport:
-    """Fine-tune per client on its train split at config.lr; score on its test split."""
-    accs = []
-    for cl in run.clients:
-        if cl.test_indices.size == 0:
-            continue
-        inputs = run.train_ds.inputs[cl.train_indices]
-        labels = run.train_ds.labels[cl.train_indices]
-        rng = stream(run.config.seed, "personalize", cl.client_id)
-        m = run.strategy.personalize(
-            run.strategy_state, inputs, labels, run.arch, run.config, epochs, rng
-        )
-        tx = run.train_ds.inputs[cl.test_indices]
-        ty = run.train_ds.labels[cl.test_indices]
-        pred = nn.forward(m, run.arch, tx).argmax(axis=1)
-        accs.append(float((pred == ty).mean()))
-    if not accs:
+def evaluate_personalized(
+    run: RunState, epochs: int, dataset: dict | None = None
+) -> PersonalizationReport:
+    """Fine-tune per client on its train split at config.lr; score on its test split.
+
+    `fanout.personalize` runs the clients at one BLAS thread, on helper
+    processes too when the resolved dataset block lets them rebuild the
+    train set and the work is worth it; the report is in client-id order.
+    """
+    clients = [cl for cl in run.clients if cl.test_indices.size]
+    if not clients:
         raise ValueError("no client has a personal test split")
-    arr = np.array(accs)
+    accs = fanout.personalize(run, clients, epochs, dataset)
+    arr = np.array([accs[cl.client_id] for cl in clients])
     return PersonalizationReport(
         mean_acc=float(arr.mean()),
         std_acc=float(arr.std()),
-        per_client=tuple(accs),
+        per_client=tuple(arr.tolist()),
     )
 
 

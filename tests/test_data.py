@@ -1,5 +1,7 @@
 """Tests for dataset loading, synthetic generation, and partitioning."""
 
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -169,6 +171,12 @@ class TestLoadIdx:
         # raw bytes reconstruct exactly after undoing the 1/255 scaling
         recon = np.rint(ds.inputs * 255.0).astype(np.uint8)
         np.testing.assert_array_equal(recon.reshape(2, 2, 2), pixels)
+
+    def test_scaling_has_the_bits_of_the_float_copy_divided(self, tmp_path):
+        pixels = np.arange(256, dtype=np.uint8)[::-1].reshape(4, 8, 8)
+        img, lab = write_idx_fixture(tmp_path, pixels, [0, 1, 2, 3])
+        old = pixels.reshape(4, 64).astype(np.float64) / 255.0
+        assert data.load_idx(img, lab).inputs.tobytes() == old.tobytes()
 
     def test_bad_labels_magic(self, tmp_path):
         img, lab = write_idx_fixture(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
@@ -354,6 +362,49 @@ class TestContainer:
             assert str(info.value) == f"{path}: truncated {what}"
             assert peak < 2**20
 
+    def test_fsyncs_file_before_rename_and_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        ds, _ = synth(1, 2, 3, 4, 0.5, stream(17, "tr"))
+        path = str(tmp_path / "ds.bin")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                events.append(("fsync-dir", None))
+            else:
+                events.append(("fsync-file", info.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", None))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        data.save_dataset(path, ds)
+        size = os.path.getsize(path)
+        # the file is synced complete, before the rename; the directory after
+        assert events == [("fsync-file", size), ("replace", None), ("fsync-dir", None)]
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["ds.bin"]
+        back = data.load_dataset(path)
+        assert back.inputs.tobytes() == ds.inputs.tobytes()
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        ds, _ = synth(1, 2, 3, 4, 0.5, stream(17, "tr"))
+        path = tmp_path / "ds.bin"
+        data.save_dataset(str(path), ds)
+        before = path.read_bytes()
+        broken = data.LabeledDataset(ds.inputs, ds.labels, ds.num_classes)
+        object.__setattr__(broken, "inputs", None)  # fails after the header
+        with pytest.raises(AttributeError):
+            data.save_dataset(str(path), broken)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ds.bin"]
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         ds, _ = synth(2, 3, 5, 7, 1.0, stream(18, "rt"))
         first, second = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -466,7 +517,9 @@ def faulty_partitions(draw):
     return arrays(clients), arrays(trains), arrays(tests)
 
 
-PIXEL_FAULTS = (np.nan, np.inf, -np.inf, -1e-300, -0.5, 1.0 + 2**-52, 7.0, -0.0, 0.0, 1.0)
+SUBNORMAL = 5e-324  # the least positive float
+PIXEL_FAULTS = (np.nan, np.inf, -np.inf, -1e-300, -0.5, 1.0 + 2**-52, 7.0, -0.0, 0.0, 1.0,
+                SUBNORMAL, -SUBNORMAL)
 
 
 @st.composite
@@ -499,6 +552,16 @@ class TestChecksMatchOracles:
         labels = np.zeros(inputs.shape[0], dtype=np.int64)
         expected = outcome(oracle_input_check, inputs)
         assert outcome(data.LabeledDataset, inputs, labels, 1) == expected
+
+    @pytest.mark.parametrize("value", [
+        -0.0, SUBNORMAL, -SUBNORMAL, np.nextafter(1.0, 2.0), 1.0, np.nan, -np.nan,
+        np.inf, -np.inf,
+    ])
+    def test_input_check_at_the_edges_of_the_range(self, value):
+        for inputs in (np.array([[value]]), np.array([[0.25, value], [1.0, 0.0]])):
+            labels = np.zeros(inputs.shape[0], dtype=np.int64)
+            expected = outcome(oracle_input_check, inputs)
+            assert outcome(data.LabeledDataset, inputs, labels, 1) == expected
 
     @pytest.mark.parametrize("clients,named", [
         # the lowest client holding a repeat is named, wherever the first copy is
