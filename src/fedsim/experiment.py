@@ -328,34 +328,23 @@ def _file_datasets(train, test, test_path: str):
     return train, test
 
 
-def _synthetic(ds: dict, seed: int):
+def build_datasets(spec: ExperimentSpec):
+    ds = spec.dataset
+    if ds["kind"] == "idx":
+        train = data.load_idx(ds["train_images"], ds["train_labels"])
+        test = data.load_idx(ds["test_images"], ds["test_labels"])
+        return _file_datasets(train, test, ds["test_images"])
+    if ds["kind"] == "container":
+        return _file_datasets(
+            data.load_dataset(ds["train"]), data.load_dataset(ds["test"]), ds["test"]
+        )
+    rng = stream(spec.seed, "data")
     train, _, test, _ = data.synth_train_test(
         ds["clusters"], ds["classes"], ds["dims"], ds["train_per_class"],
-        ds["test_per_class"], ds["shift"], stream(seed, "data"),
+        ds["test_per_class"], ds["shift"], rng,
         class_scale=ds["class_scale"], noise_sd=ds["noise_sd"],
     )
     return train, test
-
-
-def load_train_set(ds: dict, seed: int) -> data.LabeledDataset:
-    """The inputs and labels that build_datasets gives a run's train set,
-    from the resolved dataset block; the class count may be lower."""
-    if ds["kind"] == "idx":
-        return data.load_idx(ds["train_images"], ds["train_labels"])
-    if ds["kind"] == "container":
-        return data.load_dataset(ds["train"])
-    return _synthetic(ds, seed)[0]
-
-
-def build_datasets(spec: ExperimentSpec):
-    ds = spec.dataset
-    if ds["kind"] == "synthetic":
-        return _synthetic(ds, spec.seed)
-    train = load_train_set(ds, spec.seed)
-    if ds["kind"] == "idx":
-        test = data.load_idx(ds["test_images"], ds["test_labels"])
-        return _file_datasets(train, test, ds["test_images"])
-    return _file_datasets(train, data.load_dataset(ds["test"]), ds["test"])
 
 
 def build_partition(spec: ExperimentSpec, labels: np.ndarray) -> data.Partition:
@@ -463,7 +452,7 @@ def run_experiment(
     if ev.personalize:
         if any(c.test_indices.size > 0 for c in run.clients):
             report = runtime.evaluate_personalized(
-                run, epochs=ev.personalization_epochs, dataset=spec.dataset
+                run, epochs=ev.personalization_epochs
             )
             personalization = {
                 **codec.encode(report), "epochs": ev.personalization_epochs,

@@ -1,4 +1,4 @@
-"""The personalization pass, spread over helper processes.
+"""The personalization pass, spread over forked helper processes.
 
 Every client's personalization is independent of the others, so the pass
 runs them on every core. The whole pass runs with OpenBLAS at one thread,
@@ -8,23 +8,22 @@ caller's count is restored afterwards.
 
 The caller personalizes the clients longest first. After its first (the
 largest) client it estimates the work left, and starts helpers only if
-that work outlasts a helper's start-up; small runs start none. There is
-one helper per spare CPU, at most MAX_HELPERS. A helper is a fresh
-interpreter running `main` here, not a multiprocessing child: spawn would
-re-import the caller's `__main__`, which in an unguarded script re-runs
-its experiment, and fork would copy the caller's memory. It receives
-the strategy state, arch, config, epochs and the run's dataset block once,
-rebuilds the train set itself, and refuses to work unless that set's shape
-and the wrap-around uint64 sums of its input and label words equal the
-caller's. Then it takes clients one at a time over its stdin and answers
-each with an accuracy over its stdout.
+that work outlasts a helper's start-up and no other thread runs; small
+runs start none. There is one helper per spare CPU, at most MAX_HELPERS.
+A helper is a fork of the caller, made before the caller starts the
+threads that feed the helpers:
+it shares the train set, strategy state and clients copy-on-write (nothing
+writes the read-only train arrays, so they are not copied), inherits the
+one-thread BLAS setting, and never re-runs the caller's script as a spawned
+interpreter would. It takes client ids one at a time over a pipe and
+answers each with an accuracy over another.
 
-A helper that dies, refuses or sends what cannot be read hands its
-unfinished client back to the caller. An exception raised by a client's
-own personalization, in a helper or in the caller, is re-raised in the
-caller with its type and message and a note naming the client. No helper
-outlives the pass. Where numpy's bundled OpenBLAS or /proc/self/maps is
-missing, the pass runs every client in the caller at its thread count.
+A helper that dies or sends what cannot be read hands its unfinished
+client back to the caller. An exception raised by a client's own
+personalization, in a helper or in the caller, is re-raised in the caller
+with its type and message and a note naming the client. No helper outlives
+the pass. Where numpy's bundled OpenBLAS or /proc/self/maps is missing,
+the pass runs every client in the caller at its thread count.
 """
 
 from __future__ import annotations
@@ -34,26 +33,19 @@ import ctypes
 import functools
 import os
 import pickle
-import subprocess
+import signal
 import sys
 import threading
 import time
 import traceback
 from collections import deque
-from typing import NamedTuple
-
-import numpy as np
 
 from . import nn
 from .rng import stream
-from .strategies import STRATEGIES
 
-MAX_HELPERS = 3  # each holds its own copy of the train set
-# a helper's start-up: an interpreter importing numpy and fedsim, then
-# reading and checking the train set at about this many bytes a second
-START_S = 0.3
-START_BYTES_PER_S = 5e8
-_READY = "ready"
+# The count measured, on a 2-core box; more helpers are untested for speed.
+MAX_HELPERS = 1
+START_S = 0.05  # a fork and its first page faults take a few ms
 
 
 @functools.cache
@@ -91,16 +83,6 @@ def blas_threads(n: int | None = None) -> int | None:
     return before
 
 
-class _Model(NamedTuple):
-    """What a client's personalization reads; a RunState has these fields too."""
-
-    strategy: object
-    strategy_state: object
-    arch: nn.MlpArch
-    config: object
-    train_ds: object
-
-
 def client_accuracy(run, cl, epochs: int) -> float:
     """Fine-tune on cl's train split at config.lr; accuracy on its test split."""
     inputs = run.train_ds.inputs[cl.train_indices]
@@ -129,16 +111,11 @@ def _own_accuracy(run, cl, epochs: int) -> float:
         raise
 
 
-def data_digest(ds) -> tuple:
-    """Shape, and wrap-around uint64 sums of the input and label words."""
-    words = lambda a: int(a.view(np.uint64).sum(dtype=np.uint64))
-    return ds.inputs.shape, words(ds.inputs), words(ds.labels)
-
-
 def helper_count(remaining_s: float, start_s: float) -> int:
     """Helpers worth starting: none unless the work left outlasts one's
-    start-up, else one per spare CPU up to MAX_HELPERS."""
-    if remaining_s <= start_s:
+    start-up and no other thread runs (a fork would copy any lock it
+    holds), else one per spare CPU up to MAX_HELPERS."""
+    if remaining_s <= start_s or threading.active_count() > 1:
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -147,15 +124,9 @@ def helper_count(remaining_s: float, start_s: float) -> int:
     return min(cpus - 1, MAX_HELPERS)
 
 
-def _helper_argv() -> list[str]:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = (f"import sys; sys.path.insert(0, {root!r}); "
-            f"from {__package__} import fanout; fanout.main()")
-    return [sys.executable, "-c", code]
-
-
 def _send(f, obj) -> None:
-    pickle.dump(obj, f, protocol=pickle.HIGHEST_PROTOCOL)
+    # pickled whole first, so an object that fails to pickle sends nothing
+    f.write(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     f.flush()
 
 
@@ -181,29 +152,63 @@ class _Work:
             self.todo.appendleft(cl)
 
 
+def _answer(run, by_id: dict, epochs: int, requests, replies) -> None:
+    """A helper's life: answer client ids until the requests end."""
+    while True:
+        try:
+            cid = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            reply = ("acc", client_accuracy(run, by_id[cid], epochs))
+        except Exception as e:
+            reply = ("raised", e, traceback.format_exc())
+        _send(replies, reply)
+
+
 class _Helper:
-    """One helper process and the caller thread that feeds it clients."""
+    """One forked helper process and the caller thread that feeds it clients."""
 
-    def __init__(self, work: _Work):
+    def __init__(self, work: _Work, run, by_id: dict, epochs: int, others: list):
         self.work = work
-        self.proc = subprocess.Popen(
-            _helper_argv(), stdin=subprocess.PIPE, stdout=subprocess.PIPE
-        )
-        self.thread = None
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        sys.stdout.flush()  # or the helper could write the caller's buffer again
+        sys.stderr.flush()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (req_r, req_w, rep_r, rep_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_DFL)  # ^C ends it quietly
+                os.close(req_w)
+                os.close(rep_r)
+                for h in others:  # so each helper alone holds its own pipes
+                    h.requests.close()
+                    h.replies.close()
+                with os.fdopen(req_r, "rb") as requests, os.fdopen(rep_w, "wb") as replies:
+                    _answer(run, by_id, epochs, requests, replies)
+                code = 0
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(code)  # never back into the caller's stack
+        os.close(req_r)
+        os.close(rep_w)
+        self.requests = os.fdopen(req_w, "wb")
+        self.replies = os.fdopen(rep_r, "rb")
+        self.thread = threading.Thread(target=self._serve, daemon=True)
 
-    def start(self, setup: tuple) -> None:
-        self.thread = threading.Thread(target=self._serve, args=(setup,), daemon=True)
-        self.thread.start()
-
-    def _serve(self, setup: tuple) -> None:
+    def _serve(self) -> None:
         cl = None
         try:
-            _send(self.proc.stdin, setup)
-            if pickle.load(self.proc.stdout) != _READY:
-                return  # refused; the helper said why on its stderr
             while (cl := self.work.take()) is not None:
-                _send(self.proc.stdin, cl)
-                kind, *value = pickle.load(self.proc.stdout)
+                _send(self.requests, cl.client_id)
+                kind, *value = pickle.load(self.replies)
                 if kind == "acc":
                     self.work.accs[cl.client_id] = value[0]
                 else:
@@ -218,23 +223,24 @@ class _Helper:
             if cl is not None:
                 self.work.give_back(cl)
             with contextlib.suppress(OSError):
-                self.proc.stdin.close()  # end of input: the helper exits
+                self.requests.close()  # end of input: the helper exits
 
     def stop(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-        self.proc.wait()
-        if self.thread is not None:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGKILL)  # a no-op on one that has exited
+        with contextlib.suppress(ChildProcessError):  # reaped elsewhere
+            os.waitpid(self.pid, 0)
+        if self.thread.ident is not None:
             self.thread.join()
-        self.proc.stdout.close()
+        with contextlib.suppress(OSError):
+            self.requests.close()
+        self.replies.close()
 
 
-def personalize(run, clients, epochs: int, dataset: dict | None = None) -> dict[int, float]:
+def personalize(run, clients, epochs: int) -> dict[int, float]:
     """Each client's personalized accuracy, by client id.
 
-    run supplies the strategy, its state, arch, config and train set;
-    helpers are only possible with the resolved dataset block they rebuild
-    the train set from.
+    run supplies the strategy, its state, arch, config and train set.
     """
     before = blas_threads(1)
     if before is None:
@@ -245,19 +251,16 @@ def personalize(run, clients, epochs: int, dataset: dict | None = None) -> dict[
         first = work.take()
         started = time.perf_counter()
         work.accs[first.client_id] = _own_accuracy(run, first, epochs)
-        if dataset is not None and work.todo:
+        if work.todo:
             # the first client is the largest: scale its time by the rows left
             rows = sum(c.train_indices.size for c in work.todo)
             remaining_s = (time.perf_counter() - started) * rows / first.train_indices.size
-            start_s = START_S + run.train_ds.inputs.nbytes / START_BYTES_PER_S
-            with contextlib.suppress(OSError):  # no interpreter to start
-                for _ in range(min(helper_count(remaining_s, start_s), len(work.todo))):
-                    helpers.append(_Helper(work))
-            if helpers:  # the digest is taken while they start up
-                setup = (dataset, run.config, run.arch, run.strategy_state,
-                         epochs, data_digest(run.train_ds))
-                for h in helpers:
-                    h.start(setup)
+            by_id = {cl.client_id: cl for cl in clients}
+            with contextlib.suppress(OSError):  # no process to be had
+                for _ in range(min(helper_count(remaining_s, START_S), len(work.todo))):
+                    helpers.append(_Helper(work, run, by_id, epochs, helpers))
+            for h in helpers:  # every fork is made before the first thread
+                h.thread.start()
         while True:
             while (cl := work.take()) is not None:
                 work.accs[cl.client_id] = _own_accuracy(run, cl, epochs)
@@ -273,38 +276,3 @@ def personalize(run, clients, epochs: int, dataset: dict | None = None) -> dict[
         cid, exc, tb = work.raised
         raise _named(exc, cid, f", in a helper process:\n{tb}")
     return work.accs
-
-
-def main() -> None:
-    """A helper's life: check the train set, then answer clients until EOF."""
-    from . import experiment  # it imports runtime, which imports this module
-
-    requests = sys.stdin.buffer
-    replies = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)  # a stray print goes to stderr, not into the replies
-    dataset, config, arch, state, epochs, digest = pickle.load(requests)
-
-    def refuse(why: str) -> None:
-        print(f"personalization helper {os.getpid()}: {why}", file=sys.stderr)
-        _send(replies, "refused")
-
-    if blas_threads(1) is None:
-        return refuse("cannot set OpenBLAS to one thread")
-    try:
-        train = experiment.load_train_set(dataset, config.seed)
-    except Exception as e:
-        return refuse(f"rebuilding the train set failed: {e!r}")
-    if data_digest(train) != digest:
-        return refuse("the rebuilt train set differs from the run's")
-    run = _Model(STRATEGIES[config.strategy], state, arch, config, train)
-    _send(replies, _READY)
-    while True:
-        try:
-            cl = pickle.load(requests)
-        except EOFError:
-            return
-        try:
-            reply = ("acc", client_accuracy(run, cl, epochs))
-        except Exception as e:
-            reply = ("raised", e, traceback.format_exc())
-        _send(replies, reply)

@@ -275,19 +275,17 @@ class PersonalizationReport:
     per_client: tuple[float, ...]
 
 
-def evaluate_personalized(
-    run: RunState, epochs: int, dataset: dict | None = None
-) -> PersonalizationReport:
+def evaluate_personalized(run: RunState, epochs: int) -> PersonalizationReport:
     """Fine-tune per client on its train split at config.lr; score on its test split.
 
-    `fanout.personalize` runs the clients at one BLAS thread, on helper
-    processes too when the resolved dataset block lets them rebuild the
-    train set and the work is worth it; the report is in client-id order.
+    `fanout.personalize` runs the clients at one BLAS thread, on forked
+    helper processes too when the work is worth it; the report is in
+    client-id order.
     """
     clients = [cl for cl in run.clients if cl.test_indices.size]
     if not clients:
         raise ValueError("no client has a personal test split")
-    accs = fanout.personalize(run, clients, epochs, dataset)
+    accs = fanout.personalize(run, clients, epochs)
     arr = np.array([accs[cl.client_id] for cl in clients])
     return PersonalizationReport(
         mean_acc=float(arr.mean()),

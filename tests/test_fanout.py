@@ -1,17 +1,15 @@
-"""The personalization pass on helper processes.
+"""The personalization pass on forked helper processes.
 
 Helpers are forced on or off by replacing `fanout.helper_count`. A helper
-is a fresh interpreter, so a test that needs it to behave differently runs
-it from a script that patches `fanout` before calling `fanout.main()`.
-Where a test needs the helper to take a client, the calling process waits,
-after its first client, until the helper script has touched a file.
+is a fork of the test process, so it sees the test's monkeypatches; a
+replaced `fanout.client_accuracy` tells the two apart by process id. Where
+a test needs a helper to take a client, the calling process waits, after
+its first client, until a helper has touched a file.
 """
 
 import os
 import pathlib
-import pickle
 import re
-import subprocess
 import sys
 import threading
 import time
@@ -19,39 +17,19 @@ import time
 import numpy as np
 import pytest
 
-from fedsim import data, experiment, fanout, runtime
-from fedsim.rng import stream
+from fedsim import experiment, fanout, runtime
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(fanout.__file__)))
 needs_openblas = pytest.mark.skipif(
     fanout.blas_threads() is None, reason="numpy's bundled OpenBLAS not found"
 )
 
-HELPER_SCRIPT = """\
-import os, pathlib, sys
-sys.path.insert(0, {src!r})
-from fedsim import fanout
-real = fanout.client_accuracy
 
-def client_accuracy(run, cl, epochs):
-    pathlib.Path({took!r}).write_text(str(fanout.blas_threads()))
-    {body}
-
-fanout.client_accuracy = client_accuracy
-fanout.main()
-"""
-
-
-def container_spec(tmp_path, strategy="fedavg"):
-    train, _, test, _ = data.synth_train_test(
-        2, 3, 6, 40, 10, 0.5, stream(5, "fanout-test"), noise_sd=0.3
-    )
-    paths = {k: str(tmp_path / f"{k}.bin") for k in ("train", "test")}
-    data.save_dataset(paths["train"], train)
-    data.save_dataset(paths["test"], test)
+def small_spec(tmp_path, strategy="fedavg"):
     return experiment.parse_spec_dict({
         "out": str(tmp_path / "out"),
-        "dataset": {"kind": "container", **paths},
+        "dataset": {"kind": "synthetic", "clusters": 2, "classes": 3, "dims": 6,
+                    "train_per_class": 40, "test_per_class": 10, "shift": 0.5,
+                    "noise_sd": 0.3},
         "partition": {"kind": "dirichlet", "alpha": 1.0},
         "model": {"hidden": [8]},
         "federated": {"n_clients": 6, "participation": 0.5, "rounds": 2,
@@ -70,13 +48,21 @@ def helpers(monkeypatch, n):
     monkeypatch.setattr(fanout, "helper_count", lambda *_: n)
 
 
-def scripted_helper(monkeypatch, tmp_path, body="return real(run, cl, epochs)"):
-    """Helpers run HELPER_SCRIPT; returns the file where a helper writes its
-    BLAS thread count at each client."""
+def in_helpers(monkeypatch, tmp_path, body=None):
+    """Clients computed in a helper write its BLAS thread count to the
+    returned file, then run body(run, cl, epochs), by default the real
+    computation; the caller's clients are left alone."""
+    caller = os.getpid()
     took = tmp_path / "helper_took_a_client"
-    script = tmp_path / "helper.py"
-    script.write_text(HELPER_SCRIPT.format(src=SRC, took=str(took), body=body))
-    monkeypatch.setattr(fanout, "_helper_argv", lambda: [sys.executable, str(script)])
+    real = fanout.client_accuracy
+
+    def client_accuracy(run, cl, epochs):
+        if os.getpid() == caller:
+            return real(run, cl, epochs)
+        took.write_text(str(fanout.blas_threads()))
+        return (body or real)(run, cl, epochs)
+
+    monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
     return took
 
 
@@ -97,22 +83,30 @@ def caller_waits_for(monkeypatch, took: pathlib.Path) -> list:
     return own
 
 
-def report_without_helpers(spec):
-    run = trained_run(spec)
-    return runtime.evaluate_personalized(run, 2, spec.dataset)
+def report_without_helpers(spec, monkeypatch):
+    helpers(monkeypatch, 0)
+    return runtime.evaluate_personalized(trained_run(spec), 2)
+
+
+def pipe_of(f) -> str:
+    return os.readlink(f"/proc/self/fd/{f.fileno()}")
+
+
+def child_pids() -> list[str]:
+    children = pathlib.Path(f"/proc/self/task/{threading.get_native_id()}/children")
+    return children.read_text().split() if children.exists() else []
 
 
 @needs_openblas
 class TestHelpers:
     def test_report_identical_with_and_without_a_helper(self, tmp_path, monkeypatch):
-        spec = container_spec(tmp_path, "mixture")
-        helpers(monkeypatch, 0)
-        alone = report_without_helpers(spec)
+        spec = small_spec(tmp_path, "mixture")
+        alone = report_without_helpers(spec, monkeypatch)
         helpers(monkeypatch, 1)
-        took = scripted_helper(monkeypatch, tmp_path)
+        took = in_helpers(monkeypatch, tmp_path)
         own = caller_waits_for(monkeypatch, took)
         run = trained_run(spec)
-        shared = runtime.evaluate_personalized(run, 2, spec.dataset)
+        shared = runtime.evaluate_personalized(run, 2)
         assert shared == alone
         assert 1 <= len(own) < len(alone.per_client)  # the helper did the rest
         assert took.read_text() == "1"
@@ -127,80 +121,44 @@ class TestHelpers:
             fanout.blas_threads(before)
         assert shared.per_client == tuple(direct)
 
-    def test_helper_answers_as_the_caller_computes(self, tmp_path):
-        spec = container_spec(tmp_path, "niw")
-        run = trained_run(spec)
-        proc = subprocess.Popen(
-            fanout._helper_argv(), stdin=subprocess.PIPE, stdout=subprocess.PIPE
-        )
-        before = fanout.blas_threads(1)
-        try:
-            fanout._send(proc.stdin, (spec.dataset, run.config, run.arch,
-                                      run.strategy_state, 2, fanout.data_digest(run.train_ds)))
-            assert pickle.load(proc.stdout) == "ready"
-            for cl in run.clients[:3]:
-                fanout._send(proc.stdin, cl)
-                assert pickle.load(proc.stdout) == ("acc", fanout.client_accuracy(run, cl, 2))
-            proc.stdin.close()  # end of input ends the helper
-            assert proc.wait(timeout=60) == 0
-        finally:
-            fanout.blas_threads(before)
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
-
-    def test_helper_whose_rebuild_raises_leaves_its_work(self, tmp_path, monkeypatch, capfd):
-        spec = container_spec(tmp_path)
-        helpers(monkeypatch, 0)
-        alone = report_without_helpers(spec)
-        helpers(monkeypatch, 1)
-        run = trained_run(spec)
-        os.unlink(spec.dataset["train"])
-        assert runtime.evaluate_personalized(run, 2, spec.dataset) == alone
-        assert "rebuilding the train set failed" in capfd.readouterr().err
-
-    def test_helper_refuses_a_changed_container(self, tmp_path, monkeypatch, capfd):
-        spec = container_spec(tmp_path)
-        helpers(monkeypatch, 0)
-        alone = report_without_helpers(spec)
-        helpers(monkeypatch, 1)
-        run = trained_run(spec)
-        inputs = run.train_ds.inputs.copy()
-        inputs[3, 2] = np.nextafter(inputs[3, 2], 0.0)  # one bit
-        data.save_dataset(spec.dataset["train"], data.LabeledDataset(
-            inputs, run.train_ds.labels, run.train_ds.num_classes))
-        assert runtime.evaluate_personalized(run, 2, spec.dataset) == alone
-        assert "differs from the run's" in capfd.readouterr().err
-
     def test_helper_dying_mid_client_hands_it_back(self, tmp_path, monkeypatch):
-        spec = container_spec(tmp_path)
-        helpers(monkeypatch, 0)
-        alone = report_without_helpers(spec)
+        spec = small_spec(tmp_path)
+        alone = report_without_helpers(spec, monkeypatch)
         helpers(monkeypatch, 1)
-        took = scripted_helper(monkeypatch, tmp_path, body="os._exit(3)")
+        took = in_helpers(monkeypatch, tmp_path, body=lambda *_: os._exit(3))
         own = caller_waits_for(monkeypatch, took)
-        assert runtime.evaluate_personalized(trained_run(spec), 2, spec.dataset) == alone
+        assert runtime.evaluate_personalized(trained_run(spec), 2) == alone
         assert len(own) == len(alone.per_client)  # the caller did the dead one's client
 
-    def test_client_raising_in_a_helper_is_reraised_naming_it(self, tmp_path, monkeypatch):
-        spec = container_spec(tmp_path)
+    def test_reply_that_does_not_unpickle_hands_it_back(self, tmp_path, monkeypatch, capfd):
+        spec = small_spec(tmp_path)
+        alone = report_without_helpers(spec, monkeypatch)
         helpers(monkeypatch, 1)
-        took = scripted_helper(
-            monkeypatch, tmp_path,
-            body="raise ValueError(f'no good: {cl.train_indices.size} rows')",
-        )
+        took = in_helpers(monkeypatch, tmp_path, body=lambda *_: Unreadable())
         own = caller_waits_for(monkeypatch, took)
-        run = trained_run(spec)
+        assert runtime.evaluate_personalized(trained_run(spec), 2) == alone
+        assert len(own) == len(alone.per_client)
+        assert "unreadable reply" in capfd.readouterr().err
+
+    def test_client_raising_in_a_helper_is_reraised_naming_it(self, tmp_path, monkeypatch):
+        spec = small_spec(tmp_path)
+        helpers(monkeypatch, 1)
+
+        def fail(run, cl, epochs):
+            raise ValueError(f"no good: {cl.train_indices.size} rows")
+
+        own = caller_waits_for(monkeypatch, in_helpers(monkeypatch, tmp_path, fail))
         with pytest.raises(ValueError) as info:
-            runtime.evaluate_personalized(run, 2, spec.dataset)
+            runtime.evaluate_personalized(trained_run(spec), 2)
         assert re.fullmatch(r"no good: \d+ rows", str(info.value))
         (note,) = info.value.__notes__
         named = int(note.split("client ")[1].split(",")[0])
         assert named not in own
         assert f"client {named}, in a helper process" in note
+        assert "in fail" in note  # the helper's traceback
 
     def test_client_raising_in_the_caller_is_named(self, tmp_path, monkeypatch):
-        spec = container_spec(tmp_path)
+        spec = small_spec(tmp_path)
         helpers(monkeypatch, 0)
 
         def fail(run, cl, epochs):
@@ -208,13 +166,12 @@ class TestHelpers:
 
         monkeypatch.setattr(fanout, "client_accuracy", fail)
         with pytest.raises(FloatingPointError) as info:
-            runtime.evaluate_personalized(trained_run(spec), 2, spec.dataset)
+            runtime.evaluate_personalized(trained_run(spec), 2)
         cid = re.fullmatch(r"diverged on (\d+)", str(info.value)).group(1)
         assert info.value.__notes__ == [f"raised in the personalization of client {cid}"]
 
     def test_blas_threads_restored_and_one_during_the_pass(self, tmp_path, monkeypatch):
-        spec = container_spec(tmp_path)
-        run = trained_run(spec)
+        run = trained_run(small_spec(tmp_path))
         helpers(monkeypatch, 0)
         seen = []
         real = fanout.client_accuracy
@@ -226,52 +183,115 @@ class TestHelpers:
         monkeypatch.setattr(fanout, "client_accuracy", record)
         original = fanout.blas_threads(2)
         try:
-            runtime.evaluate_personalized(run, 2, spec.dataset)
+            runtime.evaluate_personalized(run, 2)
             assert fanout.blas_threads() == 2
             assert set(seen) == {1}
             monkeypatch.setattr(fanout, "client_accuracy", lambda *_: 1 / 0)
             with pytest.raises(ZeroDivisionError):
-                runtime.evaluate_personalized(run, 2, spec.dataset)
+                runtime.evaluate_personalized(run, 2)
             assert fanout.blas_threads() == 2
         finally:
             fanout.blas_threads(original)
 
     def test_no_helper_outlives_run_experiment(self, tmp_path, monkeypatch):
-        spec = container_spec(tmp_path)
+        spec = small_spec(tmp_path)
         helpers(monkeypatch, 0)
         alone = experiment.run_experiment(spec)["personalization"]
         helpers(monkeypatch, 1)
-        caller_waits_for(monkeypatch, scripted_helper(monkeypatch, tmp_path))
-        started = []
+        caller_waits_for(monkeypatch, in_helpers(monkeypatch, tmp_path))
+        forked = []
+        real_fork = os.fork
 
-        class Recorded(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        monkeypatch.setattr(os, "fork", fork)
         assert experiment.run_experiment(spec)["personalization"] == alone
-        assert len(started) == 1
-        assert all(p.poll() is not None for p in started)
-        children = pathlib.Path(f"/proc/self/task/{os.getpid()}/children")
-        if children.exists():
-            assert children.read_text().split() == []
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(forked[0], os.WNOHANG)
+        assert child_pids() == []
 
+    def test_two_helpers_hold_only_their_own_pipes(self, tmp_path, monkeypatch):
+        spec = small_spec(tmp_path, "niw")
+        alone = report_without_helpers(spec, monkeypatch)
+        helpers(monkeypatch, 2)
+        own = caller_waits_for(monkeypatch, in_helpers(monkeypatch, tmp_path))
+        caller = os.getpid()
+        pipes = {}  # helper pid -> the caller's ends of its two pipes
+        held = tmp_path / "held"
+        held.mkdir()
+        real_init, real_answer, real_stop = (
+            fanout._Helper.__init__, fanout._answer, fanout._Helper.stop)
 
-    def test_three_helpers_on_fewer_cores(self, tmp_path, monkeypatch):
-        spec = container_spec(tmp_path, "niw")
-        helpers(monkeypatch, 0)
-        alone = report_without_helpers(spec)
-        helpers(monkeypatch, 3)
-        own = caller_waits_for(monkeypatch, scripted_helper(monkeypatch, tmp_path))
+        def init(h, *args):
+            real_init(h, *args)
+            pipes[h.pid] = {pipe_of(h.requests), pipe_of(h.replies)}
+
+        def answer(*args):
+            fds = os.listdir("/proc/self/fd")
+            named = {os.readlink(f"/proc/self/fd/{fd}") for fd in fds
+                     if os.path.exists(f"/proc/self/fd/{fd}")}
+            (held / str(os.getpid())).write_text("\n".join(sorted(named)))
+            real_answer(*args)
+
+        statuses = []
+
+        def stop(h):
+            # each exits on the end of its own input, and with code 0
+            deadline = time.monotonic() + 30
+            while (pid_status := os.waitpid(h.pid, os.WNOHANG))[0] == 0:
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            statuses.append(pid_status[1])
+            real_stop(h)
+
+        monkeypatch.setattr(fanout._Helper, "__init__", init)
+        monkeypatch.setattr(fanout, "_answer", answer)
+        monkeypatch.setattr(fanout._Helper, "stop", stop)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            shared = runtime.evaluate_personalized(trained_run(spec), 2, spec.dataset)
+            shared = runtime.evaluate_personalized(trained_run(spec), 2)
         finally:
             sys.setswitchinterval(interval)
+        assert os.getpid() == caller
         assert shared == alone
         assert len(own) < len(alone.per_client)
+        assert statuses == [0, 0]
+        assert len(pipes) == 2
+        for pid, mine in pipes.items():
+            named = set((held / str(pid)).read_text().split("\n"))
+            assert mine <= named  # its own pipes, seen from its side
+            for other, theirs in pipes.items():
+                if other != pid:
+                    assert not theirs & named, f"helper {pid} holds {other}'s pipes"
+
+    def test_failed_fork_leaves_the_work_to_the_caller(self, tmp_path, monkeypatch):
+        spec = small_spec(tmp_path)
+        alone = report_without_helpers(spec, monkeypatch)
+        helpers(monkeypatch, 1)
+        fds = len(os.listdir("/proc/self/fd"))
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert runtime.evaluate_personalized(trained_run(spec), 2) == alone
+        assert len(os.listdir("/proc/self/fd")) == fds  # its pipes closed
+
+
+def _refuse_to_unpickle():
+    raise RuntimeError("unreadable reply")
+
+
+class Unreadable:
+    def __reduce__(self):
+        return _refuse_to_unpickle, ()
 
 
 def test_work_hands_out_each_client_once_under_contention():
@@ -304,9 +324,8 @@ def test_work_hands_out_each_client_once_under_contention():
 
 
 def test_without_openblas_the_caller_runs_every_client(tmp_path, monkeypatch):
-    spec = container_spec(tmp_path)
-    helpers(monkeypatch, 0)
-    alone = report_without_helpers(spec)
+    spec = small_spec(tmp_path)
+    alone = report_without_helpers(spec, monkeypatch)
 
     def never(*_):
         raise AssertionError("no helper may start without the BLAS thread control")
@@ -314,18 +333,21 @@ def test_without_openblas_the_caller_runs_every_client(tmp_path, monkeypatch):
     monkeypatch.setattr(fanout, "_openblas", lambda: None)
     monkeypatch.setattr(fanout, "helper_count", never)
     assert fanout.blas_threads(1) is None
-    assert runtime.evaluate_personalized(trained_run(spec), 2, spec.dataset) == alone
+    assert runtime.evaluate_personalized(trained_run(spec), 2) == alone
 
 
 def test_small_runs_start_no_helper(tmp_path, monkeypatch):
-    spec = container_spec(tmp_path)
-    monkeypatch.setattr(subprocess, "Popen", None)  # starting one would fail
-    run = trained_run(spec)
-    runtime.evaluate_personalized(run, 2, spec.dataset)
+    run = trained_run(small_spec(tmp_path))
+
+    def fork():
+        raise AssertionError("a small run started a helper")
+
+    monkeypatch.setattr(os, "fork", fork)
+    runtime.evaluate_personalized(run, 2)
 
 
 @pytest.mark.parametrize("remaining_s,start_s,cpus,expected", [
-    (0.5, 1.0, 8, 0), (1.0, 1.0, 8, 0), (2.0, 1.0, 8, 3), (2.0, 1.0, 2, 1),
+    (0.5, 1.0, 8, 0), (1.0, 1.0, 8, 0), (2.0, 1.0, 8, 1), (2.0, 1.0, 2, 1),
     (2.0, 1.0, 1, 0),
 ])
 def test_helper_count(monkeypatch, remaining_s, start_s, cpus, expected):
@@ -333,14 +355,14 @@ def test_helper_count(monkeypatch, remaining_s, start_s, cpus, expected):
     assert fanout.helper_count(remaining_s, start_s) == expected
 
 
-def test_data_digest_sees_one_bit():
-    ds = data.LabeledDataset(np.full((3, 2), 0.5), np.array([0, 1, 1]), 2)
-    flipped = ds.inputs.copy()
-    flipped[2, 1] = np.nextafter(0.5, 1.0)
-    other = data.LabeledDataset(flipped, ds.labels, 2)
-    assert fanout.data_digest(ds) != fanout.data_digest(other)
-    relabeled = data.LabeledDataset(ds.inputs, np.array([0, 1, 0]), 2)
-    assert fanout.data_digest(ds) != fanout.data_digest(relabeled)
-    # wrap-around: words that sum past 2**64 still compare
-    ones = data.LabeledDataset(np.ones((4, 4)), np.zeros(4, dtype=np.int64), 1)
-    assert fanout.data_digest(ones)[1] == (16 * 0x3FF0000000000000) % 2**64
+def test_no_helper_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert fanout.helper_count(2.0, 1.0) == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert fanout.helper_count(2.0, 1.0) == 0
+    finally:
+        release.set()
+        other.join()
