@@ -6,24 +6,26 @@ in the calling process and in each helper, so a client's accuracy does not
 depend on which process computed it or on the caller's thread count; the
 caller's count is restored afterwards.
 
-The caller personalizes the clients longest first. After its first (the
-largest) client it estimates the work left, and starts helpers only if
-that work outlasts a helper's start-up and no other thread runs; small
-runs start none. There is one helper per spare CPU, at most MAX_HELPERS.
-A helper is a fork of the caller, made before the caller starts the
-threads that feed the helpers:
-it shares the train set, strategy state and clients copy-on-write (nothing
-writes the read-only train arrays, so they are not copied), inherits the
-one-thread BLAS setting, and never re-runs the caller's script as a spawned
-interpreter would. It takes client ids one at a time over a pipe and
-answers each with an accuracy over another.
+The caller personalizes the largest client first. From its time it
+estimates the work left, and starts helpers only if that work outlasts a
+helper's start-up and no other thread runs; small runs start none. There
+is one helper per spare CPU, at most MAX_HELPERS, in a ProcessPoolExecutor
+whose helpers are forks of the caller, made before the executor starts its
+own threads. A helper shares the train set, strategy state and clients
+copy-on-write (nothing writes the read-only train arrays, so they are not
+copied), inherits the one-thread BLAS setting, and never re-runs the
+caller's script as a spawned interpreter would.
 
-A helper that dies or sends what cannot be read hands its unfinished
-client back to the caller. An exception raised by a client's own
-personalization, in a helper or in the caller, is re-raised in the caller
-with its type and message and a note naming the client. No helper outlives
-the pass. Where numpy's bundled OpenBLAS or /proc/self/maps is missing,
-the pass runs every client in the caller at its thread count.
+The rest of the clients are submitted so that both ends hold the longest:
+the helpers take them from the front while the caller takes, from the
+back, each one whose future it can still cancel, so no client runs twice
+and the two meet at the shortest. A helper that dies or sends what
+cannot be read breaks the pool and hands its unfinished clients back to the
+caller. An exception raised by a client's own personalization, in a helper
+or in the caller, is re-raised in the caller with a note naming the client.
+No helper outlives the pass. Where numpy's bundled OpenBLAS or
+/proc/self/maps is missing, the pass runs every client in the caller at its
+thread count.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import multiprocessing
 import os
-import pickle
 import signal
-import sys
 import threading
 import time
 import traceback
-from collections import deque
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 from . import nn
 from .rng import stream
@@ -107,8 +108,7 @@ def _own_accuracy(run, cl, epochs: int) -> float:
     try:
         return client_accuracy(run, cl, epochs)
     except Exception as e:
-        _named(e, cl.client_id)
-        raise
+        raise _named(e, cl.client_id)
 
 
 def helper_count(remaining_s: float, start_s: float) -> int:
@@ -124,117 +124,62 @@ def helper_count(remaining_s: float, start_s: float) -> int:
     return min(cpus - 1, MAX_HELPERS)
 
 
-def _send(f, obj) -> None:
-    # pickled whole first, so an object that fails to pickle sends nothing
-    f.write(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    f.flush()
+def _adopt(run) -> None:
+    """A helper's initializer. Fork hands it the caller's run without
+    pickling it; it keeps the run as _forked, a name the caller never has."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)  # ^C ends a helper quietly
+    global _forked
+    _forked = run
 
 
-class _Work:
-    """The clients not yet taken, longest first, and what became of the rest."""
-
-    def __init__(self, clients):
-        self.todo = deque(
-            sorted(clients, key=lambda c: (-c.train_indices.size, c.client_id))
-        )
-        self.accs: dict[int, float] = {}
-        self.raised: tuple | None = None  # (client id, exception, helper traceback)
-        self.lock = threading.Lock()
-
-    def take(self):
-        with self.lock:
-            if self.todo and self.raised is None:
-                return self.todo.popleft()
-            return None
-
-    def give_back(self, cl) -> None:
-        with self.lock:
-            self.todo.appendleft(cl)
+def _in_helper(cl, epochs: int) -> float:
+    return client_accuracy(_forked, cl, epochs)
 
 
-def _answer(run, by_id: dict, epochs: int, requests, replies) -> None:
-    """A helper's life: answer client ids until the requests end."""
-    while True:
-        try:
-            cid = pickle.load(requests)
-        except EOFError:
-            return
-        try:
-            reply = ("acc", client_accuracy(run, by_id[cid], epochs))
-        except Exception as e:
-            reply = ("raised", e, traceback.format_exc())
-        _send(replies, reply)
+def _shared(run, clients, epochs: int, n: int) -> dict[int, float]:
+    """The accuracies that n helpers and the caller computed.
 
-
-class _Helper:
-    """One forked helper process and the caller thread that feeds it clients."""
-
-    def __init__(self, work: _Work, run, by_id: dict, epochs: int, others: list):
-        self.work = work
-        req_r, req_w = os.pipe()
-        rep_r, rep_w = os.pipe()
-        sys.stdout.flush()  # or the helper could write the caller's buffer again
-        sys.stderr.flush()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (req_r, req_w, rep_r, rep_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
+    The helpers take clients from the front; the caller takes from the back
+    each one whose future it can still cancel. The first future it cannot
+    cancel is the helpers' frontier, as every earlier one is running or
+    done, and from there it reads their results. A broken pool's clients
+    are left out, for the caller to finish.
+    """
+    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(run,))
+    submitted, accs, broken = [], {}, None
+    try:
+        with contextlib.suppress(OSError, BrokenProcessPool):  # no helper to be had
+            # every other client from the front, the rest back to front: both
+            # ends take the longest first and meet at the shortest
+            for cl in clients[::2] + clients[1::2][::-1]:
+                submitted.append((cl, pool.submit(_in_helper, cl, epochs)))
+        for cl, fut in reversed(submitted):
+            if fut.cancel():
+                accs[cl.client_id] = _own_accuracy(run, cl, epochs)
+                continue
             try:
-                signal.signal(signal.SIGINT, signal.SIG_DFL)  # ^C ends it quietly
-                os.close(req_w)
-                os.close(rep_r)
-                for h in others:  # so each helper alone holds its own pipes
-                    h.requests.close()
-                    h.replies.close()
-                with os.fdopen(req_r, "rb") as requests, os.fdopen(rep_w, "wb") as replies:
-                    _answer(run, by_id, epochs, requests, replies)
-                code = 0
-            except BaseException:
-                traceback.print_exc()
-            finally:
-                os._exit(code)  # never back into the caller's stack
-        os.close(req_r)
-        os.close(rep_w)
-        self.requests = os.fdopen(req_w, "wb")
-        self.replies = os.fdopen(rep_r, "rb")
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-
-    def _serve(self) -> None:
-        cl = None
-        try:
-            while (cl := self.work.take()) is not None:
-                _send(self.requests, cl.client_id)
-                kind, *value = pickle.load(self.replies)
-                if kind == "acc":
-                    self.work.accs[cl.client_id] = value[0]
-                else:
-                    with self.work.lock:
-                        self.work.raised = (cl.client_id, *value)
-                cl = None
-        except (EOFError, OSError):
-            pass  # it died; a helper reports its own failure on its stderr
-        except Exception:  # a reply that does not unpickle
-            traceback.print_exc()
-        finally:
-            if cl is not None:
-                self.work.give_back(cl)
-            with contextlib.suppress(OSError):
-                self.requests.close()  # end of input: the helper exits
-
-    def stop(self) -> None:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(self.pid, signal.SIGKILL)  # a no-op on one that has exited
-        with contextlib.suppress(ChildProcessError):  # reaped elsewhere
-            os.waitpid(self.pid, 0)
-        if self.thread.ident is not None:
-            self.thread.join()
-        with contextlib.suppress(OSError):
-            self.requests.close()
-        self.replies.close()
+                accs[cl.client_id] = fut.result()
+            except BrokenProcessPool as e:  # a helper died or sent what cannot be read
+                if e is not broken:
+                    traceback.print_exception(e)
+                    broken = e
+            except Exception as e:  # the note carries the helper's traceback
+                raise _named(e, cl.client_id, f", in a helper process:{e.__cause__}") from None
+    finally:
+        processes, queue = pool._processes, pool._call_queue
+        pool.shutdown(cancel_futures=True)
+        # When the pool breaks while a future cancelled above is still
+        # queued, Python 3.11's executor thread (seen in 3.11.2 and 3.11.7)
+        # raises InvalidStateError on that future before it ends the helpers
+        # and the call queue's feeder thread; end them here, a no-op where
+        # the executor did.
+        for p in processes.values():
+            p.kill()
+            p.join()
+        queue.close()
+        queue.join_thread()
+    return accs
 
 
 def personalize(run, clients, epochs: int) -> dict[int, float]:
@@ -243,36 +188,18 @@ def personalize(run, clients, epochs: int) -> dict[int, float]:
     run supplies the strategy, its state, arch, config and train set.
     """
     before = blas_threads(1)
-    if before is None:
-        return {cl.client_id: _own_accuracy(run, cl, epochs) for cl in clients}
-    work = _Work(clients)
-    helpers: list[_Helper] = []
+    first, *rest = sorted(clients, key=lambda c: (-c.train_indices.size, c.client_id))
     try:
-        first = work.take()
         started = time.perf_counter()
-        work.accs[first.client_id] = _own_accuracy(run, first, epochs)
-        if work.todo:
+        accs = {first.client_id: _own_accuracy(run, first, epochs)}
+        if before is not None:  # helpers only where their BLAS threads can be pinned
             # the first client is the largest: scale its time by the rows left
-            rows = sum(c.train_indices.size for c in work.todo)
+            rows = sum(c.train_indices.size for c in rest)
             remaining_s = (time.perf_counter() - started) * rows / first.train_indices.size
-            by_id = {cl.client_id: cl for cl in clients}
-            with contextlib.suppress(OSError):  # no process to be had
-                for _ in range(min(helper_count(remaining_s, START_S), len(work.todo))):
-                    helpers.append(_Helper(work, run, by_id, epochs, helpers))
-            for h in helpers:  # every fork is made before the first thread
-                h.thread.start()
-        while True:
-            while (cl := work.take()) is not None:
-                work.accs[cl.client_id] = _own_accuracy(run, cl, epochs)
-            for h in helpers:  # a helper that fails hands its client back
-                h.thread.join()
-            if work.raised is not None or not work.todo:
-                break
+            if n := min(helper_count(remaining_s, START_S), len(rest)):
+                accs |= _shared(run, rest, epochs, n)
+        accs |= {cl.client_id: _own_accuracy(run, cl, epochs)  # what no helper finished
+                 for cl in rest if cl.client_id not in accs}
     finally:
-        for h in helpers:
-            h.stop()
         blas_threads(before)
-    if work.raised is not None:
-        cid, exc, tb = work.raised
-        raise _named(exc, cid, f", in a helper process:\n{tb}")
-    return work.accs
+    return accs

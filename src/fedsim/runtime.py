@@ -21,6 +21,10 @@ from .rng import stream
 from .strategies import STRATEGIES, ClientResult, Strategy
 
 LR_SCHEDULES = ("constant_decay", "theory")
+# test rows per global_predict call in evaluate_global; each chunk's
+# stream(seed, "eval", round, lo) is keyed by its first row lo, so another
+# size changes the NIW strategy's draws and its accuracy's bits
+EVAL_CHUNK = 2048
 
 
 class ConfigError(ValueError):
@@ -39,11 +43,6 @@ class ClientUpdateError(RuntimeError):
         self.cause = cause
 
 
-def default_rounds(local_epochs: int) -> int:
-    """Round budget rule floor(320 / tau)."""
-    return 320 // local_epochs
-
-
 # each choice field's valid values, kept by the module that interprets them
 _CHOICES = {
     "strategy": STRATEGIES,
@@ -57,7 +56,7 @@ class FederatedConfig:
     n_clients: int = 100  # reference protocol client count
     participation: float = 1.0  # f
     local_epochs: int = 1  # tau
-    rounds: int | None = None  # default floor(320/tau)
+    rounds: int | None = None  # None: the round budget rule floor(320 / tau)
     strategy: str = "fedavg"
     p_keep: float = 1.0 - 0.001
     epsilon: float = 1e-4
@@ -91,7 +90,7 @@ class FederatedConfig:
         if self.n_clients > sys.float_info.max:
             raise ConfigError(f"n_clients must fit in a float, got {self.n_clients}")
         if self.rounds is None:
-            object.__setattr__(self, "rounds", default_rounds(self.local_epochs))
+            object.__setattr__(self, "rounds", 320 // self.local_epochs)
         if self.strategy == "fedbabu" and not self.body_update:
             object.__setattr__(self, "body_update", True)
         if not 0.0 < self.participation <= 1.0:
@@ -255,16 +254,16 @@ def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
     return record
 
 
-def evaluate_global(run: RunState, chunk: int = 2048) -> float:
+def evaluate_global(run: RunState) -> float:
     """Top-1 accuracy of the strategy's global predictive distribution."""
     ds = run.test_ds
     correct = 0
-    for lo in range(0, len(ds), chunk):
-        x = ds.inputs[lo : lo + chunk]
+    for lo in range(0, len(ds), EVAL_CHUNK):
+        x = ds.inputs[lo : lo + EVAL_CHUNK]
         rng = stream(run.config.seed, "eval", run.round_index, lo)
         probs = run.strategy.global_predict(run.strategy_state, x, run.arch,
                                             run.config, rng)
-        correct += int((probs.argmax(axis=1) == ds.labels[lo : lo + chunk]).sum())
+        correct += int((probs.argmax(axis=1) == ds.labels[lo : lo + EVAL_CHUNK]).sum())
     return correct / len(ds)
 
 
