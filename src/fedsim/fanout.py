@@ -23,7 +23,8 @@ and the two meet at the shortest. A helper that dies or sends what
 cannot be read breaks the pool and hands its unfinished clients back to the
 caller. An exception raised by a client's own personalization, in a helper
 or in the caller, is re-raised in the caller with a note naming the client.
-No helper outlives the pass. Where numpy's bundled OpenBLAS or
+No helper outlives the pass; a fork that fails leaves every client to the
+caller and no descriptor open. Where numpy's bundled OpenBLAS or
 /proc/self/maps is missing, the pass runs every client in the caller at its
 thread count.
 """
@@ -33,13 +34,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import multiprocessing
 import os
 import signal
 import threading
 import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from multiprocessing import context, popen_fork, util
 
 from . import nn
 from .rng import stream
@@ -117,11 +118,8 @@ def helper_count(remaining_s: float, start_s: float) -> int:
     holds), else one per spare CPU up to MAX_HELPERS."""
     if remaining_s <= start_s or threading.active_count() > 1:
         return 0
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus - 1, MAX_HELPERS)
+    # Linux only, as is /proc/self/maps, without which no helper starts
+    return min(len(os.sched_getaffinity(0)) - 1, MAX_HELPERS)
 
 
 def _adopt(run) -> None:
@@ -136,6 +134,35 @@ def _in_helper(cl, epochs: int) -> float:
     return client_accuracy(_forked, cl, epochs)
 
 
+class _ForkPopen(popen_fork.Popen):
+    """CPython's fork Popen, except that a fork that raises closes the two
+    pipes made for the child: popen_fork.Popen._launch leaves them open
+    (seen in 3.11), four descriptors lost per pass that cannot fork."""
+
+    def _launch(self, process_obj):
+        parent_r, child_w = os.pipe()
+        child_r, parent_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            util.close_fds(parent_r, child_w, child_r, parent_w)
+            raise
+        if self.pid == 0:
+            try:  # the helper never returns into the caller's code
+                util.close_fds(parent_r, parent_w)
+                os._exit(process_obj._bootstrap(parent_sentinel=child_r))
+            finally:
+                os._exit(1)
+        util.close_fds(child_w, child_r)
+        self.finalizer = util.Finalize(self, util.close_fds, (parent_r, parent_w))
+        self.sentinel = parent_r
+
+
+class _Fork(context.ForkContext):
+    class Process(context.ForkProcess):
+        _Popen = staticmethod(_ForkPopen)
+
+
 def _shared(run, clients, epochs: int, n: int) -> dict[int, float]:
     """The accuracies that n helpers and the caller computed.
 
@@ -145,8 +172,7 @@ def _shared(run, clients, epochs: int, n: int) -> dict[int, float]:
     done, and from there it reads their results. A broken pool's clients
     are left out, for the caller to finish.
     """
-    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt, initargs=(run,))
+    pool = ProcessPoolExecutor(n, mp_context=_Fork(), initializer=_adopt, initargs=(run,))
     submitted, accs, broken = [], {}, None
     try:
         with contextlib.suppress(OSError, BrokenProcessPool):  # no helper to be had
@@ -171,12 +197,14 @@ def _shared(run, clients, epochs: int, n: int) -> dict[int, float]:
         pool.shutdown(cancel_futures=True)
         # When the pool breaks while a future cancelled above is still
         # queued, Python 3.11's executor thread (seen in 3.11.2 and 3.11.7)
-        # raises InvalidStateError on that future before it ends the helpers
-        # and the call queue's feeder thread; end them here, a no-op where
-        # the executor did.
+        # raises InvalidStateError on that future in terminate_broken, before
+        # it ends the helpers and the call queue's feeder thread; end them
+        # here, a no-op where the executor did. Delete this once the oldest
+        # Python supported skips cancelled futures there.
         for p in processes.values():
             p.kill()
             p.join()
+        queue._reader.close()  # a feeder blocked on a dead helper's pipe gets EPIPE
         queue.close()
         queue.join_thread()
     return accs
