@@ -16,22 +16,21 @@ copy-on-write (nothing writes the read-only train arrays, so they are not
 copied), inherits the one-thread BLAS setting, and never re-runs the
 caller's script as a spawned interpreter would.
 
-The rest of the clients are submitted so that both ends hold the longest:
-the helpers take them from the front while the caller takes, from the
-back, each one whose future it can still cancel, so no client runs twice
-and the two meet at the shortest. A helper that dies or sends what
-cannot be read breaks the pool and hands its unfinished clients back to the
-caller. An exception raised by a client's own personalization, in a helper
-or in the caller, is re-raised in the caller with a note naming the client.
-No helper outlives the pass; a fork that fails leaves every client to the
-caller and no descriptor open. Where numpy's bundled OpenBLAS or
-/proc/self/maps is missing, the pass runs every client in the caller at its
-thread count.
+The caller and the helpers then take the rest one client at a time from
+the front, longest first: a helper is handed its next client only when its
+last one is done, so no client waits queued behind a running one, a slow
+helper's share falls to the caller, and the processes end within one client
+of each other. A helper that dies or sends what cannot be read breaks the
+pool and hands its unfinished client back to the caller. An exception
+raised by a client's own personalization, in a helper or in the caller, is
+re-raised in the caller with a note naming the client. No helper outlives
+the pass; a fork that fails leaves every client to the caller and no
+descriptor open. Where numpy's bundled OpenBLAS or /proc/self/maps is
+missing, the pass runs every client in the caller at its thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -39,6 +38,7 @@ import signal
 import threading
 import time
 import traceback
+from collections import deque
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from multiprocessing import context, popen_fork, util
 
@@ -166,47 +166,48 @@ class _Fork(context.ForkContext):
 def _shared(run, clients, epochs: int, n: int) -> dict[int, float]:
     """The accuracies that n helpers and the caller computed.
 
-    The helpers take clients from the front; the caller takes from the back
-    each one whose future it can still cancel. The first future it cannot
-    cancel is the helpers' frontier, as every earlier one is running or
-    done, and from there it reads their results. A broken pool's clients
-    are left out, for the caller to finish.
+    The caller and the helpers take the clients one at a time from the
+    front, longest first. A helper is handed its next client by a callback
+    in the executor's thread when its last one is done, so none waits
+    queued behind a running one and the processes end within one client of
+    each other. After a broken pool the rest are left out, for the caller
+    to finish.
     """
     pool = ProcessPoolExecutor(n, mp_context=_Fork(), initializer=_adopt, initargs=(run,))
-    submitted, accs, broken = [], {}, None
+    left, handed, accs = deque(clients), [], {}
+    lock = threading.Lock()
+
+    def hand_out(done=None):
+        with lock:
+            if done is not None and done.exception() is not None:
+                left.clear()  # a broken pool or a client's error ends the hand-out
+            if not left:
+                return
+            try:
+                fut = pool.submit(_in_helper, left[0], epochs)
+            except (OSError, RuntimeError):  # no helper to be had, or the pool broke or shut down
+                return
+            handed.append((left.popleft(), fut))
+        fut.add_done_callback(hand_out)  # at once, in this thread, if already done
+
     try:
-        with contextlib.suppress(OSError, BrokenProcessPool):  # no helper to be had
-            # every other client from the front, the rest back to front: both
-            # ends take the longest first and meet at the shortest
-            for cl in clients[::2] + clients[1::2][::-1]:
-                submitted.append((cl, pool.submit(_in_helper, cl, epochs)))
-        for cl, fut in reversed(submitted):
-            if fut.cancel():
-                accs[cl.client_id] = _own_accuracy(run, cl, epochs)
-                continue
+        for _ in range(n):
+            hand_out()
+        while True:
+            with lock:  # once none is left, no helper is handed more
+                if not left:
+                    break
+                cl = left.popleft()
+            accs[cl.client_id] = _own_accuracy(run, cl, epochs)
+        for cl, fut in handed:
             try:
                 accs[cl.client_id] = fut.result()
             except BrokenProcessPool as e:  # a helper died or sent what cannot be read
-                if e is not broken:
-                    traceback.print_exception(e)
-                    broken = e
+                traceback.print_exception(e)  # once per helper: each held one client
             except Exception as e:  # the note carries the helper's traceback
                 raise _named(e, cl.client_id, f", in a helper process:{e.__cause__}") from None
     finally:
-        processes, queue = pool._processes, pool._call_queue
-        pool.shutdown(cancel_futures=True)
-        # When the pool breaks while a future cancelled above is still
-        # queued, Python 3.11's executor thread (seen in 3.11.2 and 3.11.7)
-        # raises InvalidStateError on that future in terminate_broken, before
-        # it ends the helpers and the call queue's feeder thread; end them
-        # here, a no-op where the executor did. Delete this once the oldest
-        # Python supported skips cancelled futures there.
-        for p in processes.values():
-            p.kill()
-            p.join()
-        queue._reader.close()  # a feeder blocked on a dead helper's pipe gets EPIPE
-        queue.close()
-        queue.join_thread()
+        pool.shutdown()  # on an error, the helpers finish only what they hold
     return accs
 
 
