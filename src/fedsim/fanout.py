@@ -1,4 +1,12 @@
-"""The personalization pass, spread over forked helper processes.
+"""Work spread over every core at one BLAS thread: the personalization
+pass over forked helper processes, and `on_threads` for helper threads.
+
+Both count their workers by one rule, `workers()`: the caller plus one
+helper per spare CPU in the process's affinity set, at most MAX_HELPERS.
+`on_threads`, which the NIW strategy's global eval runs on, pins OpenBLAS
+to one thread, calls a work function in the caller and in the helper
+threads at once, joins them and re-raises a helper's exception in the
+caller; where numpy's bundled OpenBLAS is missing the caller works alone.
 
 Every client's personalization is independent of the others, so the pass
 runs them on every core. The whole pass runs with OpenBLAS at one thread,
@@ -112,14 +120,58 @@ def _own_accuracy(run, cl, epochs: int) -> float:
         raise _named(e, cl.client_id)
 
 
+def workers() -> int:
+    """The caller plus one helper per spare CPU, at most MAX_HELPERS: the
+    processes or threads worth running at once."""
+    # Linux only, as is /proc/self/maps, without which no helper starts
+    return 1 + min(len(os.sched_getaffinity(0)) - 1, MAX_HELPERS)
+
+
 def helper_count(remaining_s: float, start_s: float) -> int:
     """Helpers worth starting: none unless the work left outlasts one's
     start-up and no other thread runs (a fork would copy any lock it
-    holds), else one per spare CPU up to MAX_HELPERS."""
+    holds), else workers() - 1."""
     if remaining_s <= start_s or threading.active_count() > 1:
         return 0
-    # Linux only, as is /proc/self/maps, without which no helper starts
-    return min(len(os.sched_getaffinity(0)) - 1, MAX_HELPERS)
+    return workers() - 1
+
+
+def on_threads(work) -> None:
+    """Call work() in the caller and, at the same time, in workers() - 1
+    helper threads, with OpenBLAS at one thread; the caller's count is
+    restored afterwards.
+
+    work() takes its units from a list it shares with its other calls and
+    returns when none is left. Every helper is joined before this returns
+    or raises, and an exception raised in one is re-raised in the caller.
+    Where numpy's bundled OpenBLAS is missing, work() runs in the caller
+    alone at its thread count.
+    """
+    before = blas_threads(1)
+    raised = []
+
+    def helper():
+        try:
+            work()
+        except BaseException as e:
+            raised.append(e)
+
+    started = []
+    try:
+        for _ in range(workers() - 1 if before is not None else 0):
+            t = threading.Thread(target=helper, name="fedsim-helper")
+            try:
+                t.start()
+            except RuntimeError:  # no thread to be had: the others do the work
+                break
+            started.append(t)
+        work()
+    finally:
+        for t in started:
+            t.join()
+        blas_threads(before)
+    if raised:
+        raise raised[0]
 
 
 def _adopt(run) -> None:

@@ -21,9 +21,9 @@ from .rng import stream
 from .strategies import STRATEGIES, ClientResult, Strategy
 
 LR_SCHEDULES = ("constant_decay", "theory")
-# test rows per global_predict call in evaluate_global; each chunk's
-# stream(seed, "eval", round, lo) is keyed by its first row lo, so another
-# size changes the NIW strategy's draws and its accuracy's bits
+# test rows per chunk that evaluate_global hands to global_predict; each
+# chunk's stream(seed, "eval", round, lo) is keyed by its first row lo, so
+# another size changes the NIW strategy's draws and its accuracy's bits
 EVAL_CHUNK = 2048
 
 
@@ -257,13 +257,12 @@ def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
 def evaluate_global(run: RunState) -> float:
     """Top-1 accuracy of the strategy's global predictive distribution."""
     ds = run.test_ds
-    correct = 0
-    for lo in range(0, len(ds), EVAL_CHUNK):
-        x = ds.inputs[lo : lo + EVAL_CHUNK]
-        rng = stream(run.config.seed, "eval", run.round_index, lo)
-        probs = run.strategy.global_predict(run.strategy_state, x, run.arch,
-                                            run.config, rng)
-        correct += int((probs.argmax(axis=1) == ds.labels[lo : lo + EVAL_CHUNK]).sum())
+    starts = range(0, len(ds), EVAL_CHUNK)
+    chunks = [(lo, ds.inputs[lo : lo + EVAL_CHUNK],
+               stream(run.config.seed, "eval", run.round_index, lo)) for lo in starts]
+    probs = run.strategy.global_predict(run.strategy_state, chunks, run.arch, run.config)
+    correct = sum(int((p.argmax(axis=1) == ds.labels[lo : lo + EVAL_CHUNK]).sum())
+                  for lo, p in zip(starts, probs))
     return correct / len(ds)
 
 

@@ -79,7 +79,8 @@ class Strategy:
         """
         raise NotImplementedError
 
-    def global_predict(self, state, x, arch, config, rng) -> np.ndarray:
+    def global_predict(self, state, chunks, arch, config) -> list[np.ndarray]:
+        """Class probabilities of each (first row, x, rng) chunk of the test set."""
         raise NotImplementedError
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng) -> np.ndarray:
@@ -113,8 +114,8 @@ class FedAvgStrategy(Strategy):
     def restore_heads(self, new_state, prev_state, arch):
         return _restore_slice(new_state, prev_state, nn.head_span(arch))
 
-    def global_predict(self, state, x, arch, config, rng):
-        return nn.softmax(nn.forward(state, arch, x))
+    def global_predict(self, state, chunks, arch, config):
+        return [nn.softmax(nn.forward(state, arch, x)) for _, x, _ in chunks]
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         m, _ = optim.local_train(
@@ -167,8 +168,8 @@ class NiwStrategy(Strategy):
         m0 = _restore_slice(new_state.m0, prev_state.m0, nn.head_span(arch))
         return replace(new_state, m0=m0)
 
-    def global_predict(self, state, x, arch, config, rng):
-        return niw.niw_global_predict(x, state, arch, config.sample_count, rng)
+    def global_predict(self, state, chunks, arch, config):
+        return niw.niw_global_predict(chunks, state, arch, config.sample_count)
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         return niw.niw_personalize(inputs, labels, state, arch, config, epochs, rng)
@@ -232,8 +233,8 @@ class MixtureStrategy(Strategy):
         gating = _restore_slice(new_state.gating, prev_state.gating, gkeep)
         return replace(new_state, prototypes=protos, gating=gating)
 
-    def global_predict(self, state, x, arch, config, rng):
-        return mixture.mix_global_predict(x, state, arch)
+    def global_predict(self, state, chunks, arch, config):
+        return [mixture.mix_global_predict(x, state, arch) for _, x, _ in chunks]
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         return mixture.mix_personalize(inputs, labels, state, arch, config, epochs, rng)

@@ -4,7 +4,8 @@ Helpers are forced on or off by replacing `fanout.helper_count`. A helper
 is a fork of the test process, so it sees the test's monkeypatches; a
 replaced `fanout.client_accuracy` tells the two apart by process id. Where
 a test needs a helper to take a client, the calling process waits, after
-its first client, until a helper has touched a file.
+its first client, until a helper has touched a file. The helper threads
+of `on_threads` are tested through the NIW eval, in test_niw.py.
 """
 
 import collections
@@ -493,3 +494,15 @@ def test_no_helper_while_another_thread_runs(monkeypatch):
     finally:
         release.set()
         other.join()
+
+
+def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(monkeypatch):
+    monkeypatch.setattr(fanout, "workers", lambda: 2)
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    ran_in = []
+    fanout.on_threads(lambda: ran_in.append(threading.get_ident()))
+    assert ran_in == [threading.get_ident()]

@@ -2,16 +2,22 @@
 prediction, personalization. The server update is checked against an
 independent gradient-descent oracle on the explicit objective."""
 
+import os
+import re
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedsim import nn, niw
+from fedsim import fanout, nn, niw
 from fedsim.optim import local_train, prox_objective, total_loss_and_grad
 from fedsim.rng import stream
 from fedsim.runtime import FederatedConfig
 
+from test_fanout import needs_openblas, within
 from test_nn import central_diff_grad, make_batch, rel_err
 
 
@@ -345,6 +351,12 @@ class TestSampling:
         assert corr > 0.02  # would be ~0 for independent per-coordinate t
 
 
+def predict(x, post, arch, sample_count, rng):
+    """niw_global_predict on one chunk, x, drawn from rng."""
+    (probs,) = niw.niw_global_predict([(0, x, rng)], post, arch, sample_count)
+    return probs
+
+
 class TestGlobalPredict:
     def test_zero_posterior_uniform(self):
         arch = nn.MlpArch((3, 4, 5))
@@ -352,7 +364,7 @@ class TestGlobalPredict:
         post = niw.NiwGlobalPosterior(
             m0=np.zeros(d), v0_diag=np.full(d, 1e-300), l0=5.0, n0=float(d + 49), d=d
         )
-        probs = niw.niw_global_predict(
+        probs = predict(
             np.random.default_rng(0).normal(size=(4, 3)), post, arch, 1, stream(0)
         )
         assert np.allclose(probs, 0.2, atol=1e-12)
@@ -369,14 +381,15 @@ class TestGlobalPredict:
             d=d,
         )
         x = rng.normal(size=(5, 3))
-        probs = niw.niw_global_predict(x, post, arch, 1, stream(9, "eval"))
+        probs = predict(x, post, arch, 1, stream(9, "eval"))
         theta = niw.niw_sample_global(post, stream(9, "eval"))
         batch = nn.Batch(inputs=x, labels=np.zeros(5, dtype=np.int64))
         assert np.array_equal(probs, nn.softmax(nn.forward(theta, arch, batch.inputs)))
 
-    @pytest.mark.parametrize("sample_count", [1, 4])
-    def test_in_place_draws_keep_the_bits(self, sample_count):
-        # the draws as one expression each, fresh arrays and scale every time
+    @staticmethod
+    def chunked(rows=14, size=5):
+        """A posterior and (first row, rows, stream) chunks of `size` rows,
+        the last one short."""
         arch = nn.MlpArch((3, 4, 2))
         d = nn.param_count(arch)
         rng = np.random.default_rng(10)
@@ -387,20 +400,114 @@ class TestGlobalPredict:
             n0=float(d + 49),
             d=d,
         )
-        x = rng.normal(size=(6, 3))
-        batch = nn.Batch(inputs=x, labels=np.zeros(6, dtype=np.int64))
-        draws = stream(11, "eval")
-        want = np.zeros((6, 2))
-        for _ in range(sample_count):
-            z = draws.standard_normal(d)
-            u = draws.chisquare(post.t_dof)
-            theta = post.m0 + np.sqrt(niw.predictive_scale(post)) * z * np.sqrt(
-                post.t_dof / u
-            )
-            want += nn.softmax(nn.forward(theta, arch, batch.inputs))
-        want /= sample_count
-        got = niw.niw_global_predict(x, post, arch, sample_count, stream(11, "eval"))
-        assert got.tobytes() == want.tobytes()
+        x = rng.normal(size=(rows, 3))
+        return arch, post, [
+            (lo, x[lo : lo + size], stream(11, "eval", lo)) for lo in range(0, rows, size)
+        ]
+
+    @needs_openblas
+    @pytest.mark.parametrize("sample_count", [1, 4])
+    def test_in_place_draws_keep_the_bits(self, sample_count, monkeypatch):
+        # the serial loop at one BLAS thread, the draws as one expression
+        # each, fresh arrays and scale every time
+        arch, post, chunks = self.chunked()
+        assert len(chunks) >= 3 and len(chunks[-1][1]) < len(chunks[0][1])
+        before = fanout.blas_threads(1)
+        try:
+            want = []
+            for lo, x, _ in chunks:
+                draws = stream(11, "eval", lo)
+                w = np.zeros((len(x), 2))
+                for _ in range(sample_count):
+                    z = draws.standard_normal(post.d)
+                    u = draws.chisquare(post.t_dof)
+                    theta = post.m0 + np.sqrt(niw.predictive_scale(post)) * z * np.sqrt(
+                        post.t_dof / u
+                    )
+                    w += nn.softmax(nn.forward(theta, arch, x))
+                want.append(w / sample_count)
+        finally:
+            fanout.blas_threads(before)
+        # helper threads forced on, under frequent thread switches; a
+        # forward that waits a little lets the helpers take units while the
+        # caller computes its own
+        forward, ran_in = nn.forward, set()
+
+        def slow_forward(*args):
+            ran_in.add(threading.get_ident())
+            time.sleep(0.002)
+            return forward(*args)
+
+        monkeypatch.setattr(nn, "forward", slow_forward)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (2, 4):  # 4: more threads than cores
+                monkeypatch.setattr(fanout, "workers", lambda n=threads: n)
+                ran_in.clear()
+                with within(60):
+                    got = niw.niw_global_predict(self.chunked()[2], post, arch, sample_count)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+                assert len(ran_in) > 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    @needs_openblas
+    def test_an_error_names_its_chunk_and_draw_and_leaves_nothing(self, monkeypatch):
+        arch, post, chunks = self.chunked()
+        monkeypatch.setattr(fanout, "workers", lambda: 2)
+        forward, calls, lock = nn.forward, [], threading.Lock()
+
+        def seventh_fails(*args):
+            with lock:
+                calls.append(None)
+                if len(calls) == 7:
+                    raise FloatingPointError("diverged")
+            return forward(*args)
+
+        monkeypatch.setattr(nn, "forward", seventh_fails)
+        original = fanout.blas_threads(2)
+        try:
+            threads = threading.active_count()
+            with pytest.raises(FloatingPointError) as err:
+                niw.niw_global_predict(chunks, post, arch, 4)
+            assert threading.active_count() == threads
+            assert fanout.blas_threads() == 2
+        finally:
+            fanout.blas_threads(original)
+        # the failure empties the list, so the other thread stops short of the 12 units
+        assert len(calls) < 12
+        # the 7th forward is of unit 5, 6 or 7: the second chunk's draws 1 to 3
+        (note,) = err.value.__notes__
+        assert re.fullmatch(r"raised in draw [123] of the eval chunk at test row 5", note)
+
+    @needs_openblas
+    @pytest.mark.parametrize("cpus,bundled,threads", [(1, True, 1), (8, False, 2)])
+    def test_caller_alone_on_one_cpu_or_without_openblas(
+        self, cpus, bundled, threads, monkeypatch
+    ):
+        # one CPU: the caller alone at one BLAS thread; no bundled OpenBLAS:
+        # the caller alone at the host's count, here 2
+        arch, post, chunks = self.chunked()
+        get, put = fanout._openblas()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if not bundled:
+            monkeypatch.setattr(fanout, "_openblas", lambda: None)
+        forward, seen = nn.forward, set()
+
+        def watched(*args):
+            seen.add((threading.current_thread().name, threading.active_count(), get()))
+            return forward(*args)
+
+        monkeypatch.setattr(nn, "forward", watched)
+        original = get()
+        put(2)
+        try:
+            niw.niw_global_predict(chunks, post, arch, 4)
+            assert get() == 2
+        finally:
+            put(original)
+        assert seen == {("MainThread", threading.active_count(), threads)}
 
     def test_rows_are_distributions(self):
         arch = nn.MlpArch((3, 4, 6))
@@ -413,9 +520,7 @@ class TestGlobalPredict:
             n0=float(d + 49),
             d=d,
         )
-        probs = niw.niw_global_predict(
-            rng.normal(size=(8, 3)), post, arch, 3, stream(1)
-        )
+        probs = predict(rng.normal(size=(8, 3)), post, arch, 3, stream(1))
         assert np.all(probs >= 0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -434,7 +539,7 @@ class TestGlobalPredict:
 
         def spread(s, tag):
             preds = [
-                niw.niw_global_predict(x, post, arch, s, stream(50, tag, r))[0, 0]
+                predict(x, post, arch, s, stream(50, tag, r))[0, 0]
                 for r in range(30)
             ]
             return np.var(preds)
@@ -526,7 +631,7 @@ class TestPersonalize:
                 means.append(m)
             post = niw.niw_server_update(means, post, 2, 1.0 - 0.001, 1e-4)
 
-        probs = niw.niw_global_predict(x0t, post, arch, 1, stream(5, "eval"))
+        probs = predict(x0t, post, arch, 1, stream(5, "eval"))
         global_acc = float((probs.argmax(axis=1) == y0t).mean())
         m_pers = niw.niw_personalize(
             x0, y0, post, arch, FederatedConfig(batch_size=20), 5,

@@ -5,6 +5,9 @@ matched penalties, and the K=1 mixture client against FedProx, compared
 iterate by iterate across rounds.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -330,6 +333,39 @@ class TestEvaluation:
             num_classes=ds.num_classes,
         )
         assert runtime.evaluate_global(run) == acc1
+
+    def test_niw_probabilities_independent_of_the_host_blas_threads(self):
+        # at 784-256-10 and a full 2048-row chunk OpenBLAS splits the GEMM,
+        # and 1- and 2-thread logits differ in the last bits of every row
+        script = """
+import hashlib
+import numpy as np
+from fedsim import data, nn, runtime
+from fedsim.rng import stream
+rng = stream(0, "host")
+def ds(rows):
+    return data.LabeledDataset(inputs=rng.uniform(size=(rows, 784)),
+                               labels=np.arange(rows) % 10, num_classes=10)
+train = ds(20)
+empty = np.array([], dtype=np.int64)
+part = data.Partition((np.arange(20),), (np.arange(20),), (empty,))
+config = runtime.FederatedConfig(n_clients=1, strategy="niw", sample_count=2)
+run = runtime.init_run(config, nn.MlpArch((784, 256, 10)), train, ds(2500), part)
+predict, kept = run.strategy.global_predict, []
+run.strategy.global_predict = lambda *a: kept.append(predict(*a)) or kept[-1]
+runtime.evaluate_global(run)
+print(hashlib.sha256(b"".join(p.tobytes() for p in kept[0])).hexdigest())
+"""
+        src = os.path.dirname(os.path.dirname(runtime.__file__))
+
+        def probs_sha(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        assert probs_sha(1) == probs_sha(2)
 
 
 def conflicting_pair_dataset(seed=19, per_side=100):
