@@ -378,4 +378,5 @@ def mix_personalize(
         proxy += g[j] * r
     proxy = train(proxy, optim.prox_objective(arch), 1)
     start = global_post.prototypes[nearest_prototype(proxy, global_post.prototypes)]
+    del proxy  # a d-vector the fine-tune need not hold
     return train(start, mix_objective(global_post, arch, n, majorize=False), epochs)

@@ -276,9 +276,8 @@ class PersonalizationReport:
 def evaluate_personalized(run: RunState, epochs: int) -> PersonalizationReport:
     """Fine-tune per client on its train split at config.lr; score on its test split.
 
-    `fanout.personalize` runs the clients at one BLAS thread, on forked
-    helper processes too when the work is worth it; the report is in
-    client-id order.
+    `fanout.personalize` runs the clients at one BLAS thread, on the
+    caller and its helper threads; the report is in client-id order.
     """
     clients = [cl for cl in run.clients if cl.test_indices.size]
     if not clients:

@@ -1,18 +1,15 @@
-"""The personalization pass on forked helper processes.
+"""The personalization pass on the caller and its helper threads.
 
-Helpers are forced on or off by replacing `fanout.helper_count`. A helper
-is a fork of the test process, so it sees the test's monkeypatches; a
-replaced `fanout.client_accuracy` tells the two apart by process id. Where
-a test needs a helper to take a client, the calling process waits, after
-its first client, until a helper has touched a file. The helper threads
-of `on_threads` are tested through the NIW eval, in test_niw.py.
+Helper threads are forced on or off by replacing `fanout.workers`. A
+replaced `fanout.client_accuracy` tells the caller from a helper by
+`threading.current_thread()`. The NIW eval's use of `on_threads` is tested
+in test_niw.py.
 """
 
+import ast
 import collections
 import contextlib
-import glob
 import os
-import pathlib
 import re
 import signal
 import sys
@@ -50,70 +47,16 @@ def trained_run(spec):
 
 
 def helpers(monkeypatch, n):
-    monkeypatch.setattr(fanout, "helper_count", lambda *_: n)
+    monkeypatch.setattr(fanout, "workers", lambda: 1 + n)
 
 
-def in_helpers(monkeypatch, tmp_path, body=None):
-    """Clients computed in a helper write its BLAS thread count and whether
-    ^C would end it quietly to the returned file, then run
-    body(run, cl, epochs), by default the real computation; the caller's
-    clients are left alone."""
-    caller = os.getpid()
-    took = tmp_path / "helper_took_a_client"
-    real = fanout.client_accuracy
-
-    def client_accuracy(run, cl, epochs):
-        if os.getpid() == caller:
-            return real(run, cl, epochs)
-        quiet = signal.getsignal(signal.SIGINT) is signal.SIG_DFL
-        took.write_text(f"{fanout.blas_threads()} {quiet}")
-        return (body or real)(run, cl, epochs)
-
-    monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
-    return took
-
-
-def caller_waits_for(monkeypatch, took: pathlib.Path) -> list:
-    """After its first client, the caller waits until a helper took one;
-    returns the ids of the clients the caller computed."""
-    real = fanout._own_accuracy
-    own = []
-
-    def wait_then_compute(run, cl, epochs):
-        deadline = time.monotonic() + 60
-        while own and not took.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        own.append(cl.client_id)
-        return real(run, cl, epochs)
-
-    monkeypatch.setattr(fanout, "_own_accuracy", wait_then_compute)
-    return own
+def in_caller() -> bool:
+    return threading.current_thread() is threading.main_thread()
 
 
 def report_without_helpers(spec, monkeypatch):
     helpers(monkeypatch, 0)
     return runtime.evaluate_personalized(trained_run(spec), 2)
-
-
-def child_pids() -> list[str]:
-    """The children of every thread of this process, zombies included."""
-    pids = []
-    for task in glob.glob("/proc/self/task/*/children"):
-        # a thread that ended since the glob had its children moved to another
-        with contextlib.suppress(FileNotFoundError, ProcessLookupError):
-            pids += pathlib.Path(task).read_text().split()
-    return sorted(pids)
-
-
-@contextlib.contextmanager
-def thread_exceptions():
-    """Yields the list of what escapes a thread inside the block, unprinted."""
-    raised, hook = [], threading.excepthook
-    threading.excepthook = lambda args: raised.append(type(args.exc_value))
-    try:
-        yield raised
-    finally:
-        threading.excepthook = hook
 
 
 @contextlib.contextmanager
@@ -135,75 +78,64 @@ def equal_clients(n: int):
     return [runtime.ClientState(i, np.arange(10), np.arange(1)) for i in range(n)]
 
 
+def wait_until(done) -> None:
+    deadline = time.monotonic() + 60
+    while not done() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 @needs_openblas
 class TestHelpers:
     def test_report_identical_with_and_without_a_helper(self, tmp_path, monkeypatch):
         spec = small_spec(tmp_path, "mixture")
         alone = report_without_helpers(spec, monkeypatch)
         helpers(monkeypatch, 1)
-        took = in_helpers(monkeypatch, tmp_path)
-        own = caller_waits_for(monkeypatch, took)
+        real, ran_in = fanout.client_accuracy, []
+        both = threading.Barrier(2, timeout=60)
+
+        def client_accuracy(run, cl, epochs):
+            if threading.get_ident() not in ran_in:  # each thread's first client
+                ran_in.append(threading.get_ident())
+                both.wait()  # the helper and the caller each take one
+            return real(run, cl, epochs)
+
+        monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
         run = trained_run(spec)
         shared = runtime.evaluate_personalized(run, 2)
         assert shared == alone
-        assert 1 <= len(own) < len(alone.per_client)  # the helper did the rest
-        assert took.read_text() == "1 True"
+        assert len(ran_in) == 2
         # in client-id order, though the clients ran longest first
         sizes = [cl.train_indices.size for cl in run.clients]
         assert sizes != sorted(sizes, reverse=True)
         before = fanout.blas_threads(1)
         try:
-            direct = [fanout.client_accuracy(run, cl, 2) for cl in run.clients
-                      if cl.test_indices.size]
+            direct = [real(run, cl, 2) for cl in run.clients if cl.test_indices.size]
         finally:
             fanout.blas_threads(before)
         assert shared.per_client == tuple(direct)
 
-    def test_helper_dying_mid_client_hands_it_back(self, tmp_path, monkeypatch):
-        spec = small_spec(tmp_path)
-        alone = report_without_helpers(spec, monkeypatch)
-        helpers(monkeypatch, 1)
-        took = in_helpers(monkeypatch, tmp_path, body=lambda *_: os._exit(3))
-        own = caller_waits_for(monkeypatch, took)
-        threads = threading.active_count()
-        with thread_exceptions() as raised:
-            assert runtime.evaluate_personalized(trained_run(spec), 2) == alone
-        assert raised == []  # the executor's thread ended the pool itself
-        assert len(own) == len(alone.per_client)  # the caller did the dead one's client
-        assert threading.active_count() == threads
-        assert child_pids() == []
-
-    def test_reply_that_does_not_unpickle_hands_it_back(self, tmp_path, monkeypatch, capfd):
-        spec = small_spec(tmp_path)
-        alone = report_without_helpers(spec, monkeypatch)
-        helpers(monkeypatch, 1)
-        took = in_helpers(monkeypatch, tmp_path, body=lambda *_: Unreadable())
-        own = caller_waits_for(monkeypatch, took)
-        threads = threading.active_count()
-        with thread_exceptions() as raised:
-            assert runtime.evaluate_personalized(trained_run(spec), 2) == alone
-        assert raised == []
-        assert len(own) == len(alone.per_client)
-        assert "unreadable reply" in capfd.readouterr().err
-        assert threading.active_count() == threads
-        assert child_pids() == []  # the helper that sent it lives on no longer
-
     def test_client_raising_in_a_helper_is_reraised_naming_it(self, tmp_path, monkeypatch):
         spec = small_spec(tmp_path)
         helpers(monkeypatch, 1)
+        real, own = fanout.client_accuracy, []
 
-        def fail(run, cl, epochs):
-            raise ValueError(f"no good: {cl.train_indices.size} rows")
+        def fail_in_helper(run, cl, epochs):
+            if not in_caller():
+                wait_until(lambda: own)  # the caller holds a client
+                raise ValueError(f"no good: {cl.train_indices.size} rows")
+            own.append(cl.client_id)
+            wait_until(lambda: threading.active_count() == threads)  # the helper ended
+            return real(run, cl, epochs)
 
-        own = caller_waits_for(monkeypatch, in_helpers(monkeypatch, tmp_path, fail))
+        monkeypatch.setattr(fanout, "client_accuracy", fail_in_helper)
+        threads = threading.active_count()
         with pytest.raises(ValueError) as info:
             runtime.evaluate_personalized(trained_run(spec), 2)
         assert re.fullmatch(r"no good: \d+ rows", str(info.value))
         (note,) = info.value.__notes__
-        named = int(note.split("client ")[1].split(",")[0])
-        assert named not in own
-        assert f"client {named}, in a helper process" in note
-        assert "in fail" in note  # the helper's traceback
+        named = int(re.fullmatch(r"raised in the personalization of client (\d+)", note).group(1))
+        assert len(own) == 1 and named not in own  # the hand-out stopped
+        assert threading.active_count() == threads
 
     def test_client_raising_in_the_caller_is_named(self, tmp_path, monkeypatch):
         spec = small_spec(tmp_path)
@@ -220,12 +152,13 @@ class TestHelpers:
 
     def test_blas_threads_restored_and_one_during_the_pass(self, tmp_path, monkeypatch):
         run = trained_run(small_spec(tmp_path))
-        helpers(monkeypatch, 0)
+        helpers(monkeypatch, 1)
         seen = []
         real = fanout.client_accuracy
 
         def record(run, cl, epochs):
-            seen.append(fanout.blas_threads())
+            seen.append((in_caller(), fanout.blas_threads()))
+            time.sleep(0.01)  # time enough for the helper to take a client
             return real(run, cl, epochs)
 
         monkeypatch.setattr(fanout, "client_accuracy", record)
@@ -233,7 +166,7 @@ class TestHelpers:
         try:
             runtime.evaluate_personalized(run, 2)
             assert fanout.blas_threads() == 2
-            assert set(seen) == {1}
+            assert set(seen) == {(True, 1), (False, 1)}
             monkeypatch.setattr(fanout, "client_accuracy", lambda *_: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 runtime.evaluate_personalized(run, 2)
@@ -246,257 +179,157 @@ class TestHelpers:
         helpers(monkeypatch, 0)
         alone = experiment.run_experiment(spec)["personalization"]
         helpers(monkeypatch, 1)
-        caller_waits_for(monkeypatch, in_helpers(monkeypatch, tmp_path))
-        forked = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
+        threads = threading.active_count()
         assert experiment.run_experiment(spec)["personalization"] == alone
-        assert len(forked) == 1
-        with pytest.raises(ChildProcessError):  # already reaped
-            os.waitpid(forked[0], os.WNOHANG)
-        assert child_pids() == []
-
-    def test_failed_fork_leaves_the_work_to_the_caller(self, tmp_path, monkeypatch):
-        spec = small_spec(tmp_path)
-        alone = report_without_helpers(spec, monkeypatch)
-        helpers(monkeypatch, 1)
-        fds = len(os.listdir("/proc/self/fd"))
-
-        def fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert runtime.evaluate_personalized(trained_run(spec), 2) == alone
-        assert len(os.listdir("/proc/self/fd")) == fds  # its pipes closed
-
-
-def _refuse_to_unpickle():
-    raise RuntimeError("unreadable reply")
-
-
-class Unreadable:
-    def __reduce__(self):
-        return _refuse_to_unpickle, ()
+        assert threading.active_count() == threads
 
 
 @needs_openblas
 @pytest.mark.parametrize("n", [1, 3])
-def test_each_client_is_computed_once_by_the_caller_or_a_helper(tmp_path, monkeypatch, n):
+def test_each_client_is_computed_once_by_the_caller_or_a_helper(monkeypatch, n):
     # n = 3 runs more helpers than a 2-core box has cores
     helpers(monkeypatch, n)
-    caller = os.getpid()
-    log = tmp_path / "computed"
+    computed = []  # list.append is atomic: a lost update would drop a client
 
     def client_accuracy(run, cl, epochs):
-        time.sleep(0.005)
-        with open(log, "a") as f:  # one short O_APPEND write per client
-            f.write(f"{os.getpid()} {cl.client_id}\n")
+        time.sleep(0.002)
+        computed.append((threading.get_ident(), cl.client_id))
         return cl.client_id / 100
 
     monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
     clients = equal_clients(40)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # the caller and the executor's thread interleave often
+    sys.setswitchinterval(1e-5)  # the threads interleave often
     try:
         with within(60):
             accs = fanout.personalize(None, clients, 1)
     finally:
         sys.setswitchinterval(interval)
     assert accs == {cl.client_id: cl.client_id / 100 for cl in clients}
-    computed = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(int(cid) for _, cid in computed) == list(range(40))
-    by = collections.Counter(int(pid) for pid, _ in computed)
-    assert caller in by and len(by) > 1  # the caller and a helper both took clients
-    assert max(count for pid, count in by.items() if pid != caller) > 1  # handed more than one
-    assert child_pids() == []
-
-
-def wait_for(path: pathlib.Path) -> None:
-    deadline = time.monotonic() + 60
-    while not path.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
+    assert sorted(cid for _, cid in computed) == list(range(40))
+    by = collections.Counter(ident for ident, _ in computed)
+    assert threading.get_ident() in by and len(by) > 1  # the caller and a helper
+    assert max(count for ident, count in by.items() if ident != threading.get_ident()) > 1
 
 
 @needs_openblas
-def test_helper_dying_while_its_queue_is_full_hands_back_and_ends(tmp_path, monkeypatch):
-    # Each client's indices outgrow a pipe's buffer, so the call queue's
-    # feeder thread writes a client to the helper in many pieces; when the
-    # helper dies mid-client, the pass must end, not wait on the feeder.
+def test_a_slow_helper_holds_one_client_and_the_caller_takes_the_rest(monkeypatch):
+    # A thread claims one client at a time: while the helper's first runs,
+    # the caller computes every other client
     helpers(monkeypatch, 1)
-    caller = os.getpid()
-    took, busy = tmp_path / "helper_took_a_client", tmp_path / "caller_took_another"
-    own = []
+    own, theirs = [], []
 
     def client_accuracy(run, cl, epochs):
-        if os.getpid() == caller:
+        if in_caller():
             own.append(cl.client_id)
-            if len(own) == 2:  # the first came before the pool
-                wait_for(took)
-                busy.touch()
-            return 0.5
-        took.touch()
-        wait_for(busy)
-        os._exit(3)
-
-    monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
-    clients = [runtime.ClientState(i, np.arange(100_000), np.arange(1)) for i in range(12)]
-    with within(60), thread_exceptions() as raised:
-        accs = fanout.personalize(None, clients, 1)
-    assert accs == {i: 0.5 for i in range(12)} and sorted(own) == list(range(12))
-    assert raised == []
-    assert child_pids() == []
-
-
-@needs_openblas
-def test_a_slow_helper_holds_one_client_and_the_caller_takes_the_rest(tmp_path, monkeypatch):
-    # A helper is handed one client at a time: while its first runs, none
-    # waits queued for it, so the caller computes every other client and
-    # the pass ends one client after the caller's last.
-    helpers(monkeypatch, 1)
-    caller = os.getpid()
-    done, log = tmp_path / "caller_done", tmp_path / "computed"
-
-    def client_accuracy(run, cl, epochs):
-        if os.getpid() != caller:
-            wait_for(done)
+            time.sleep(0.005)
         else:
-            time.sleep(0.02)  # time enough to queue clients for the helper
-            if cl.client_id == 9:  # the last of equal clients, in id order
-                done.touch()
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()} {cl.client_id}\n")
+            theirs.append(cl.client_id)
+            wait_until(lambda: len(own) == 9)
         return cl.client_id / 100
 
     monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
-    accs = fanout.personalize(None, equal_clients(10), 1)
+    with within(60):
+        accs = fanout.personalize(None, equal_clients(10), 1)
     assert accs == {i: i / 100 for i in range(10)}
-    computed = [line.split() for line in log.read_text().splitlines()]
-    assert [int(cid) for pid, cid in computed if int(pid) != caller] == [1]
-    assert sorted(int(cid) for pid, cid in computed if int(pid) == caller) == [0, *range(2, 10)]
+    assert len(theirs) == 1 and sorted(own + theirs) == list(range(10))
 
 
 @needs_openblas
-def test_an_error_in_a_helper_ends_the_hand_out(tmp_path, monkeypatch):
+def test_an_error_in_a_helper_ends_the_hand_out(monkeypatch):
     helpers(monkeypatch, 1)
-    caller = os.getpid()
-    log, own = tmp_path / "helper_took", []
+    theirs, own = [], []
 
     def client_accuracy(run, cl, epochs):
-        if os.getpid() != caller:
-            with open(log, "a") as f:
-                f.write(f"{cl.client_id}\n")
+        if not in_caller():
+            theirs.append(cl.client_id)
             raise ValueError(f"no good: {cl.client_id}")
         own.append(cl.client_id)
         time.sleep(0.02)
         return 0.5
 
     monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
-    with pytest.raises(ValueError, match="no good: 1"):
+    with within(60), pytest.raises(ValueError, match=r"no good: \d+"):
         fanout.personalize(None, equal_clients(40), 1)
-    assert log.read_text().split() == ["1"]  # the helper was handed no more
+    assert len(theirs) == 1  # the helper took no more
     assert len(own) < 20  # nor did the caller take the 38 left
 
 
 @needs_openblas
-def test_an_error_in_the_caller_ends_the_hand_out(tmp_path, monkeypatch):
+def test_an_error_in_the_caller_ends_the_hand_out(monkeypatch):
     # the error surfaces once the helper has finished the client it holds,
     # not after it has worked through the rest
     helpers(monkeypatch, 1)
-    caller = os.getpid()
-    log = tmp_path / "helper_computed"
+    theirs = []
 
     def client_accuracy(run, cl, epochs):
-        if os.getpid() != caller:
+        if not in_caller():
             time.sleep(0.02)
-            with open(log, "a") as f:
-                f.write(f"{cl.client_id}\n")
+            theirs.append(cl.client_id)
             return 0.5
-        if cl.client_id == 0:  # the first, before the pool
-            return 0.5
-        wait_for(log)
+        wait_until(lambda: theirs)
         raise FloatingPointError(f"diverged on {cl.client_id}")
 
     monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
-    with pytest.raises(FloatingPointError):
+    threads = threading.active_count()
+    with within(60), pytest.raises(FloatingPointError):
         fanout.personalize(None, equal_clients(20), 1)
-    assert 1 <= len(log.read_text().split()) <= 2
-    assert child_pids() == []
+    assert 1 <= len(theirs) <= 2
+    assert threading.active_count() == threads
 
 
 @needs_openblas
 def test_two_passes_in_a_row_each_start_a_helper_and_leave_nothing(monkeypatch):
-    # the real helper_count: a thread left over from the first pass would
-    # quietly keep the second from starting a helper
+    # the real workers(): a thread left over from the first pass would
+    # show in the second
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
-    caller = os.getpid()
 
     def client_accuracy(run, cl, epochs):
-        time.sleep(0.01)
-        return float(os.getpid() != caller)
+        time.sleep(0.005)
+        return float(not in_caller())
 
     monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
     clients = equal_clients(20)
     for _ in range(2):
-        threads, children = threading.active_count(), child_pids()
+        threads = threading.active_count()
         accs = fanout.personalize(None, clients, 1)
         assert 1.0 in accs.values()  # a helper computed a client
         assert threading.active_count() == threads
-        assert child_pids() == children
 
 
+@needs_openblas
 def test_without_openblas_the_caller_runs_every_client(tmp_path, monkeypatch):
     spec = small_spec(tmp_path)
     alone = report_without_helpers(spec, monkeypatch)
+    helpers(monkeypatch, 1)
+    get, put = fanout._openblas()
+    real, seen = fanout.client_accuracy, set()
 
-    def never(*_):
-        raise AssertionError("no helper may start without the BLAS thread control")
+    def record(run, cl, epochs):
+        seen.add((in_caller(), get()))
+        return real(run, cl, epochs)
 
     monkeypatch.setattr(fanout, "_openblas", lambda: None)
-    monkeypatch.setattr(fanout, "helper_count", never)
+    monkeypatch.setattr(fanout, "client_accuracy", record)
     assert fanout.blas_threads(1) is None
-    assert runtime.evaluate_personalized(trained_run(spec), 2) == alone
-
-
-def test_small_runs_start_no_helper(tmp_path, monkeypatch):
-    run = trained_run(small_spec(tmp_path))
-
-    def fork():
-        raise AssertionError("a small run started a helper")
-
-    monkeypatch.setattr(os, "fork", fork)
-    runtime.evaluate_personalized(run, 2)
-
-
-@pytest.mark.parametrize("remaining_s,start_s,cpus,expected", [
-    (0.5, 1.0, 8, 0), (1.0, 1.0, 8, 0), (2.0, 1.0, 8, 1), (2.0, 1.0, 2, 1),
-    (2.0, 1.0, 1, 0),
-])
-def test_helper_count(monkeypatch, remaining_s, start_s, cpus, expected):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert fanout.helper_count(remaining_s, start_s) == expected
-
-
-def test_no_helper_while_another_thread_runs(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert fanout.helper_count(2.0, 1.0) == 1
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
+    original = get()
+    put(2)
     try:
-        assert fanout.helper_count(2.0, 1.0) == 0
+        # at these shapes OpenBLAS runs one thread at any count: the same bits
+        assert runtime.evaluate_personalized(trained_run(spec), 2) == alone
+        assert get() == 2
     finally:
-        release.set()
-        other.join()
+        put(original)
+    assert seen == {(True, 2)}  # the caller alone, at its own count
 
 
-def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(monkeypatch):
+@pytest.mark.parametrize("cpus,expected", [(1, 1), (2, 2), (8, 2)])
+def test_workers(monkeypatch, cpus, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert fanout.workers() == expected
+
+
+def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(tmp_path, monkeypatch):
     monkeypatch.setattr(fanout, "workers", lambda: 2)
 
     def refuse(self):
@@ -506,3 +339,47 @@ def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(monkeypatch):
     ran_in = []
     fanout.on_threads(lambda: ran_in.append(threading.get_ident()))
     assert ran_in == [threading.get_ident()]
+    # the personalization pass: every client in the caller, the same report
+    spec = small_spec(tmp_path)
+    run = trained_run(spec)
+    real = fanout.client_accuracy
+
+    def caller_only(run, cl, epochs):
+        assert in_caller()
+        return real(run, cl, epochs)
+
+    monkeypatch.setattr(fanout, "client_accuracy", caller_only)
+    shared = runtime.evaluate_personalized(run, 2)
+    monkeypatch.setattr(fanout, "workers", lambda: 1)
+    assert shared == runtime.evaluate_personalized(trained_run(spec), 2)
+
+
+def test_only_fanout_starts_threads_and_nothing_forks():
+    """Work fans out through `fanout.on_threads` alone: no module of fedsim
+    imports a process pool or forks, and none but fanout.py builds a thread."""
+    src = os.path.dirname(fanout.__file__)
+
+    def pool(module):
+        return module.split(".")[0] == "multiprocessing" or module.startswith("concurrent.futures")
+
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                modules = []
+            if any(pool(m) for m in modules):
+                found.append(f"{name}:{node.lineno} imports {modules[0]}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == "fork" or (called == "Thread" and name != "fanout.py"):
+                    found.append(f"{name}:{node.lineno} calls {called}")
+    assert found == []

@@ -335,8 +335,10 @@ class TestEvaluation:
         assert runtime.evaluate_global(run) == acc1
 
     def test_niw_probabilities_independent_of_the_host_blas_threads(self):
-        # at 784-256-10 and a full 2048-row chunk OpenBLAS splits the GEMM,
-        # and 1- and 2-thread logits differ in the last bits of every row
+        # at 784-256-10 OpenBLAS splits a full 2048-row chunk's GEMM and a
+        # 50-row batch's gradient GEMMs, and 1- and 2-thread results differ
+        # in the last bits; the NIW eval and the personalization pass,
+        # personalized models included, must not
         script = """
 import hashlib
 import numpy as np
@@ -346,15 +348,20 @@ rng = stream(0, "host")
 def ds(rows):
     return data.LabeledDataset(inputs=rng.uniform(size=(rows, 784)),
                                labels=np.arange(rows) % 10, num_classes=10)
-train = ds(20)
-empty = np.array([], dtype=np.int64)
-part = data.Partition((np.arange(20),), (np.arange(20),), (empty,))
-config = runtime.FederatedConfig(n_clients=1, strategy="niw", sample_count=2)
-run = runtime.init_run(config, nn.MlpArch((784, 256, 10)), train, ds(2500), part)
+def sha(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+rows = [np.arange(lo, lo + 100) for lo in range(0, 300, 100)]
+part = data.Partition(tuple(rows), tuple(r[:90] for r in rows), tuple(r[90:] for r in rows))
+config = runtime.FederatedConfig(n_clients=3, strategy="niw", sample_count=2)
+run = runtime.init_run(config, nn.MlpArch((784, 256, 10)), ds(300), ds(2500), part)
 predict, kept = run.strategy.global_predict, []
 run.strategy.global_predict = lambda *a: kept.append(predict(*a)) or kept[-1]
 runtime.evaluate_global(run)
-print(hashlib.sha256(b"".join(p.tobytes() for p in kept[0])).hexdigest())
+print(sha(kept[0]))
+personalize, models = run.strategy.personalize, []
+run.strategy.personalize = lambda *a: models.append(personalize(*a)) or models[-1]
+print(runtime.evaluate_personalized(run, 1).per_client)
+print(sorted(sha([m]) for m in models))
 """
         src = os.path.dirname(os.path.dirname(runtime.__file__))
 
