@@ -183,6 +183,29 @@ class TestHelpers:
         assert experiment.run_experiment(spec)["personalization"] == alone
         assert threading.active_count() == threads
 
+    def test_failed_fork_leaves_the_work_to_the_caller(self, tmp_path, monkeypatch):
+        # the OS refuses the helper: every client in the caller, the same
+        # report, and nothing of the refused start left behind
+        spec = small_spec(tmp_path)
+        alone = report_without_helpers(spec, monkeypatch)
+        helpers(monkeypatch, 1)
+        run = trained_run(spec)
+        real = fanout.client_accuracy
+
+        def caller_only(run, cl, epochs):
+            assert in_caller()
+            return real(run, cl, epochs)
+
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(fanout, "client_accuracy", caller_only)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        threads, fds = threading.active_count(), len(os.listdir("/proc/self/fd"))
+        assert runtime.evaluate_personalized(run, 2) == alone
+        assert threading.active_count() == threads
+        assert len(os.listdir("/proc/self/fd")) == fds
+
 
 @needs_openblas
 @pytest.mark.parametrize("n", [1, 3])
@@ -329,7 +352,7 @@ def test_workers(monkeypatch, cpus, expected):
     assert fanout.workers() == expected
 
 
-def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(tmp_path, monkeypatch):
+def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(monkeypatch):
     monkeypatch.setattr(fanout, "workers", lambda: 2)
 
     def refuse(self):
@@ -339,19 +362,6 @@ def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(tmp_path, monk
     ran_in = []
     fanout.on_threads(lambda: ran_in.append(threading.get_ident()))
     assert ran_in == [threading.get_ident()]
-    # the personalization pass: every client in the caller, the same report
-    spec = small_spec(tmp_path)
-    run = trained_run(spec)
-    real = fanout.client_accuracy
-
-    def caller_only(run, cl, epochs):
-        assert in_caller()
-        return real(run, cl, epochs)
-
-    monkeypatch.setattr(fanout, "client_accuracy", caller_only)
-    shared = runtime.evaluate_personalized(run, 2)
-    monkeypatch.setattr(fanout, "workers", lambda: 1)
-    assert shared == runtime.evaluate_personalized(trained_run(spec), 2)
 
 
 def test_only_fanout_starts_threads_and_nothing_forks():
