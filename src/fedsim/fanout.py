@@ -7,11 +7,11 @@ helper threads at once, joins them and re-raises a helper's exception in
 the caller; the caller's count is restored afterwards. Where numpy's
 bundled OpenBLAS is missing, the caller works alone at its thread count.
 
-The NIW strategy's global eval and the personalization pass run on it:
-each thread claims its next unit from one locked list, and the threads
-share the train set, strategy state and clients without copying them. At
-one BLAS thread, a unit's result depends neither on which thread computed
-it nor on the host's thread count.
+`each` is the one claim loop on it, which the NIW strategy's global eval
+and the personalization pass share: each thread claims its next unit from
+one locked list, and the threads share the train set, strategy state and
+clients without copying them. At one BLAS thread, a unit's result depends
+neither on which thread computed it nor on the host's thread count.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ def client_accuracy(run, cl, epochs: int) -> float:
     return float((pred == ty).mean())
 
 
-def _named(exc: BaseException, client_id: int) -> BaseException:
-    if hasattr(exc, "add_note"):  # Python 3.11+
-        exc.add_note(f"raised in the personalization of client {client_id}")
-    return exc
-
-
 def workers() -> int:
     """The caller plus one helper thread per spare CPU, at most MAX_HELPERS:
     the threads worth running at once."""
@@ -129,31 +123,53 @@ def on_threads(work) -> None:
         raise raised[0]
 
 
+def each(units, compute, note, claim=None) -> list:
+    """[compute(claim(u)) for u in units], computed by the threads of
+    `on_threads`; without claim, compute(u).
+
+    A thread takes the next unit, and runs claim on it, under one lock, so
+    the claims run one at a time in unit order; it runs compute outside
+    the lock and stores the result at the unit's index. An exception in
+    either empties the list, so the other threads stop after the unit they
+    hold, and is re-raised with the note note(u).
+    """
+    units = list(units)
+    results = [None] * len(units)
+    left = deque(range(len(units)))
+    lock = threading.Lock()
+
+    def work():
+        i = None
+        try:
+            while True:
+                with lock:
+                    if not left:
+                        return
+                    i = left.popleft()
+                    arg = units[i] if claim is None else claim(units[i])
+                results[i] = compute(arg)
+        except BaseException as e:
+            with lock:
+                left.clear()
+            if i is not None and hasattr(e, "add_note"):  # Python 3.11+
+                e.add_note(note(units[i]))
+            raise
+
+    on_threads(work)
+    return results
+
+
 def personalize(run, clients, epochs: int) -> dict[int, float]:
     """Each client's personalized accuracy, by client id.
 
     run supplies the strategy, its state, arch, config and train set. The
-    threads of `on_threads` claim the clients one at a time, longest first,
-    so they end within one client of each other. A client's exception
-    empties the list, so the other threads stop after the client they hold,
-    and is re-raised with a note naming the client.
+    clients go to `each` longest first, so the threads end within one
+    client of each other.
     """
-    left = deque(sorted(clients, key=lambda c: (-c.train_indices.size, c.client_id)))
-    accs = {}
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                if not left:
-                    return
-                cl = left.popleft()
-            try:
-                accs[cl.client_id] = client_accuracy(run, cl, epochs)
-            except BaseException as e:
-                with lock:
-                    left.clear()
-                raise _named(e, cl.client_id)
-
-    on_threads(work)
-    return accs
+    order = sorted(clients, key=lambda c: (-c.train_indices.size, c.client_id))
+    accs = each(
+        order,
+        lambda cl: client_accuracy(run, cl, epochs),
+        lambda cl: f"raised in the personalization of client {cl.client_id}",
+    )
+    return {cl.client_id: acc for cl, acc in zip(order, accs)}

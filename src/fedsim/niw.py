@@ -10,8 +10,6 @@ prediction samples backbone weights from the induced multivariate Student-t.
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -254,54 +252,35 @@ def niw_global_predict(
     S Student-t backbone draws from the chunk's rng.
 
     The units of work are the (chunk, draw) pairs in order, run by
-    `fanout.on_threads`. A thread claims the next pair and draws its theta
-    from the chunk's rng under one lock, so every rng is read as a serial
-    loop reads it, then runs the forward and softmax outside the lock. The
-    softmaxes are added in draw order, so a chunk's probabilities are the
+    `fanout.each`: a thread draws a unit's theta from the chunk's rng in
+    the claim, so every rng is read as a serial loop reads it, then runs
+    the forward and softmax outside the lock. Each chunk's softmaxes are
+    summed in draw order after the pass, so its probabilities are the
     serial loop's bits at one BLAS thread. An exception is raised with a
     note naming the chunk's first row and the draw.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     sqrt_scale = np.sqrt(predictive_scale(global_post))
-    probs = [np.zeros((x.shape[0], arch.num_classes)) for _, x, _ in chunks]
-    left = deque(range(len(chunks) * sample_count))
-    computed, summed = {}, 0  # softmaxes of units past the next one to sum
-    lock = threading.Lock()
 
-    def add(unit, p):
-        nonlocal summed
-        computed[unit] = p
-        while summed in computed:
-            c, s = divmod(summed, sample_count)
-            probs[c] += computed.pop(summed)
-            if s == sample_count - 1:
-                probs[c] /= sample_count
-            summed += 1
+    def draw(unit):
+        _, x, rng = chunks[unit // sample_count]
+        return x, niw_sample_global(global_post, rng, sqrt_scale)
 
-    def work():
-        unit = p = None
-        try:
-            while True:
-                with lock:
-                    if p is not None:
-                        add(unit, p)
-                    if not left:
-                        return
-                    unit = left.popleft()
-                    _, x, rng = chunks[unit // sample_count]
-                    theta = niw_sample_global(global_post, rng, sqrt_scale)
-                p = nn.softmax(nn.forward(theta, arch, x))
-        except BaseException as e:
-            with lock:
-                left.clear()  # the other threads stop at their next claim
-            if unit is not None and hasattr(e, "add_note"):  # Python 3.11+
-                c, s = divmod(unit, sample_count)
-                e.add_note(f"raised in draw {s} of the eval chunk at test row {chunks[c][0]}")
-            raise
+    def note(unit):
+        c, s = divmod(unit, sample_count)
+        return f"raised in draw {s} of the eval chunk at test row {chunks[c][0]}"
 
-    fanout.on_threads(work)
-    return probs
+    softmaxes = fanout.each(
+        range(len(chunks) * sample_count),
+        lambda drawn: nn.softmax(nn.forward(drawn[1], arch, drawn[0])),
+        note,
+        draw,
+    )
+    return [
+        sum(softmaxes[c * sample_count : (c + 1) * sample_count]) / sample_count
+        for c in range(len(chunks))
+    ]
 
 
 def niw_personalize(

@@ -1,15 +1,17 @@
-"""The personalization pass on the caller and its helper threads.
+"""`fanout.each` and the personalization pass on the caller and its
+helper threads.
 
 Helper threads are forced on or off by replacing `fanout.workers`. A
 replaced `fanout.client_accuracy` tells the caller from a helper by
-`threading.current_thread()`. The NIW eval's use of `on_threads` is tested
-in test_niw.py.
+`threading.current_thread()`. The NIW eval's use of `each` is tested in
+test_niw.py.
 """
 
 import ast
 import collections
 import contextlib
 import os
+import random
 import re
 import signal
 import sys
@@ -72,6 +74,17 @@ def within(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, alarm)
+
+
+@contextlib.contextmanager
+def switching_often():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads interleave often
+    try:
+        with within(60):
+            yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def equal_clients(n: int):
@@ -221,13 +234,8 @@ def test_each_client_is_computed_once_by_the_caller_or_a_helper(monkeypatch, n):
 
     monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
     clients = equal_clients(40)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # the threads interleave often
-    try:
-        with within(60):
-            accs = fanout.personalize(None, clients, 1)
-    finally:
-        sys.setswitchinterval(interval)
+    with switching_often():
+        accs = fanout.personalize(None, clients, 1)
     assert accs == {cl.client_id: cl.client_id / 100 for cl in clients}
     assert sorted(cid for _, cid in computed) == list(range(40))
     by = collections.Counter(ident for ident, _ in computed)
@@ -346,6 +354,66 @@ def test_without_openblas_the_caller_runs_every_client(tmp_path, monkeypatch):
     assert seen == {(True, 2)}  # the caller alone, at its own count
 
 
+@needs_openblas
+@pytest.mark.parametrize("n", [1, 3])
+def test_each_returns_results_in_unit_order_and_claims_one_at_a_time(monkeypatch, n):
+    helpers(monkeypatch, n)
+    delays = random.Random(n)
+    claimed, computed_in, inside = [], set(), []
+
+    def claim(u):
+        inside.append(u)  # a second claim in flight would show here
+        assert len(inside) == 1
+        claimed.append(u)
+        time.sleep(delays.uniform(0, 0.001))
+        inside.remove(u)
+        return u * u
+
+    def compute(v):
+        computed_in.add(threading.get_ident())
+        time.sleep(delays.uniform(0, 0.003))
+        return -v
+
+    with switching_often():
+        got = fanout.each(range(60), compute, str, claim)
+    assert got == [-u * u for u in range(60)]
+    assert claimed == list(range(60))
+    assert len(computed_in) > 1  # the caller and a helper
+    with switching_often():
+        assert fanout.each("abc", str.upper, str) == ["A", "B", "C"]
+
+
+@needs_openblas
+@pytest.mark.parametrize("raises_in", ["claim", "compute"])
+def test_each_error_empties_the_list_with_its_note_and_leaves_nothing(monkeypatch, raises_in):
+    helpers(monkeypatch, 1)
+    seen = []  # units claimed, by either thread
+
+    def claim(u):
+        seen.append(u)
+        if raises_in == "claim" and u == 5:
+            raise ValueError(f"bad claim {u}")
+        return u
+
+    def compute(u):
+        if raises_in == "compute" and u == 5:
+            raise ValueError(f"bad compute {u}")
+        time.sleep(0.002)
+        return u
+
+    original = fanout.blas_threads(2)
+    try:
+        threads = threading.active_count()
+        with within(60), pytest.raises(ValueError, match=f"bad {raises_in} 5") as info:
+            fanout.each(range(40), compute, lambda u: f"unit {u}", claim)
+        assert info.value.__notes__ == ["unit 5"]
+        assert threading.active_count() == threads
+        assert fanout.blas_threads() == 2
+    finally:
+        fanout.blas_threads(original)
+    assert max(seen) < 12  # the claims stopped short of the 40 units
+
+
 @pytest.mark.parametrize("cpus,expected", [(1, 1), (2, 2), (8, 2)])
 def test_workers(monkeypatch, cpus, expected):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -365,8 +433,9 @@ def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(monkeypatch):
 
 
 def test_only_fanout_starts_threads_and_nothing_forks():
-    """Work fans out through `fanout.on_threads` alone: no module of fedsim
-    imports a process pool or forks, and none but fanout.py builds a thread."""
+    """Work fans out through `fanout.each` alone: no module of fedsim
+    imports a process pool or forks, and none but fanout.py imports
+    `threading` or builds a thread."""
     src = os.path.dirname(fanout.__file__)
 
     def pool(module):
@@ -385,7 +454,9 @@ def test_only_fanout_starts_threads_and_nothing_forks():
                 modules = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
             else:
                 modules = []
-            if any(pool(m) for m in modules):
+            if any(pool(m) for m in modules) or (
+                name != "fanout.py" and any(m.split(".")[0] == "threading" for m in modules)
+            ):
                 found.append(f"{name}:{node.lineno} imports {modules[0]}")
             if isinstance(node, ast.Call):
                 func = node.func
