@@ -182,7 +182,8 @@ def niw_server_objective(
 
     KL part:      (1/2)[ n0 sum 1/v0 + nu0 sum log v0 + n0 sum m0^2/v0 ]
     client part:  (N/N_f) sum_i [ (n0/2) sum (rho_i + eps^2)/v0 + (1/2) sum log v0 ]
-    with nu0 = d+2; niw_server_update returns its exact minimizer.
+    with nu0 = d+2; niw_server_update returns its exact minimizer where the
+    V_MIN floor does not bind.
     """
     n_f = len(client_means)
     n0, d = global_post.n0, global_post.d
