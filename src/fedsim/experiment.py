@@ -450,15 +450,13 @@ def run_experiment(
 
     personalization = None
     if ev.personalize:
-        if any(c.test_indices.size > 0 for c in run.clients):
-            report = runtime.evaluate_personalized(
-                run, epochs=ev.personalization_epochs
-            )
+        report = runtime.evaluate_personalized(run, epochs=ev.personalization_epochs)
+        if report is None:
+            personalization = {"skipped": "no client has a personal test split"}
+        else:
             personalization = {
                 **codec.encode(report), "epochs": ev.personalization_epochs,
             }
-        else:
-            personalization = {"skipped": "no client has a personal test split"}
 
     total_s = time.perf_counter() - t0
     summary = {

@@ -1,17 +1,18 @@
 """Work spread over every core at one BLAS thread, on threads of the caller.
 
 `workers()` counts them: the caller plus one helper thread per spare CPU
-in the process's affinity set, at most MAX_HELPERS. `on_threads` pins
-OpenBLAS to one thread, calls a work function in the caller and in the
-helper threads at once, joins them and re-raises a helper's exception in
-the caller; the caller's count is restored afterwards. Where numpy's
-bundled OpenBLAS is missing, the caller works alone at its thread count.
+in the process's affinity set, at most MAX_HELPERS. `each` is the one
+claim loop on them, which the NIW strategy's global eval and
+`runtime.evaluate_personalized` share. It pins OpenBLAS to one thread,
+runs the loop in the caller and the helper threads at once, joins them and
+re-raises a helper's exception in the caller; the caller's count is
+restored afterwards. Where numpy's bundled OpenBLAS is missing, the caller
+works alone at its thread count.
 
-`each` is the one claim loop on it, which the NIW strategy's global eval
-and the personalization pass share: each thread claims its next unit from
-one locked list, and the threads share the train set, strategy state and
-clients without copying them. At one BLAS thread, a unit's result depends
-neither on which thread computed it nor on the host's thread count.
+Each thread claims its next unit from one locked list, and the threads
+share whatever the units reference without copying it. At one BLAS
+thread, a unit's result depends neither on which thread computed it nor on
+the host's thread count.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import os
 import threading
 from collections import deque
 
-from . import nn
-from .rng import stream
+import numpy  # noqa: F401  maps the bundled OpenBLAS that _openblas looks for
 
 # The count measured, on a 2-core box; more helpers are untested for speed.
 MAX_HELPERS = 1
@@ -64,20 +64,6 @@ def blas_threads(n: int | None = None) -> int | None:
     return before
 
 
-def client_accuracy(run, cl, epochs: int) -> float:
-    """Fine-tune on cl's train split at config.lr; accuracy on its test split."""
-    inputs = run.train_ds.inputs[cl.train_indices]
-    labels = run.train_ds.labels[cl.train_indices]
-    rng = stream(run.config.seed, "personalize", cl.client_id)
-    m = run.strategy.personalize(
-        run.strategy_state, inputs, labels, run.arch, run.config, epochs, rng
-    )
-    tx = run.train_ds.inputs[cl.test_indices]
-    ty = run.train_ds.labels[cl.test_indices]
-    pred = nn.forward(m, run.arch, tx).argmax(axis=1)
-    return float((pred == ty).mean())
-
-
 def workers() -> int:
     """The caller plus one helper thread per spare CPU, at most MAX_HELPERS:
     the threads worth running at once."""
@@ -85,58 +71,24 @@ def workers() -> int:
     return 1 + min(len(os.sched_getaffinity(0)) - 1, MAX_HELPERS)
 
 
-def on_threads(work) -> None:
-    """Call work() in the caller and, at the same time, in workers() - 1
-    helper threads, with OpenBLAS at one thread; the caller's count is
-    restored afterwards.
-
-    work() takes its units from a list it shares with its other calls and
-    returns when none is left. Every helper is joined before this returns
-    or raises, and an exception raised in one is re-raised in the caller.
-    Where numpy's bundled OpenBLAS is missing, work() runs in the caller
-    alone at its thread count.
-    """
-    before = blas_threads(1)
-    raised = []
-
-    def helper():
-        try:
-            work()
-        except BaseException as e:
-            raised.append(e)
-
-    started = []
-    try:
-        for _ in range(workers() - 1 if before is not None else 0):
-            t = threading.Thread(target=helper, name="fedsim-helper")
-            try:
-                t.start()
-            except RuntimeError:  # no thread to be had: the others do the work
-                break
-            started.append(t)
-        work()
-    finally:
-        for t in started:
-            t.join()
-        blas_threads(before)
-    if raised:
-        raise raised[0]
-
-
 def each(units, compute, note, claim=None) -> list:
-    """[compute(claim(u)) for u in units], computed by the threads of
-    `on_threads`; without claim, compute(u).
+    """[compute(claim(u)) for u in units], computed by the caller and
+    workers() - 1 helper threads (see the module docstring); without
+    claim, compute(u).
 
     A thread takes the next unit, and runs claim on it, under one lock, so
     the claims run one at a time in unit order; it runs compute outside
     the lock and stores the result at the unit's index. An exception in
     either empties the list, so the other threads stop after the unit they
-    hold, and is re-raised with the note note(u).
+    hold, and is re-raised in the caller with the note note(u). Every
+    helper is joined before this returns or raises; one that cannot start
+    leaves its share to the others.
     """
     units = list(units)
     results = [None] * len(units)
     left = deque(range(len(units)))
     lock = threading.Lock()
+    raised = []
 
     def work():
         i = None
@@ -155,21 +107,27 @@ def each(units, compute, note, claim=None) -> list:
                 e.add_note(note(units[i]))
             raise
 
-    on_threads(work)
+    def helper():
+        try:
+            work()
+        except BaseException as e:
+            raised.append(e)
+
+    before = blas_threads(1)
+    started = []
+    try:
+        for _ in range(workers() - 1 if before is not None else 0):
+            t = threading.Thread(target=helper, name="fedsim-helper")
+            try:
+                t.start()
+            except RuntimeError:  # no thread to be had: the others do the work
+                break
+            started.append(t)
+        work()
+    finally:
+        for t in started:
+            t.join()
+        blas_threads(before)
+    if raised:
+        raise raised[0]
     return results
-
-
-def personalize(run, clients, epochs: int) -> dict[int, float]:
-    """Each client's personalized accuracy, by client id.
-
-    run supplies the strategy, its state, arch, config and train set. The
-    clients go to `each` longest first, so the threads end within one
-    client of each other.
-    """
-    order = sorted(clients, key=lambda c: (-c.train_indices.size, c.client_id))
-    accs = each(
-        order,
-        lambda cl: client_accuracy(run, cl, epochs),
-        lambda cl: f"raised in the personalization of client {cl.client_id}",
-    )
-    return {cl.client_id: acc for cl, acc in zip(order, accs)}

@@ -248,9 +248,9 @@ def mix_objective(
         pen_grad, diffs = term, [np.empty_like(term) for _ in protos]
     near = 0
 
-    def objective(m, batch):
+    def objective(m, x, y):
         nonlocal near
-        ce, g = nn.loss_and_grad(m, arch, batch)
+        ce, g = nn.loss_and_grad(m, arch, x, y)
         if majorize:
             pen = certified_penalty(m, near, protos, sigma_sq, seps, hi, lo, term)
             if pen is not None:

@@ -120,9 +120,9 @@ def niw_objective(
     m0 = global_post.m0
     sq = np.empty_like(m0) if penalty_value else None  # (m - m0)^2 per step
 
-    def objective(m, batch):
+    def objective(m, x, y):
         mask = None if mask_rng is None else nn.sample_dropout_mask(p_keep, arch, mask_rng)
-        ce, g = nn.loss_and_grad(m, arch, batch, mask)
+        ce, g = nn.loss_and_grad(m, arch, x, y, mask)
         if not penalty_value:
             return ce, g, m0, w
         np.subtract(m, m0, out=sq)

@@ -70,31 +70,6 @@ class MlpArch:
 
 
 @dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray  # (batch_size, input_dim), float64
-    labels: np.ndarray  # (batch_size,), integer class indices
-
-    def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        if inputs.ndim != 2:
-            raise ValueError(f"batch inputs must be 2-d, got shape {inputs.shape}")
-        if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
-            raise ValueError(
-                f"labels shape {labels.shape} incompatible with inputs {inputs.shape}"
-            )
-        if inputs.shape[0] < 1:
-            raise ValueError("batch must contain at least one sample")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-
-@dataclass(frozen=True)
 class DropoutMask:
     """Per-layer keep flags, one per input column of that layer's weights."""
 
@@ -233,7 +208,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _mean_nll(logits: np.ndarray, y: np.ndarray):
-    """(mean cross-entropy, log-probabilities) of integer labels y."""
+    """(mean cross-entropy, log-probabilities) of integer labels y, one per row."""
+    if y.shape != logits.shape[:1]:
+        raise DimensionMismatch(0, f"labels of shape {y.shape} != ({logits.shape[0]},)")
     num_classes = logits.shape[1]
     if y.min() < 0 or y.max() >= num_classes:
         raise ValueError(
@@ -250,37 +227,38 @@ def _mean_nll(logits: np.ndarray, y: np.ndarray):
 def mean_loss(
     params: np.ndarray,
     arch: MlpArch,
-    batch: Batch,
+    x: np.ndarray,
+    y: np.ndarray,
     mask: DropoutMask | None = None,
 ) -> float:
-    """Mean cross-entropy over the batch, from one forward pass.
+    """Mean cross-entropy of labels y over the rows of x, from one forward pass.
 
     The same bits as `loss_and_grad(...)[0]`: both take their logits from
     `_layer_inputs` and their loss from `_mean_nll`.
     """
-    return _mean_nll(forward(params, arch, batch.inputs, mask), batch.labels)[0]
+    return _mean_nll(forward(params, arch, x, mask), y)[0]
 
 
 def loss_and_grad(
     params: np.ndarray,
     arch: MlpArch,
-    batch: Batch,
+    x: np.ndarray,
+    y: np.ndarray,
     mask: DropoutMask | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its exact gradient.
+    """Mean cross-entropy of labels y over the rows of x, and its exact gradient.
 
     Gradient entries of dropped groups are zero (those parameters did not
     participate in the forward pass).
     """
-    X, y = batch.inputs, batch.labels
-    _check_inputs(params, arch, X, mask)
-    activations = _layer_inputs(params, arch, X, mask)
+    _check_inputs(params, arch, x, mask)
+    activations = _layer_inputs(params, arch, x, mask)
     loss, logp = _mean_nll(activations[-1], y)
 
     grad = np.empty_like(params)  # every entry is written below
     delta = np.exp(logp)
     delta[np.arange(len(y)), y] -= 1.0
-    delta /= X.shape[0]
+    delta /= x.shape[0]
     weights = [W for W, _ in weight_views(params, arch)]
     for l, (dW, db) in reversed(list(enumerate(weight_views(grad, arch)))):
         np.matmul(activations[l].T, delta, out=dW)

@@ -10,7 +10,8 @@ exceed 2/lr by orders of magnitude, where explicit SGD diverges).
 
 Every minibatch loop that trains a model, the mixture gating net's included,
 runs through `local_train`, and only this module calls `nn.sgd_step`. A local
-objective maps `(m, batch)` to `(loss, data_grad, quad_center, quad_diag)`:
+objective maps `(m, x, y)`, the rows of a minibatch and their labels, to
+`(loss, data_grad, quad_center, quad_diag)`:
 the step is `prox_quadratic_step` on that quadratic, or a plain SGD step on
 `data_grad` when `quad_center` is None. Either way the objective's total
 gradient at m is `data_grad + quad_diag * (m - quad_center)`.
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import nn
 
-# (m, batch) -> (loss, data_grad, quad_center or None, quad_diag)
-Objective = Callable[[np.ndarray, nn.Batch], tuple]
+# (m, x, y) -> (loss, data_grad, quad_center or None, quad_diag)
+Objective = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
 
 
 def prox_quadratic_step(
@@ -71,8 +72,8 @@ def prox_objective(
 ) -> Objective:
     """FedProx: mean-CE + (mu/2) ||m - center||^2; mu = 0 is FedAvg's plain CE."""
 
-    def objective(m, batch):
-        ce, g = nn.loss_and_grad(m, arch, batch)
+    def objective(m, x, y):
+        ce, g = nn.loss_and_grad(m, arch, x, y)
         if mu > 0.0:
             diff = m - center
             return ce + 0.5 * mu * float(diff @ diff), g, center, mu
@@ -81,9 +82,9 @@ def prox_objective(
     return objective
 
 
-def total_loss_and_grad(objective: Objective, m: np.ndarray, batch: nn.Batch):
-    """An objective's loss and total gradient at m."""
-    loss, g, center, quad = objective(m, batch)
+def total_loss_and_grad(objective: Objective, m: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """An objective's loss and total gradient at m on rows x with labels y."""
+    loss, g, center, quad = objective(m, x, y)
     return loss, g if center is None else g + quad * (m - center)
 
 
@@ -114,9 +115,7 @@ def local_train(
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            loss, g, center, quad = objective(
-                m, nn.Batch(inputs=inputs[idx], labels=labels[idx])
-            )
+            loss, g, center, quad = objective(m, inputs[idx], labels[idx])
             losses.append(loss)
             if head is not None:
                 g[head] = 0.0

@@ -273,17 +273,36 @@ class PersonalizationReport:
     per_client: tuple[float, ...]
 
 
-def evaluate_personalized(run: RunState, epochs: int) -> PersonalizationReport:
-    """Fine-tune per client on its train split at config.lr; score on its test split.
+def client_accuracy(run: RunState, cl: ClientState, epochs: int) -> float:
+    """Fine-tune on cl's train split at config.lr; accuracy on its test split."""
+    inputs = run.train_ds.inputs[cl.train_indices]
+    labels = run.train_ds.labels[cl.train_indices]
+    rng = stream(run.config.seed, "personalize", cl.client_id)
+    m = run.strategy.personalize(
+        run.strategy_state, inputs, labels, run.arch, run.config, epochs, rng
+    )
+    pred = nn.forward(m, run.arch, run.train_ds.inputs[cl.test_indices]).argmax(axis=1)
+    return float((pred == run.train_ds.labels[cl.test_indices]).mean())
 
-    `fanout.personalize` runs the clients at one BLAS thread, on the
-    caller and its helper threads; the report is in client-id order.
+
+def evaluate_personalized(run: RunState, epochs: int) -> PersonalizationReport | None:
+    """`client_accuracy` of every client with a test split, in client-id
+    order; None when no client has one.
+
+    `fanout.each` runs the clients at one BLAS thread, longest first, so
+    its threads end within one client of each other.
     """
     clients = [cl for cl in run.clients if cl.test_indices.size]
     if not clients:
-        raise ValueError("no client has a personal test split")
-    accs = fanout.personalize(run, clients, epochs)
-    arr = np.array([accs[cl.client_id] for cl in clients])
+        return None
+    order = sorted(clients, key=lambda c: (-c.train_indices.size, c.client_id))
+    accs = fanout.each(
+        order,
+        lambda cl: client_accuracy(run, cl, epochs),
+        lambda cl: f"raised in the personalization of client {cl.client_id}",
+    )
+    by_id = {cl.client_id: acc for cl, acc in zip(order, accs)}
+    arr = np.array([by_id[cl.client_id] for cl in clients])
     return PersonalizationReport(
         mean_acc=float(arr.mean()),
         std_acc=float(arr.std()),

@@ -194,8 +194,7 @@ class MixtureStrategy(Strategy):
         )
 
     def _start(self, state, inputs, labels, arch):
-        batch = nn.Batch(inputs=inputs, labels=labels)
-        scores = [nn.mean_loss(r, arch, batch) for r in state.prototypes]
+        scores = [nn.mean_loss(r, arch, inputs, labels) for r in state.prototypes]
         return state.prototypes[int(np.argmin(scores))]
 
     def client_update(

@@ -50,11 +50,10 @@ def _random_arch(rng, max_params: int = 100) -> nn.MlpArch:
             return arch
 
 
-def _random_batch(rng, arch: nn.MlpArch, n: int) -> nn.Batch:
-    return nn.Batch(
-        inputs=rng.uniform(size=(n, arch.layer_sizes[0])),
-        labels=rng.integers(0, arch.num_classes, size=n),
-    )
+def _random_batch(rng, arch: nn.MlpArch, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, labels): n uniform inputs and n uniform class labels."""
+    x = rng.uniform(size=(n, arch.layer_sizes[0]))
+    return x, rng.integers(0, arch.num_classes, size=n)
 
 
 def _result(name: str, trials: int, max_err: float, failing, **extra) -> dict:
@@ -83,8 +82,8 @@ def _check(name: str, trials: int, tol: float, body) -> dict:
 
 def _gap(objective_a, objective_b, m, batch) -> float:
     """Largest difference between two objectives' losses and total gradients."""
-    loss_a, grad_a = optim.total_loss_and_grad(objective_a, m, batch)
-    loss_b, grad_b = optim.total_loss_and_grad(objective_b, m, batch)
+    loss_a, grad_a = optim.total_loss_and_grad(objective_a, m, *batch)
+    loss_b, grad_b = optim.total_loss_and_grad(objective_b, m, *batch)
     return max(abs(loss_a - loss_b), float(np.max(np.abs(grad_a - grad_b))))
 
 
@@ -277,8 +276,8 @@ def _oracle_checks(seed: int, mutation: str | None) -> list[dict]:
             objectives = [optim.prox_objective(arch, mu, gp)]
         err = max(
             _fd_err(
-                lambda x: obj(x, batch)[0], m,
-                optim.total_loss_and_grad(obj, m, batch)[1],
+                lambda x: obj(x, *batch)[0], m,
+                optim.total_loss_and_grad(obj, m, *batch)[1],
             )
             for obj in objectives
         )

@@ -266,15 +266,13 @@ class TestSynthGenerate:
         a = meta.cluster_tags == 0
         arch = nn.MlpArch((6, 4))
         params = np.zeros(nn.param_count(arch))
-        batch_a = nn.Batch(inputs=ds.inputs[a], labels=ds.labels[a])
         for _ in range(400):
-            _, g = nn.loss_and_grad(params, arch, batch_a)
+            _, g = nn.loss_and_grad(params, arch, ds.inputs[a], ds.labels[a])
             params = nn.sgd_step(params, g, 0.5)
 
         def acc(sel):
-            b = nn.Batch(inputs=ds.inputs[sel], labels=ds.labels[sel])
             return float(
-                (nn.forward(params, arch, b.inputs).argmax(axis=1) == ds.labels[sel]).mean()
+                (nn.forward(params, arch, ds.inputs[sel]).argmax(axis=1) == ds.labels[sel]).mean()
             )
 
         assert acc(a) > 0.9, f"probe underfits its own cluster: {acc(a)}"

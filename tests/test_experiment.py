@@ -442,6 +442,19 @@ class TestRunExperiment:
         _, summary = self.run_tiny(tmp_path, "a", evaluation={"personalize": False})
         assert summary["personalization"] is None
 
+    def test_no_personal_test_split_is_reported_as_skipped(self, tmp_path):
+        # 4 one-row classes in 2 clients x 2 shards: every client holds two
+        # one-row label groups, which its train split keeps whole
+        spec, summary = self.run_tiny(
+            tmp_path, "a",
+            dataset={"kind": "synthetic", "clusters": 1, "classes": 4, "dims": 6,
+                     "train_per_class": 1, "test_per_class": 2, "shift": 1.0},
+            federated={"n_clients": 2, "rounds": 1, "batch_size": 2},
+        )
+        assert summary["personalization"] == {
+            "skipped": "no client has a personal test split"
+        }
+
     def test_container_dataset_kind(self, tmp_path):
         rng = np.random.default_rng(0)
         train, _, test, _ = data.synth_train_test(1, 3, 4, 30, 8, 0.5, rng)

@@ -2,7 +2,7 @@
 helper threads.
 
 Helper threads are forced on or off by replacing `fanout.workers`. A
-replaced `fanout.client_accuracy` tells the caller from a helper by
+replaced `runtime.client_accuracy` tells the caller from a helper by
 `threading.current_thread()`. The NIW eval's use of `each` is tested in
 test_niw.py.
 """
@@ -14,9 +14,11 @@ import os
 import random
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -50,6 +52,12 @@ def trained_run(spec):
 
 def helpers(monkeypatch, n):
     monkeypatch.setattr(fanout, "workers", lambda: 1 + n)
+
+
+def personalize(clients):
+    """The accuracies of a personalization pass over clients, by client id."""
+    report = runtime.evaluate_personalized(types.SimpleNamespace(clients=clients), 1)
+    return {cl.client_id: acc for cl, acc in zip(clients, report.per_client)}
 
 
 def in_caller() -> bool:
@@ -103,7 +111,7 @@ class TestHelpers:
         spec = small_spec(tmp_path, "mixture")
         alone = report_without_helpers(spec, monkeypatch)
         helpers(monkeypatch, 1)
-        real, ran_in = fanout.client_accuracy, []
+        real, ran_in = runtime.client_accuracy, []
         both = threading.Barrier(2, timeout=60)
 
         def client_accuracy(run, cl, epochs):
@@ -112,7 +120,7 @@ class TestHelpers:
                 both.wait()  # the helper and the caller each take one
             return real(run, cl, epochs)
 
-        monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
+        monkeypatch.setattr(runtime, "client_accuracy", client_accuracy)
         run = trained_run(spec)
         shared = runtime.evaluate_personalized(run, 2)
         assert shared == alone
@@ -130,7 +138,7 @@ class TestHelpers:
     def test_client_raising_in_a_helper_is_reraised_naming_it(self, tmp_path, monkeypatch):
         spec = small_spec(tmp_path)
         helpers(monkeypatch, 1)
-        real, own = fanout.client_accuracy, []
+        real, own = runtime.client_accuracy, []
 
         def fail_in_helper(run, cl, epochs):
             if not in_caller():
@@ -140,7 +148,7 @@ class TestHelpers:
             wait_until(lambda: threading.active_count() == threads)  # the helper ended
             return real(run, cl, epochs)
 
-        monkeypatch.setattr(fanout, "client_accuracy", fail_in_helper)
+        monkeypatch.setattr(runtime, "client_accuracy", fail_in_helper)
         threads = threading.active_count()
         with pytest.raises(ValueError) as info:
             runtime.evaluate_personalized(trained_run(spec), 2)
@@ -157,7 +165,7 @@ class TestHelpers:
         def fail(run, cl, epochs):
             raise FloatingPointError(f"diverged on {cl.client_id}")
 
-        monkeypatch.setattr(fanout, "client_accuracy", fail)
+        monkeypatch.setattr(runtime, "client_accuracy", fail)
         with pytest.raises(FloatingPointError) as info:
             runtime.evaluate_personalized(trained_run(spec), 2)
         cid = re.fullmatch(r"diverged on (\d+)", str(info.value)).group(1)
@@ -167,20 +175,20 @@ class TestHelpers:
         run = trained_run(small_spec(tmp_path))
         helpers(monkeypatch, 1)
         seen = []
-        real = fanout.client_accuracy
+        real = runtime.client_accuracy
 
         def record(run, cl, epochs):
             seen.append((in_caller(), fanout.blas_threads()))
             time.sleep(0.01)  # time enough for the helper to take a client
             return real(run, cl, epochs)
 
-        monkeypatch.setattr(fanout, "client_accuracy", record)
+        monkeypatch.setattr(runtime, "client_accuracy", record)
         original = fanout.blas_threads(2)
         try:
             runtime.evaluate_personalized(run, 2)
             assert fanout.blas_threads() == 2
             assert set(seen) == {(True, 1), (False, 1)}
-            monkeypatch.setattr(fanout, "client_accuracy", lambda *_: 1 / 0)
+            monkeypatch.setattr(runtime, "client_accuracy", lambda *_: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 runtime.evaluate_personalized(run, 2)
             assert fanout.blas_threads() == 2
@@ -203,7 +211,7 @@ class TestHelpers:
         alone = report_without_helpers(spec, monkeypatch)
         helpers(monkeypatch, 1)
         run = trained_run(spec)
-        real = fanout.client_accuracy
+        real = runtime.client_accuracy
 
         def caller_only(run, cl, epochs):
             assert in_caller()
@@ -212,7 +220,7 @@ class TestHelpers:
         def refuse(self):
             raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(fanout, "client_accuracy", caller_only)
+        monkeypatch.setattr(runtime, "client_accuracy", caller_only)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         threads, fds = threading.active_count(), len(os.listdir("/proc/self/fd"))
         assert runtime.evaluate_personalized(run, 2) == alone
@@ -232,10 +240,10 @@ def test_each_client_is_computed_once_by_the_caller_or_a_helper(monkeypatch, n):
         computed.append((threading.get_ident(), cl.client_id))
         return cl.client_id / 100
 
-    monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
+    monkeypatch.setattr(runtime, "client_accuracy", client_accuracy)
     clients = equal_clients(40)
     with switching_often():
-        accs = fanout.personalize(None, clients, 1)
+        accs = personalize(clients)
     assert accs == {cl.client_id: cl.client_id / 100 for cl in clients}
     assert sorted(cid for _, cid in computed) == list(range(40))
     by = collections.Counter(ident for ident, _ in computed)
@@ -259,9 +267,9 @@ def test_a_slow_helper_holds_one_client_and_the_caller_takes_the_rest(monkeypatc
             wait_until(lambda: len(own) == 9)
         return cl.client_id / 100
 
-    monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
+    monkeypatch.setattr(runtime, "client_accuracy", client_accuracy)
     with within(60):
-        accs = fanout.personalize(None, equal_clients(10), 1)
+        accs = personalize(equal_clients(10))
     assert accs == {i: i / 100 for i in range(10)}
     assert len(theirs) == 1 and sorted(own + theirs) == list(range(10))
 
@@ -279,9 +287,9 @@ def test_an_error_in_a_helper_ends_the_hand_out(monkeypatch):
         time.sleep(0.02)
         return 0.5
 
-    monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
+    monkeypatch.setattr(runtime, "client_accuracy", client_accuracy)
     with within(60), pytest.raises(ValueError, match=r"no good: \d+"):
-        fanout.personalize(None, equal_clients(40), 1)
+        personalize(equal_clients(40))
     assert len(theirs) == 1  # the helper took no more
     assert len(own) < 20  # nor did the caller take the 38 left
 
@@ -301,10 +309,10 @@ def test_an_error_in_the_caller_ends_the_hand_out(monkeypatch):
         wait_until(lambda: theirs)
         raise FloatingPointError(f"diverged on {cl.client_id}")
 
-    monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
+    monkeypatch.setattr(runtime, "client_accuracy", client_accuracy)
     threads = threading.active_count()
     with within(60), pytest.raises(FloatingPointError):
-        fanout.personalize(None, equal_clients(20), 1)
+        personalize(equal_clients(20))
     assert 1 <= len(theirs) <= 2
     assert threading.active_count() == threads
 
@@ -319,11 +327,11 @@ def test_two_passes_in_a_row_each_start_a_helper_and_leave_nothing(monkeypatch):
         time.sleep(0.005)
         return float(not in_caller())
 
-    monkeypatch.setattr(fanout, "client_accuracy", client_accuracy)
+    monkeypatch.setattr(runtime, "client_accuracy", client_accuracy)
     clients = equal_clients(20)
     for _ in range(2):
         threads = threading.active_count()
-        accs = fanout.personalize(None, clients, 1)
+        accs = personalize(clients)
         assert 1.0 in accs.values()  # a helper computed a client
         assert threading.active_count() == threads
 
@@ -334,14 +342,14 @@ def test_without_openblas_the_caller_runs_every_client(tmp_path, monkeypatch):
     alone = report_without_helpers(spec, monkeypatch)
     helpers(monkeypatch, 1)
     get, put = fanout._openblas()
-    real, seen = fanout.client_accuracy, set()
+    real, seen = runtime.client_accuracy, set()
 
     def record(run, cl, epochs):
         seen.add((in_caller(), get()))
         return real(run, cl, epochs)
 
     monkeypatch.setattr(fanout, "_openblas", lambda: None)
-    monkeypatch.setattr(fanout, "client_accuracy", record)
+    monkeypatch.setattr(runtime, "client_accuracy", record)
     assert fanout.blas_threads(1) is None
     original = get()
     put(2)
@@ -414,6 +422,18 @@ def test_each_error_empties_the_list_with_its_note_and_leaves_nothing(monkeypatc
     assert max(seen) < 12  # the claims stopped short of the 40 units
 
 
+@needs_openblas
+def test_blas_threads_found_in_a_process_that_imports_fanout_first():
+    # fanout imports no fedsim module, so no other import has loaded numpy
+    src = os.path.dirname(os.path.dirname(fanout.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "from fedsim import fanout; print(fanout.blas_threads(1))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() != "None"
+
+
 @pytest.mark.parametrize("cpus,expected", [(1, 1), (2, 2), (8, 2)])
 def test_workers(monkeypatch, cpus, expected):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -427,9 +447,8 @@ def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(monkeypatch):
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    ran_in = []
-    fanout.on_threads(lambda: ran_in.append(threading.get_ident()))
-    assert ran_in == [threading.get_ident()]
+    ran_in = fanout.each(range(4), lambda _: threading.get_ident(), str)
+    assert ran_in == [threading.get_ident()] * 4
 
 
 def test_only_fanout_starts_threads_and_nothing_forks():
@@ -463,4 +482,24 @@ def test_only_fanout_starts_threads_and_nothing_forks():
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if called == "fork" or (called == "Thread" and name != "fanout.py"):
                     found.append(f"{name}:{node.lineno} calls {called}")
+    assert found == []
+
+
+def test_fanout_imports_no_fedsim_module():
+    """fanout.py is the layer under every fedsim module that fans work out:
+    it imports none of them."""
+    with open(fanout.__file__) as f:
+        tree = ast.parse(f.read(), "fanout.py")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [
+            f"fanout.py:{node.lineno} imports {m}"
+            for m in modules if m.startswith(".") or m.split(".")[0] == "fedsim"
+        ]
     assert found == []

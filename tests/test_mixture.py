@@ -40,11 +40,10 @@ def sgd_penalty(m, protos, sigma_sq):
     size 1 leaves the penalty unscaled.
     """
     arch = nn.MlpArch((m.size - 1, 1))
-    batch = nn.Batch(inputs=np.zeros((1, m.size - 1)),
-                     labels=np.zeros(1, dtype=np.int64))
+    x, y = np.zeros((1, m.size - 1)), np.zeros(1, dtype=np.int64)
     gp = make_global(protos, sigma_sq=sigma_sq)
     objective = mixture.mix_objective(gp, arch, 1, majorize=False)
-    return total_loss_and_grad(objective, m, batch)
+    return total_loss_and_grad(objective, m, x, y)
 
 
 class TestTypes:
@@ -129,9 +128,9 @@ class TestClientLossGrad:
         r0 = nn.init_params(arch, rng)
         r1 = r0 + 100.0
         gp = make_global([r0, r1], gating_arch=nn.MlpArch((4, 5, 2)))
-        batch = make_batch(rng, 6, 4, 3)
-        loss, _, _, _ = mixture.mix_objective(gp, arch, 20)(r0.copy(), batch)
-        ce, _ = nn.loss_and_grad(r0, arch, batch)
+        x, y = make_batch(rng, 6, 4, 3)
+        loss, _, _, _ = mixture.mix_objective(gp, arch, 20)(r0.copy(), x, y)
+        ce, _ = nn.loss_and_grad(r0, arch, x, y)
         assert abs(loss - ce) < 1e-12
 
     def test_single_prototype_equals_fedprox(self):
@@ -141,13 +140,13 @@ class TestClientLossGrad:
         m = r + 0.1 * rng.normal(size=r.size)
         gp = make_global([r], sigma_sq=0.3,
                          gating_arch=nn.MlpArch((4, 5, 1)))
-        batch = make_batch(rng, 6, 4, 3)
+        x, y = make_batch(rng, 6, 4, 3)
         data_size = 25
         mu = 1.0 / (gp.sigma_sq * data_size)
-        ploss, pgrad = total_loss_and_grad(prox_objective(arch, mu, r), m, batch)
+        ploss, pgrad = total_loss_and_grad(prox_objective(arch, mu, r), m, x, y)
         for majorize in (True, False):
             loss, grad = total_loss_and_grad(
-                mixture.mix_objective(gp, arch, data_size, majorize), m, batch
+                mixture.mix_objective(gp, arch, data_size, majorize), m, x, y
             )
             assert abs(loss - ploss) < 1e-12
             np.testing.assert_allclose(grad, pgrad, atol=1e-12)
@@ -175,11 +174,11 @@ class TestClientLossGrad:
         gp = make_global(protos, sigma_sq=0.5,
                          gating_arch=nn.MlpArch((3, 4, 2)))
         m = nn.init_params(arch, rng)
-        batch = make_batch(rng, 8, 3, 3)
+        x, y = make_batch(rng, 8, 3, 3)
         for majorize in (True, False):
             objective = mixture.mix_objective(gp, arch, 10, majorize)
-            _, grad = total_loss_and_grad(objective, m, batch)
-            fd = central_diff_grad(lambda x: objective(x, batch)[0], m)
+            _, grad = total_loss_and_grad(objective, m, x, y)
+            fd = central_diff_grad(lambda p: objective(p, x, y)[0], m)
             assert rel_err(grad, fd).max() < 1e-5
 
     def test_one_distance_pass_per_local_step(self, monkeypatch):
@@ -217,9 +216,8 @@ class TestClientLossGrad:
         state = strategy.init_state(arch, nn.init_params(arch, rng), config, 30)
         x = rng.normal(size=(30, 4))
         y = rng.integers(0, 3, size=30)
-        full = nn.Batch(inputs=x, labels=y)
         want = int(np.argmin(
-            [nn.loss_and_grad(r, arch, full)[0] for r in state.prototypes]
+            [nn.loss_and_grad(r, arch, x, y)[0] for r in state.prototypes]
         ))
 
         def no_backward(*args, **kwargs):
@@ -321,7 +319,7 @@ class TestMajorizerCenter:
         x = rng.normal(size=(40, 4))
         y = rng.integers(0, 3, size=40)
         with np.errstate(under="raise"):
-            _, _, center, _ = objective(r1.copy(), nn.Batch(x[:10], y[:10]))
+            _, _, center, _ = objective(r1.copy(), x[:10], y[:10])
             m, _ = local_train(r1, objective, x, y, 10, 1, 0.1, stream(25, "b"))
         assert center.tobytes() == summed_center(wts, gp.prototypes).tobytes()
         assert np.all(np.isfinite(m))
@@ -333,8 +331,8 @@ def full_objective(gp, arch, data_size):
     protos, sigma_sq = gp.prototypes, gp.sigma_sq
     hi, lo = mixture.prototype_bounds(protos)
 
-    def objective(m, batch):
-        ce, g = nn.loss_and_grad(m, arch, batch)
+    def objective(m, x, y):
+        ce, g = nn.loss_and_grad(m, arch, x, y)
         pen, wts = mixture.mix_penalty(m, protos, sigma_sq)
         center = mixture.majorizer_center(wts, protos, hi, lo, np.empty_like(m))
         return ce + pen / data_size, g, center, 1.0 / (sigma_sq * data_size)
@@ -391,13 +389,12 @@ class TestFastPaths:
                          gating_arch=nn.MlpArch((3, 4, len(protos))))
         x = rng.normal(size=(24, 3))
         y = rng.integers(0, 2, size=24)
-        batch = nn.Batch(x[:8], y[:8])
         fast = mixture.mix_objective(gp, FAST_ARCH, 24)
         full = full_objective(gp, FAST_ARCH, 24)
         points = [protos[start], protos[start] + 1e-3, protos[-1], protos[0] * 0.5]
         with np.errstate(all="ignore"):
             for m in points:
-                got, want = fast(m.copy(), batch), full(m.copy(), batch)
+                got, want = fast(m.copy(), x[:8], y[:8]), full(m.copy(), x[:8], y[:8])
                 assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
                 assert got[2].tobytes() == want[2].tobytes()
@@ -420,7 +417,7 @@ class TestFastPaths:
         x = rng.normal(size=(40, 4))
         y = rng.integers(0, 3, size=40)
         objective = mixture.mix_objective(gp, arch, 40)
-        _, _, center, _ = objective(r0 + 1e-3, nn.Batch(x[:10], y[:10]))
+        _, _, center, _ = objective(r0 + 1e-3, x[:10], y[:10])
         assert center is r0
         assert mixture.certified_penalty(
             r0 + 1e-3, 0, protos, gp.sigma_sq,
@@ -604,7 +601,7 @@ def fresh_gating_epoch(beta, arch, x, j_star, batch_size, lr, rng, head_frozen):
     order = rng.permutation(x.shape[0])
     for lo in range(0, x.shape[0], batch_size):
         idx = order[lo : lo + batch_size]
-        _, grad = nn.loss_and_grad(beta, arch, nn.Batch(inputs=x[idx], labels=labels[idx]))
+        _, grad = nn.loss_and_grad(beta, arch, x[idx], labels[idx])
         if head_frozen:
             grad[nn.head_span(arch)] = 0.0
         beta = nn.sgd_step(beta, grad, lr)
@@ -683,13 +680,10 @@ class TestGating:
         for _ in range(100):
             beta = mixture.gating_local_update(beta, arch, x_a, j_a, 20, 0.2, brng)
             beta = mixture.gating_local_update(beta, arch, x_b, j_b, 20, 0.2, brng)
-        batch_all = nn.Batch(
-            inputs=np.vstack([x_a, x_b]),
-            labels=np.concatenate([np.zeros(40, dtype=np.int64),
-                                   np.ones(40, dtype=np.int64)]),
-        )
-        pred = nn.forward(beta, arch, batch_all.inputs).argmax(axis=1)
-        acc = float((pred == batch_all.labels).mean())
+        x_all = np.vstack([x_a, x_b])
+        y_all = np.concatenate([np.zeros(40, dtype=np.int64), np.ones(40, dtype=np.int64)])
+        pred = nn.forward(beta, arch, x_all).argmax(axis=1)
+        acc = float((pred == y_all).mean())
         assert acc > 0.9, f"gating accuracy {acc}"
 
 
@@ -701,9 +695,8 @@ class TestGlobalPredict:
         gp = make_global([r], gating_arch=nn.MlpArch((4, 6, 1)), seed=7)
         x = rng.normal(size=(5, 4))
         out = mixture.mix_global_predict(x, gp, arch)
-        batch = nn.Batch(inputs=x, labels=np.zeros(5, dtype=np.int64))
         np.testing.assert_allclose(
-            out, nn.softmax(nn.forward(r, arch, batch.inputs)), atol=1e-15)
+            out, nn.softmax(nn.forward(r, arch, x)), atol=1e-15)
 
     def test_identical_experts_ignore_gating(self):
         rng = stream(72, "pred-same")
@@ -734,8 +727,7 @@ class TestGlobalPredict:
         gp = make_global(protos, gating_arch=garch, gating=gating)
         x = rng.normal(size=(5, 4))
         out = mixture.mix_global_predict(x, gp, arch)
-        batch = nn.Batch(inputs=x, labels=np.zeros(5, dtype=np.int64))
-        expert = nn.softmax(nn.forward(protos[1], arch, batch.inputs))
+        expert = nn.softmax(nn.forward(protos[1], arch, x))
         np.testing.assert_allclose(out, expert, atol=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -753,8 +745,7 @@ def train_plain(params, arch, inputs, labels, steps, lr, rng, batch=20):
     n = inputs.shape[0]
     for _ in range(steps):
         idx = rng.integers(0, n, size=batch)
-        b = nn.Batch(inputs=inputs[idx], labels=labels[idx])
-        _, g = nn.loss_and_grad(m, arch, b)
+        _, g = nn.loss_and_grad(m, arch, inputs[idx], labels[idx])
         m = nn.sgd_step(m, g, lr)
     return m
 
@@ -786,9 +777,8 @@ class TestPersonalize:
         # warm-up epoch only picks the start (here the lone prototype), so
         # the tuned result is two plain steps from r
         m = r.copy()
-        batch = nn.Batch(inputs=x, labels=y)
         for _ in range(2):
-            _, g = nn.loss_and_grad(m, arch, batch)
+            _, g = nn.loss_and_grad(m, arch, x, y)
             m = nn.sgd_step(m, g, 0.1)
         np.testing.assert_allclose(out, m, atol=1e-9)
 
@@ -810,8 +800,7 @@ class TestPersonalize:
         y_test = (x_test @ np.array([1.0, 1.0, -1.0, 0.5]) > 0).astype(np.int64)
 
         def accuracy(m):
-            b = nn.Batch(inputs=x_test, labels=y_test)
-            return float((nn.forward(m, arch, b.inputs).argmax(axis=1) == y_test).mean())
+            return float((nn.forward(m, arch, x_test).argmax(axis=1) == y_test).mean())
 
         good = mixture.mix_personalize(x_p, y_p, gp, arch,
                                        FederatedConfig(batch_size=10),

@@ -62,12 +62,12 @@ class TestClientLossGrad:
         self.d = nn.param_count(self.arch)
         self.rng = np.random.default_rng(31)
         self.post = random_posterior(self.d, 60, self.rng)
-        self.batch = make_batch(self.rng, 5, 4, 3)
+        self.x, self.y = make_batch(self.rng, 5, 4, 3)
 
     def test_penalty_vanishes_at_center(self):
         objective = niw.niw_objective(self.post, self.arch, 20, p_keep=1.0)
-        loss, grad = total_loss_and_grad(objective, self.post.m0.copy(), self.batch)
-        ce, ce_grad = nn.loss_and_grad(self.post.m0, self.arch, self.batch)
+        loss, grad = total_loss_and_grad(objective, self.post.m0.copy(), self.x, self.y)
+        ce, ce_grad = nn.loss_and_grad(self.post.m0, self.arch, self.x, self.y)
         assert loss == pytest.approx(ce, abs=1e-15)
         assert np.allclose(grad, ce_grad, atol=1e-15)
 
@@ -83,11 +83,11 @@ class TestClientLossGrad:
         )
         m_i = self.rng.normal(size=self.d)
         loss_a, grad_a = total_loss_and_grad(
-            niw.niw_objective(post, self.arch, data_size, p_keep=1.0), m_i, self.batch
+            niw.niw_objective(post, self.arch, data_size, p_keep=1.0), m_i, self.x, self.y
         )
         mu = (post.n0 + self.d + 1) / (alpha * data_size)
         loss_b, grad_b = total_loss_and_grad(
-            prox_objective(self.arch, mu, post.m0), m_i, self.batch
+            prox_objective(self.arch, mu, post.m0), m_i, self.x, self.y
         )
         assert abs(loss_a - loss_b) < 1e-12 * max(1.0, abs(loss_b))
         assert np.max(np.abs(grad_a - grad_b)) < 1e-12 * max(1.0, np.abs(grad_b).max())
@@ -103,22 +103,22 @@ class TestClientLossGrad:
 
         mask = nn.sample_dropout_mask(0.8, self.arch, stream(7, "mask"))
         assert not all(layer.all() for layer in mask.keep)
-        _, grad = total_loss_and_grad(objective(), m_i, self.batch)
-        fd = central_diff_grad(lambda p: objective()(p, self.batch)[0], m_i)
+        _, grad = total_loss_and_grad(objective(), m_i, self.x, self.y)
+        fd = central_diff_grad(lambda p: objective()(p, self.x, self.y)[0], m_i)
         assert rel_err(grad, fd).max() < 1e-5
 
     def test_normalized_mode_drops_confidence_factor(self):
         m_i = self.rng.normal(size=self.d)
         _, g_lit = total_loss_and_grad(
-            niw.niw_objective(self.post, self.arch, 20, p_keep=1.0), m_i, self.batch
+            niw.niw_objective(self.post, self.arch, 20, p_keep=1.0), m_i, self.x, self.y
         )
         _, g_norm = total_loss_and_grad(
             niw.niw_objective(
                 self.post, self.arch, 20, p_keep=1.0, penalty_mode="normalized"
             ),
-            m_i, self.batch,
+            m_i, self.x, self.y,
         )
-        _, g_ce = nn.loss_and_grad(m_i, self.arch, self.batch)
+        _, g_ce = nn.loss_and_grad(m_i, self.arch, self.x, self.y)
         factor = self.post.n0 + self.d + 1
         assert np.allclose(g_lit - g_ce, factor * (g_norm - g_ce), rtol=1e-12)
 
@@ -383,8 +383,7 @@ class TestGlobalPredict:
         x = rng.normal(size=(5, 3))
         probs = predict(x, post, arch, 1, stream(9, "eval"))
         theta = niw.niw_sample_global(post, stream(9, "eval"))
-        batch = nn.Batch(inputs=x, labels=np.zeros(5, dtype=np.int64))
-        assert np.array_equal(probs, nn.softmax(nn.forward(theta, arch, batch.inputs)))
+        assert np.array_equal(probs, nn.softmax(nn.forward(theta, arch, x)))
 
     @staticmethod
     def chunked(rows=14, size=5):
@@ -580,13 +579,13 @@ class TestPersonalize:
         )
         assert got.tobytes() == want.tobytes()
         # without the value the loss is the dropout CE alone
-        m, batch = self.post.m0 + 0.1, nn.Batch(self.inputs, self.labels)
+        m, x, y = self.post.m0 + 0.1, self.inputs, self.labels
         ce_only = niw.niw_objective(
             self.post, self.arch, 30, config.p_keep, config.penalty_mode,
             stream(3, "mask"), penalty_value=False,
         )
         mask = nn.sample_dropout_mask(config.p_keep, self.arch, stream(3, "mask"))
-        assert ce_only(m, batch)[0] == nn.loss_and_grad(m, self.arch, batch, mask)[0]
+        assert ce_only(m, x, y)[0] == nn.loss_and_grad(m, self.arch, x, y, mask)[0]
 
     def test_strong_prior_limit_pins_to_m0(self):
         # the penalty weight scales as 1/v0, so a tiny v0 is a very strong prior
@@ -637,8 +636,7 @@ class TestPersonalize:
             x0, y0, post, arch, FederatedConfig(batch_size=20), 5,
             stream(6, "pers"),
         )
-        batch = nn.Batch(inputs=x0t, labels=y0t)
         pers_acc = float(
-            (nn.forward(m_pers, arch, batch.inputs).argmax(axis=1) == y0t).mean()
+            (nn.forward(m_pers, arch, x0t).argmax(axis=1) == y0t).mean()
         )
         assert pers_acc >= global_acc

@@ -35,9 +35,8 @@ def apply_mask(params, arch, mask):
     return out
 
 
-def oracle_forward(params, arch, batch, mask=None):
+def oracle_forward(params, arch, a, mask=None):
     """Reference forward pass that masks the weights, not the layer inputs."""
-    a = batch.inputs
     last = arch.num_layers - 1
     for l, (W, b) in enumerate(nn.weight_views(params, arch)):
         if mask is not None:
@@ -47,10 +46,9 @@ def oracle_forward(params, arch, batch, mask=None):
     return a
 
 
-def oracle_loss_and_grad(params, arch, batch, mask=None):
+def oracle_loss_and_grad(params, arch, X, y, mask=None):
     """Reference loss and gradient over masked weight copies, with every
     gradient block built in a temporary and copied into place."""
-    X, y = batch.inputs, batch.labels
     last = arch.num_layers - 1
     activations = [X]
     a = X
@@ -84,10 +82,9 @@ def oracle_loss_and_grad(params, arch, batch, mask=None):
 
 
 def make_batch(rng, n, dim, classes):
-    return nn.Batch(
-        inputs=rng.normal(size=(n, dim)),
-        labels=rng.integers(0, classes, size=n),
-    )
+    """(rows, labels): n normal rows of dim and n labels below classes."""
+    x = rng.normal(size=(n, dim))
+    return x, rng.integers(0, classes, size=n)
 
 
 class TestLayout:
@@ -145,8 +142,8 @@ class TestForward:
     def test_zero_params_zero_logits(self):
         arch = nn.MlpArch((4, 3, 2))
         params = np.zeros(nn.param_count(arch))
-        batch = make_batch(np.random.default_rng(0), 5, 4, 2)
-        assert np.array_equal(nn.forward(params, arch, batch.inputs), np.zeros((5, 2)))
+        x, _ = make_batch(np.random.default_rng(0), 5, 4, 2)
+        assert np.array_equal(nn.forward(params, arch, x), np.zeros((5, 2)))
 
     def test_hand_computed_logits(self):
         # weights all one, bias zero, input [1,1]: hidden relu([2,2]) -> logits [4,4]
@@ -155,18 +152,18 @@ class TestForward:
         spans = nn.layer_spans(arch)
         params[spans[0][0]] = 1.0
         params[spans[1][0]] = 1.0
-        batch = nn.Batch(inputs=np.array([[1.0, 1.0]]), labels=np.array([0]))
-        assert nn.forward(params, arch, batch.inputs).tolist() == [[4.0, 4.0]]
+        x = np.array([[1.0, 1.0]])
+        assert nn.forward(params, arch, x).tolist() == [[4.0, 4.0]]
 
     def test_mask_all_dropped_equals_bias_path(self):
         arch = nn.MlpArch((4, 3, 2))
         rng = np.random.default_rng(1)
         params = nn.init_params(arch, rng)
-        batch = make_batch(rng, 6, 4, 2)
+        x, _ = make_batch(rng, 6, 4, 2)
         mask = nn.DropoutMask(keep=tuple(np.zeros(s, dtype=bool) for s in (4, 3)))
-        got = nn.forward(params, arch, batch.inputs, mask)
+        got = nn.forward(params, arch, x, mask)
         zeroed = apply_mask(params, arch, mask)
-        assert np.array_equal(got, nn.forward(zeroed, arch, batch.inputs))
+        assert np.array_equal(got, nn.forward(zeroed, arch, x))
         # bias-only: logits identical across inputs
         assert np.allclose(got, got[0])
 
@@ -174,25 +171,25 @@ class TestForward:
         arch = nn.MlpArch((6, 5, 4, 3))
         rng = np.random.default_rng(2)
         params = nn.init_params(arch, rng)
-        batch = make_batch(rng, 7, 6, 3)
+        x, _ = make_batch(rng, 7, 6, 3)
         mask = nn.sample_dropout_mask(0.6, arch, stream(3, "mask"))
-        via_mask = nn.forward(params, arch, batch.inputs, mask)
-        via_apply = nn.forward(apply_mask(params, arch, mask), arch, batch.inputs)
+        via_mask = nn.forward(params, arch, x, mask)
+        via_apply = nn.forward(apply_mask(params, arch, mask), arch, x)
         assert np.array_equal(via_mask, via_apply)
 
     def test_dimension_errors(self):
         arch = nn.MlpArch((4, 3, 2))
-        batch = make_batch(np.random.default_rng(0), 2, 4, 2)
+        x, _ = make_batch(np.random.default_rng(0), 2, 4, 2)
         with pytest.raises(nn.DimensionMismatch):
-            nn.forward(np.zeros(5), arch, batch.inputs)
-        bad_batch = make_batch(np.random.default_rng(0), 2, 3, 2)
+            nn.forward(np.zeros(5), arch, x)
+        bad_x, _ = make_batch(np.random.default_rng(0), 2, 3, 2)
         with pytest.raises(nn.DimensionMismatch):
-            nn.forward(np.zeros(nn.param_count(arch)), arch, bad_batch.inputs)
+            nn.forward(np.zeros(nn.param_count(arch)), arch, bad_x)
         with pytest.raises(nn.DimensionMismatch):  # one row, not a matrix
-            nn.forward(np.zeros(nn.param_count(arch)), arch, batch.inputs[0])
+            nn.forward(np.zeros(nn.param_count(arch)), arch, x[0])
         bad_mask = nn.DropoutMask(keep=(np.ones(4, dtype=bool),))
         with pytest.raises(nn.DimensionMismatch):
-            nn.forward(np.zeros(nn.param_count(arch)), arch, batch.inputs, bad_mask)
+            nn.forward(np.zeros(nn.param_count(arch)), arch, x, bad_mask)
 
 
 class TestLossAndGrad:
@@ -200,8 +197,8 @@ class TestLossAndGrad:
         for classes in (2, 5, 10):
             arch = nn.MlpArch((3, 4, classes))
             params = np.zeros(nn.param_count(arch))
-            batch = make_batch(np.random.default_rng(0), 8, 3, classes)
-            loss, _ = nn.loss_and_grad(params, arch, batch)
+            x, y = make_batch(np.random.default_rng(0), 8, 3, classes)
+            loss, _ = nn.loss_and_grad(params, arch, x, y)
             assert loss == pytest.approx(np.log(classes), abs=1e-12)
 
     def test_softmax_gradient_identity(self):
@@ -209,8 +206,8 @@ class TestLossAndGrad:
         classes, k = 4, 2
         arch = nn.MlpArch((3, 2, classes))
         params = np.zeros(nn.param_count(arch))
-        batch = nn.Batch(inputs=np.array([[0.3, -0.2, 0.5]]), labels=np.array([k]))
-        _, grad = nn.loss_and_grad(params, arch, batch)
+        x, y = np.array([[0.3, -0.2, 0.5]]), np.array([k])
+        _, grad = nn.loss_and_grad(params, arch, x, y)
         b_span = nn.layer_spans(arch)[-1][1]
         expect = np.full(classes, 1.0 / classes)
         expect[k] -= 1.0
@@ -221,10 +218,10 @@ class TestLossAndGrad:
         arch = nn.MlpArch(sizes)
         rng = np.random.default_rng(hash(sizes) % 2**32)
         params = nn.init_params(arch, np.random.default_rng(5))
-        batch = make_batch(rng, 6, sizes[0], sizes[-1])
-        _, grad = nn.loss_and_grad(params, arch, batch)
+        x, y = make_batch(rng, 6, sizes[0], sizes[-1])
+        _, grad = nn.loss_and_grad(params, arch, x, y)
         fd = central_diff_grad(
-            lambda p: nn.loss_and_grad(p, arch, batch)[0], params
+            lambda p: nn.loss_and_grad(p, arch, x, y)[0], params
         )
         err = rel_err(grad, fd)
         assert err.max() < 1e-6
@@ -232,11 +229,11 @@ class TestLossAndGrad:
     def test_gradient_with_mask_matches_fd_and_zeroes_dropped(self):
         arch = nn.MlpArch((5, 6, 3))
         params = nn.init_params(arch, np.random.default_rng(9))
-        batch = make_batch(np.random.default_rng(10), 4, 5, 3)
+        x, y = make_batch(np.random.default_rng(10), 4, 5, 3)
         mask = nn.sample_dropout_mask(0.5, arch, stream(11, "mask"))
-        _, grad = nn.loss_and_grad(params, arch, batch, mask)
+        _, grad = nn.loss_and_grad(params, arch, x, y, mask)
         fd = central_diff_grad(
-            lambda p: nn.loss_and_grad(p, arch, batch, mask)[0], params
+            lambda p: nn.loss_and_grad(p, arch, x, y, mask)[0], params
         )
         assert rel_err(grad, fd).max() < 1e-6
         for l, (W, b) in enumerate(nn.weight_views(grad, arch)):
@@ -246,44 +243,54 @@ class TestLossAndGrad:
     def test_non_finite_loss_reports_batch_index(self):
         arch = nn.MlpArch((2, 2, 2))
         params = np.full(nn.param_count(arch), np.nan)
-        batch = nn.Batch(inputs=np.ones((3, 2)), labels=np.array([0, 1, 0]))
+        x, y = np.ones((3, 2)), np.array([0, 1, 0])
         with pytest.raises(nn.NonFiniteLoss) as exc:
-            nn.loss_and_grad(params, arch, batch)
+            nn.loss_and_grad(params, arch, x, y)
         assert exc.value.batch_index == 0
 
     def test_label_range_checked(self):
         arch = nn.MlpArch((2, 2, 2))
         params = np.zeros(nn.param_count(arch))
-        batch = nn.Batch(inputs=np.ones((1, 2)), labels=np.array([2]))
+        x, y = np.ones((1, 2)), np.array([2])
         with pytest.raises(ValueError):
-            nn.loss_and_grad(params, arch, batch)
+            nn.loss_and_grad(params, arch, x, y)
+
+    @pytest.mark.parametrize("fn", [nn.loss_and_grad, nn.mean_loss])
+    def test_label_count_must_match_rows(self, fn):
+        # unchecked, logp[arange(len(y)), y] would score only the first len(y) rows
+        arch = nn.MlpArch((2, 2, 2))
+        params, x = np.zeros(nn.param_count(arch)), np.ones((3, 2))
+        for y in (np.array([0, 1]), np.array([0, 1, 0, 1]), np.zeros((3, 1), np.int64)):
+            with pytest.raises(nn.DimensionMismatch, match=r"labels of shape"):
+                fn(params, arch, x, y)
+        assert fn(params, arch, x, np.array([0, 1, 0])) is not None
 
     @pytest.mark.parametrize("kind", ["none", "p0.5"])
     def test_mean_loss_is_the_loss_of_loss_and_grad(self, kind):
         params = protocol_params()
         for rows in (50, 7):
-            batch, mask = protocol_batch(rows, rows), protocol_mask(kind)
-            loss, _ = nn.loss_and_grad(params, PROTOCOL, batch, mask)
-            got = nn.mean_loss(params, PROTOCOL, batch, mask)
+            (x, y), mask = protocol_batch(rows, rows), protocol_mask(kind)
+            loss, _ = nn.loss_and_grad(params, PROTOCOL, x, y, mask)
+            got = nn.mean_loss(params, PROTOCOL, x, y, mask)
             assert np.float64(got).tobytes() == np.float64(loss).tobytes()
 
     def test_mean_loss_checks_like_loss_and_grad(self):
         arch = nn.MlpArch((2, 2, 2))
-        batch = nn.Batch(inputs=np.ones((3, 2)), labels=np.array([0, 1, 0]))
+        x, y = np.ones((3, 2)), np.array([0, 1, 0])
         with pytest.raises(nn.NonFiniteLoss) as exc:
-            nn.mean_loss(np.full(nn.param_count(arch), np.nan), arch, batch)
+            nn.mean_loss(np.full(nn.param_count(arch), np.nan), arch, x, y)
         assert exc.value.batch_index == 0
-        bad = nn.Batch(inputs=np.ones((1, 2)), labels=np.array([2]))
+        bad = np.ones((1, 2)), np.array([2])
         with pytest.raises(ValueError, match="labels must lie"):
-            nn.mean_loss(np.zeros(nn.param_count(arch)), arch, bad)
+            nn.mean_loss(np.zeros(nn.param_count(arch)), arch, *bad)
 
     def test_loss_nonnegative(self):
         arch = nn.MlpArch((3, 4, 5))
         rng = np.random.default_rng(12)
         for _ in range(20):
             params = nn.init_params(arch, rng)
-            batch = make_batch(rng, 5, 3, 5)
-            loss, _ = nn.loss_and_grad(params, arch, batch)
+            x, y = make_batch(rng, 5, 3, 5)
+            loss, _ = nn.loss_and_grad(params, arch, x, y)
             assert loss >= 0.0
 
 
@@ -298,9 +305,9 @@ class TestDropoutSampling:
         mask = nn.sample_dropout_mask(0.0, arch, stream(0, "m"))
         assert not any(k.any() for k in mask.keep)
         # bias groups have no keep entry: they are always applied
-        batch = make_batch(np.random.default_rng(1), 3, 10, 4)
+        x, _ = make_batch(np.random.default_rng(1), 3, 10, 4)
         params = nn.init_params(arch, np.random.default_rng(2))
-        out = nn.forward(params, arch, batch.inputs, mask)
+        out = nn.forward(params, arch, x, mask)
         b_last = params[nn.layer_spans(arch)[-1][1]]
         assert np.allclose(out, np.broadcast_to(b_last, (3, 4)))
 
@@ -361,14 +368,11 @@ def test_mask_linearity_property(sizes, seed):
     arch = nn.MlpArch(tuple(sizes))
     rng = np.random.default_rng(seed)
     params = nn.init_params(arch, rng)
-    batch = nn.Batch(
-        inputs=rng.normal(size=(3, sizes[0])),
-        labels=rng.integers(0, sizes[-1], size=3),
-    )
+    x, _ = make_batch(rng, 3, sizes[0], sizes[-1])
     mask = nn.sample_dropout_mask(0.5, arch, stream(seed, "m"))
     assert np.array_equal(
-        nn.forward(params, arch, batch.inputs, mask),
-        nn.forward(apply_mask(params, arch, mask), arch, batch.inputs),
+        nn.forward(params, arch, x, mask),
+        nn.forward(apply_mask(params, arch, mask), arch, x),
     )
 
 
@@ -390,7 +394,7 @@ def protocol_batch(n, seed=0):
     inputs[:, 40:60] = -0.0
     inputs[rng.random(inputs.shape) < 0.1] = 0.0
     inputs[rng.random(inputs.shape) < 0.1] = -0.0
-    return nn.Batch(inputs=inputs, labels=rng.integers(0, 10, size=n))
+    return inputs, rng.integers(0, 10, size=n)
 
 
 def protocol_mask(kind):
@@ -416,30 +420,30 @@ class TestProtocolShapeBits:
     @pytest.mark.parametrize("kind", MASK_KINDS)
     @pytest.mark.parametrize("rows", [50, 40, 1])
     def test_loss_and_grad_bytes(self, rows, kind):
-        params, batch, mask = protocol_params(), protocol_batch(rows), protocol_mask(kind)
-        loss, grad = nn.loss_and_grad(params, PROTOCOL, batch, mask)
-        ref_loss, ref_grad = oracle_loss_and_grad(params, PROTOCOL, batch, mask)
+        params, (x, y), mask = protocol_params(), protocol_batch(rows), protocol_mask(kind)
+        loss, grad = nn.loss_and_grad(params, PROTOCOL, x, y, mask)
+        ref_loss, ref_grad = oracle_loss_and_grad(params, PROTOCOL, x, y, mask)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
 
     @pytest.mark.parametrize("kind", MASK_KINDS)
     @pytest.mark.parametrize("rows", [2048, 1808, 50])
     def test_forward_bytes(self, rows, kind):
-        params, batch, mask = protocol_params(), protocol_batch(rows, 1), protocol_mask(kind)
-        got = nn.forward(params, PROTOCOL, batch.inputs, mask)
-        assert got.tobytes() == oracle_forward(params, PROTOCOL, batch, mask).tobytes()
+        params, (x, y), mask = protocol_params(), protocol_batch(rows, 1), protocol_mask(kind)
+        got = nn.forward(params, PROTOCOL, x, mask)
+        assert got.tobytes() == oracle_forward(params, PROTOCOL, x, mask).tobytes()
         if mask is not None:
             zeroed = apply_mask(params, PROTOCOL, mask)
-            assert got.tobytes() == nn.forward(zeroed, PROTOCOL, batch.inputs).tobytes()
+            assert got.tobytes() == nn.forward(zeroed, PROTOCOL, x).tobytes()
 
     @pytest.mark.parametrize("kind", ["none", "p0.5"])
     def test_one_step_allocates_little_beyond_the_gradient(self, kind):
         # a staging copy of W_0 or of any gradient block would add 0.8-1.6 MB
-        params, batch, mask = protocol_params(), protocol_batch(50), protocol_mask(kind)
-        nn.loss_and_grad(params, PROTOCOL, batch, mask)
+        params, (x, y), mask = protocol_params(), protocol_batch(50), protocol_mask(kind)
+        nn.loss_and_grad(params, PROTOCOL, x, y, mask)
         tracemalloc.start()
         try:
-            nn.loss_and_grad(params, PROTOCOL, batch, mask)
+            nn.loss_and_grad(params, PROTOCOL, x, y, mask)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

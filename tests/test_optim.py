@@ -72,8 +72,8 @@ class TestNothingOfTheCallerIsWritten:
         for objective in objectives(name, state, len(y)):
             returned = []
 
-            def watched(m, batch):
-                out = objective(m, batch)
+            def watched(m, bx, by):
+                out = objective(m, bx, by)
                 returned.append((out[2], np.copy(out[2]), out[3], np.copy(out[3])))
                 return out
 
@@ -156,7 +156,7 @@ class TestStepBits:
             m = big.copy()
             optim.prox_quadratic_step(m, push.copy(), 10.0, np.zeros(2), 1.0, {})
 
-        def objective(m, batch):
+        def objective(m, x, y):
             return 0.0, np.full_like(m, -1e308), None, 0.0
 
         rng = stream(35, "nonfinite")

@@ -134,8 +134,7 @@ class TestRunRound:
         old = run.strategy_state.copy()
         record = runtime.run_round(run)
         idx = stream(11, "batch", 0, 1).permutation(18)
-        batch = nn.Batch(inputs=ds.inputs[idx], labels=ds.labels[idx])
-        _, g = nn.loss_and_grad(old, run.arch, batch)
+        _, g = nn.loss_and_grad(old, run.arch, ds.inputs[idx], ds.labels[idx])
         np.testing.assert_array_equal(run.strategy_state, nn.sgd_step(old, g, 0.1))
         assert record.participants == (0,)
         assert 0.0 <= record.global_acc <= 1.0
@@ -405,8 +404,7 @@ class TestPersonalization:
         for cl in run.clients:
             tx = ds.inputs[cl.test_indices]
             ty = ds.labels[cl.test_indices]
-            b = nn.Batch(inputs=tx, labels=ty)
-            pred = nn.forward(run.strategy_state, run.arch, b.inputs).argmax(axis=1)
+            pred = nn.forward(run.strategy_state, run.arch, tx).argmax(axis=1)
             manual.append(float((pred == ty).mean()))
         assert report.per_client == tuple(manual)
         assert report.mean_acc == pytest.approx(np.mean(manual))
@@ -427,11 +425,8 @@ class TestPersonalization:
             runtime.run_round(run, evaluate=False)
         global_accs = []
         for cl in run.clients:
-            b = nn.Batch(
-                inputs=ds.inputs[cl.test_indices],
-                labels=ds.labels[cl.test_indices],
-            )
-            pred = nn.forward(run.strategy_state, run.arch, b.inputs).argmax(axis=1)
+            tx = ds.inputs[cl.test_indices]
+            pred = nn.forward(run.strategy_state, run.arch, tx).argmax(axis=1)
             global_accs.append(float((pred == ds.labels[cl.test_indices]).mean()))
         report = runtime.evaluate_personalized(run, epochs=5)
         assert report.mean_acc >= np.mean(global_accs)
@@ -446,11 +441,8 @@ class TestPersonalization:
             runtime.run_round(run, evaluate=False)
         global_accs = []
         for cl in run.clients:
-            b = nn.Batch(
-                inputs=ds.inputs[cl.test_indices],
-                labels=ds.labels[cl.test_indices],
-            )
-            pred = nn.forward(run.strategy_state, run.arch, b.inputs).argmax(axis=1)
+            tx = ds.inputs[cl.test_indices]
+            pred = nn.forward(run.strategy_state, run.arch, tx).argmax(axis=1)
             global_accs.append(float((pred == ds.labels[cl.test_indices]).mean()))
         report = runtime.evaluate_personalized(run, epochs=5)
         assert abs(report.mean_acc - np.mean(global_accs)) < 0.02
