@@ -2,12 +2,13 @@
 
 `workers()` counts them: the caller plus one helper thread per spare CPU
 in the process's affinity set, at most MAX_HELPERS. `each` is the one
-claim loop on them, which the NIW strategy's global eval and
-`runtime.evaluate_personalized` share. It pins OpenBLAS to one thread,
-runs the loop in the caller and the helper threads at once, joins them and
-re-raises a helper's exception in the caller; the caller's count is
-restored afterwards. Where numpy's bundled OpenBLAS is missing, the caller
-works alone at its thread count.
+claim loop on them, which the NIW strategy's global eval,
+`runtime.evaluate_personalized` and `data`'s container read and input bit
+check share. It pins OpenBLAS to one thread, runs the loop in the caller
+and the helper threads at once, joins them and re-raises a helper's
+exception in the caller; the caller's count is restored afterwards. A
+single unit starts no helper. Where numpy's bundled OpenBLAS is missing,
+the caller works alone at its thread count.
 
 Each thread claims its next unit from one locked list, and the threads
 share whatever the units reference without copying it. At one BLAS
@@ -73,8 +74,8 @@ def workers() -> int:
 
 def each(units, compute, note, claim=None) -> list:
     """[compute(claim(u)) for u in units], computed by the caller and
-    workers() - 1 helper threads (see the module docstring); without
-    claim, compute(u).
+    workers() - 1 helper threads, but no more threads than units (see the
+    module docstring); without claim, compute(u).
 
     A thread takes the next unit, and runs claim on it, under one lock, so
     the claims run one at a time in unit order; it runs compute outside
@@ -116,7 +117,7 @@ def each(units, compute, note, claim=None) -> list:
     before = blas_threads(1)
     started = []
     try:
-        for _ in range(workers() - 1 if before is not None else 0):
+        for _ in range(min(workers(), len(units)) - 1 if before is not None else 0):
             t = threading.Thread(target=helper, name="fedsim-helper")
             try:
                 t.start()

@@ -1,8 +1,10 @@
 """Tests for dataset loading, synthetic generation, and partitioning."""
 
+import contextlib
 import os
 import stat
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import data, nn
+from fedsim import data, fanout, nn
 from fedsim.rng import stream
 
 
@@ -429,6 +431,125 @@ class TestContainer:
         data.save_dataset(path, ds)
         back = data.load_dataset(path)
         assert back.inputs.shape == (0, 3) and back.num_classes == 2
+
+
+def small_pieces(monkeypatch, dim):
+    """Pieces and check blocks of three rows of dim floats plus 16 bytes,
+    and a helper thread wherever fanout can start one."""
+    monkeypatch.setattr(data, "PIECE", 3 * 8 * dim + 16)
+    monkeypatch.setattr(fanout, "workers", lambda: 2)
+
+
+@contextlib.contextmanager
+def streamed(tmp_path, blob):
+    """A FIFO that a thread writes blob into, then closes."""
+    path = tmp_path / "stream.fifo"
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as f:
+            f.write(blob)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+
+
+class TestPieces:
+    """The container read and the input check in many pieces, on both
+    threads: every tier-1 dataset is otherwise smaller than one piece."""
+
+    def test_blocks_equal_fromfile_and_are_read_only(self, tmp_path, monkeypatch):
+        ds, _ = synth(2, 3, 7, 9, 1.0, stream(20, "pieces"))  # 54 rows of 7
+        path = str(tmp_path / "ds.bin")
+        data.save_dataset(path, ds)
+        small_pieces(monkeypatch, ds.input_dim)
+        # a byte left unread keeps this fill; np.empty may hand back freed
+        # memory that already holds the right bytes
+        monkeypatch.setattr(np, "empty", lambda shape, dtype: np.full(shape, -7, dtype))
+        back = data.load_dataset(path)
+        n, dim = len(ds), ds.input_dim
+        assert 8 * n > data.PIECE and (8 * n * dim) % data.PIECE  # labels span pieces too
+        labels = np.fromfile(path, dtype="<i8", count=n, offset=20)
+        inputs = np.fromfile(path, dtype="<f8", offset=20 + 8 * n).reshape(n, dim)
+        assert back.labels.tobytes() == labels.tobytes() == ds.labels.tobytes()
+        assert back.inputs.tobytes() == inputs.tobytes() == ds.inputs.tobytes()
+        for arr in (back.inputs, back.labels):
+            assert not arr.flags.writeable
+
+    def test_labels_then_inputs_from_one_file(self, tmp_path, monkeypatch):
+        # each block starts where the one before it ended
+        path = tmp_path / "two.bin"
+        with open(path, "wb") as f:
+            f.write(np.arange(11, dtype="<i8").tobytes())
+            f.write(np.linspace(0, 1, 11 * 4).astype("<f8").tobytes())
+            f.write(b"tail")
+        small_pieces(monkeypatch, 4)
+        with open(path, "rb") as f:
+            labels = data._read_array(f, (11,), "<i8", str(path), "labels")
+            inputs = data._read_array(f, (11, 4), "<f8", str(path), "inputs")
+            assert f.read() == b"tail"
+        assert labels.tolist() == list(range(11))
+        assert inputs.tobytes() == np.linspace(0, 1, 44).tobytes()
+
+    @pytest.mark.parametrize("value,expected", [
+        (np.nan, (ValueError, "inputs contain non-finite values")),
+        (-0.0, None),
+        (1.5, (ValueError, "inputs must lie in [0, 1]")),
+    ])
+    def test_a_fault_in_the_last_row_block_is_seen(self, monkeypatch, value, expected):
+        inputs = stream(21, "last").random((20, 5))
+        inputs[19, 4] = value  # blocks of three rows: 18 and 19 are the last
+        labels = np.zeros(20, dtype=np.int64)
+        small_pieces(monkeypatch, 5)
+        assert outcome(data.LabeledDataset, inputs, labels, 1) == expected
+        assert outcome(oracle_input_check, inputs) == expected
+
+    def test_short_regular_file_past_the_size_check(self, tmp_path, monkeypatch):
+        ds, _ = synth(2, 3, 7, 9, 1.0, stream(20, "pieces"))
+        path = tmp_path / "ds.bin"
+        data.save_dataset(str(path), ds)
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(path.read_bytes()[:-100])  # the last two pieces are short
+        small_pieces(monkeypatch, ds.input_dim)
+        monkeypatch.setattr(data, "_check_remaining", lambda *_: True)
+        with pytest.raises(data.IdxFormatError) as info:
+            data.load_dataset(str(cut))
+        assert str(info.value) == f"{cut}: truncated inputs"
+
+    def test_fifo_loads_bit_identically(self, tmp_path, monkeypatch):
+        ds, _ = synth(2, 3, 7, 9, 1.0, stream(20, "pieces"))
+        path = tmp_path / "ds.bin"
+        data.save_dataset(str(path), ds)
+        small_pieces(monkeypatch, ds.input_dim)
+        with streamed(tmp_path, path.read_bytes()) as fifo:
+            back = data.load_dataset(fifo)
+        assert back.inputs.tobytes() == ds.inputs.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+
+    def test_short_fifo_names_the_file(self, tmp_path, monkeypatch):
+        ds, _ = synth(2, 3, 7, 9, 1.0, stream(20, "pieces"))
+        path = tmp_path / "ds.bin"
+        data.save_dataset(str(path), ds)
+        small_pieces(monkeypatch, ds.input_dim)
+        with streamed(tmp_path, path.read_bytes()[:-1]) as fifo:
+            with pytest.raises(data.IdxFormatError) as info:
+                data.load_dataset(fifo)
+        assert str(info.value) == f"{fifo}: truncated inputs"
+
+    def test_without_preadv_a_file_is_read_in_one_pass(self, tmp_path, monkeypatch):
+        ds, _ = synth(2, 3, 7, 9, 1.0, stream(20, "pieces"))
+        path = str(tmp_path / "ds.bin")
+        data.save_dataset(path, ds)
+        small_pieces(monkeypatch, ds.input_dim)
+        monkeypatch.delattr(os, "preadv", raising=False)
+        back = data.load_dataset(path)
+        assert back.inputs.tobytes() == ds.inputs.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
 
 
 # Reference versions of the Partition and LabeledDataset checks: Python sets

@@ -451,6 +451,29 @@ def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(monkeypatch):
     assert ran_in == [threading.get_ident()] * 4
 
 
+@needs_openblas
+def test_one_unit_starts_no_helper(monkeypatch):
+    helpers(monkeypatch, 1)
+    starts = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        starts.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert fanout.each([7], lambda u: (u, in_caller(), fanout.blas_threads()), str) == [
+        (7, True, 1)
+    ]
+    with pytest.raises(ZeroDivisionError) as info:
+        fanout.each([7], lambda u: u / 0, lambda u: f"unit {u}")
+    assert info.value.__notes__ == ["unit 7"]
+    assert fanout.each([], str, str) == []
+    assert starts == []
+    assert fanout.each([7, 8], lambda u: u, str) == [7, 8]
+    assert starts == ["fedsim-helper"]
+
+
 def test_only_fanout_starts_threads_and_nothing_forks():
     """Work fans out through `fanout.each` alone: no module of fedsim
     imports a process pool or forks, and none but fanout.py imports
