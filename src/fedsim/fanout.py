@@ -2,13 +2,17 @@
 
 `workers()` counts them: the caller plus one helper thread per spare CPU
 in the process's affinity set, at most MAX_HELPERS. `each` is the one
-claim loop on them, which the NIW strategy's global eval,
+claim loop on them, which every strategy's global eval,
 `runtime.evaluate_personalized` and `data`'s container read and input bit
 check share. It pins OpenBLAS to one thread, runs the loop in the caller
 and the helper threads at once, joins them and re-raises a helper's
 exception in the caller; the caller's count is restored afterwards. A
 single unit starts no helper. Where numpy's bundled OpenBLAS is missing,
 the caller works alone at its thread count.
+
+Pinning parks OpenBLAS's pool (`blas_thread_shutdown_`, where exported),
+whose idle worker spins 100-200 ms after a multi-thread call on the core a
+helper needs; restoring the count re-creates it, same bits, in under 0.4 ms.
 
 Each thread claims its next unit from one locked list, and the threads
 share whatever the units reference without copying it. At one BLAS
@@ -32,7 +36,8 @@ MAX_HELPERS = 1
 
 @functools.cache
 def _openblas():
-    """The get and set thread-count functions of numpy's bundled OpenBLAS, or None."""
+    """The get and set thread-count functions of numpy's bundled OpenBLAS and
+    its thread-pool shutdown (None where not exported), or None."""
     try:
         with open("/proc/self/maps") as f:
             paths = sorted({line.split()[-1] for line in f if "scipy_openblas" in line})
@@ -47,7 +52,10 @@ def _openblas():
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
+        park = getattr(lib, "blas_thread_shutdown_", None)
+        if park is not None:
+            park.argtypes, park.restype = [], ctypes.c_int
+        return get, put, park
     return None
 
 
@@ -115,6 +123,8 @@ def each(units, compute, note, claim=None) -> list:
             raised.append(e)
 
     before = blas_threads(1)
+    if before is not None and _openblas()[2] is not None:
+        _openblas()[2]()  # park: no helper has started, so no other thread is in BLAS
     started = []
     try:
         for _ in range(min(workers(), len(units)) - 1 if before is not None else 0):

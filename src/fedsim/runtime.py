@@ -18,13 +18,9 @@ import numpy as np
 
 from . import data, fanout, niw, nn
 from .rng import stream
-from .strategies import STRATEGIES, ClientResult, Strategy
+from .strategies import EVAL_CHUNK, STRATEGIES, ClientResult, Strategy
 
 LR_SCHEDULES = ("constant_decay", "theory")
-# test rows per chunk that evaluate_global hands to global_predict; each
-# chunk's stream(seed, "eval", round, lo) is keyed by its first row lo, so
-# another size changes the NIW strategy's draws and its accuracy's bits
-EVAL_CHUNK = 2048
 
 
 class ConfigError(ValueError):

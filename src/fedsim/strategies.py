@@ -23,8 +23,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import baselines, mixture, niw, nn, optim
+from . import baselines, fanout, mixture, niw, nn, optim
 from .rng import stream
+
+# test rows per chunk that runtime.evaluate_global hands to global_predict;
+# each chunk's stream(seed, "eval", round, lo) is keyed by its first row lo,
+# so another size changes the NIW strategy's draws and its accuracy's bits
+EVAL_CHUNK = 2048
+# test rows per unit of the FedAvg and mixture eval on fanout.each, as measured
+EVAL_BLOCK = EVAL_CHUNK // 4
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,17 @@ def _local_train(m, objective, client_id, inputs, labels, arch, config, lr, roun
         brng, head,
     )
     return m, float(np.mean(losses))
+
+
+def _predict_blocks(chunks, predict) -> list[np.ndarray]:
+    """predict(rows) of each (first row, x, rng) chunk, in EVAL_BLOCK-row blocks on
+    `fanout.each`, put back in row order; an error's note names its block's first row."""
+    blocks = [(c, lo + b, x[b : b + EVAL_BLOCK])
+              for c, (lo, x, _) in enumerate(chunks) for b in range(0, len(x), EVAL_BLOCK)]
+    probs = fanout.each(blocks, lambda blk: predict(blk[2]),
+                        lambda blk: f"raised in the eval block at test row {blk[1]}")
+    return [np.concatenate([p for blk, p in zip(blocks, probs) if blk[0] == c])
+            for c in range(len(chunks))]
 
 
 def _restore_slice(new: np.ndarray, old: np.ndarray, keep: slice) -> np.ndarray:
@@ -80,7 +98,8 @@ class Strategy:
         raise NotImplementedError
 
     def global_predict(self, state, chunks, arch, config) -> list[np.ndarray]:
-        """Class probabilities of each (first row, x, rng) chunk of the test set."""
+        """Class probabilities of each (first row, x, rng) chunk of the test set, on
+        `fanout.each`: a serial loop's bits at one BLAS thread, whatever the host's count."""
         raise NotImplementedError
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng) -> np.ndarray:
@@ -115,7 +134,7 @@ class FedAvgStrategy(Strategy):
         return _restore_slice(new_state, prev_state, nn.head_span(arch))
 
     def global_predict(self, state, chunks, arch, config):
-        return [nn.softmax(nn.forward(state, arch, x)) for _, x, _ in chunks]
+        return _predict_blocks(chunks, lambda x: nn.softmax(nn.forward(state, arch, x)))
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         m, _ = optim.local_train(
@@ -233,7 +252,7 @@ class MixtureStrategy(Strategy):
         return replace(new_state, prototypes=protos, gating=gating)
 
     def global_predict(self, state, chunks, arch, config):
-        return [mixture.mix_global_predict(x, state, arch) for _, x, _ in chunks]
+        return _predict_blocks(chunks, lambda x: mixture.mix_global_predict(x, state, arch))
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         return mixture.mix_personalize(inputs, labels, state, arch, config, epochs, rng)

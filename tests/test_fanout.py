@@ -1,5 +1,5 @@
-"""`fanout.each` and the personalization pass on the caller and its
-helper threads.
+"""`fanout.each`, the personalization pass and the FedAvg and mixture
+global eval on the caller and its helper threads.
 
 Helper threads are forced on or off by replacing `fanout.workers`. A
 replaced `runtime.client_accuracy` tells the caller from a helper by
@@ -23,7 +23,9 @@ import types
 import numpy as np
 import pytest
 
-from fedsim import experiment, fanout, runtime
+from fedsim import experiment, fanout, mixture, nn, runtime
+from fedsim.rng import stream
+from fedsim.strategies import EVAL_BLOCK, EVAL_CHUNK, STRATEGIES
 
 needs_openblas = pytest.mark.skipif(
     fanout.blas_threads() is None, reason="numpy's bundled OpenBLAS not found"
@@ -341,7 +343,7 @@ def test_without_openblas_the_caller_runs_every_client(tmp_path, monkeypatch):
     spec = small_spec(tmp_path)
     alone = report_without_helpers(spec, monkeypatch)
     helpers(monkeypatch, 1)
-    get, put = fanout._openblas()
+    get, put = fanout._openblas()[:2]
     real, seen = runtime.client_accuracy, set()
 
     def record(run, cl, epochs):
@@ -432,6 +434,48 @@ def test_blas_threads_found_in_a_process_that_imports_fanout_first():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() != "None"
+
+
+@needs_openblas
+def test_each_parks_the_blas_pool_and_a_product_after_it_keeps_its_bits(monkeypatch):
+    # after a 2-thread product OpenBLAS's idle worker spins for its thread
+    # timeout; inside each, the caller and its helpers are the only threads
+    helpers(monkeypatch, 1)
+    rng = np.random.default_rng(0)
+    a, w = rng.normal(size=(500, 784)), rng.normal(size=(784, 256))
+    both = threading.Barrier(2, timeout=60)
+
+    def threads(_):
+        both.wait()  # the caller and the helper each hold a unit, alive
+        seen = len(os.listdir("/proc/self/task")), threading.active_count()
+        both.wait()  # neither ends before the other has counted
+        return seen
+
+    original = fanout.blas_threads(2)
+    try:
+        product = a @ w
+        assert len(os.listdir("/proc/self/task")) > threading.active_count()
+        seen = fanout.each(range(2), threads, str)
+        assert fanout.blas_threads() == 2
+        assert np.array_equal(a @ w, product)
+    finally:
+        fanout.blas_threads(original)
+    assert [tasks for tasks, _ in seen] == [python for _, python in seen]
+
+
+@needs_openblas
+def test_without_the_pool_shutdown_each_pins_and_restores_as_before(monkeypatch):
+    get, put, _ = fanout._openblas()
+    monkeypatch.setattr(fanout, "_openblas", lambda: (get, put, None))
+    helpers(monkeypatch, 1)
+    original = fanout.blas_threads(2)
+    try:
+        with switching_often():
+            got = fanout.each(range(6), lambda u: (u, fanout.blas_threads()), str)
+        assert got == [(u, 1) for u in range(6)]
+        assert fanout.blas_threads() == 2
+    finally:
+        fanout.blas_threads(original)
 
 
 @pytest.mark.parametrize("cpus,expected", [(1, 1), (2, 2), (8, 2)])
@@ -526,3 +570,89 @@ def test_fanout_imports_no_fedsim_module():
             for m in modules if m.startswith(".") or m.split(".")[0] == "fedsim"
         ]
     assert found == []
+
+
+class TestBlockedEval:
+    """The FedAvg and mixture eval in EVAL_BLOCK-row blocks on `fanout.each`.
+    2500 test rows make a full chunk of four blocks and a short last chunk
+    of one short block."""
+
+    ROWS = 2500
+
+    def built(self, strategy):
+        arch = nn.MlpArch((784, 256, 10))
+        config = runtime.FederatedConfig(n_clients=3, strategy=strategy)
+        state = STRATEGIES[strategy].init_state(
+            arch, nn.init_params(arch, stream(0, "eval params")), config, 300
+        )
+        x = stream(0, "eval rows").uniform(size=(self.ROWS, 784))
+        chunks = [(lo, x[lo : lo + EVAL_CHUNK], None) for lo in range(0, self.ROWS, EVAL_CHUNK)]
+        assert len(chunks[-1][1]) < EVAL_BLOCK < len(chunks[0][1])
+        return arch, config, state, x, chunks
+
+    @needs_openblas
+    @pytest.mark.parametrize("strategy", ["fedavg", "mixture"])
+    def test_blocks_keep_the_serial_loops_bits(self, strategy, monkeypatch):
+        # the serial loop over the blocks, not the chunks: OpenBLAS takes
+        # another path for products with M*N*K <= 1e6, so the mixture's
+        # 2-output gating layer, or a block of 390 rows or fewer at 256-10,
+        # gets other last bits than a whole chunk
+        arch, config, state, _, chunks = self.built(strategy)
+
+        def predict(x):
+            if strategy == "mixture":
+                return mixture.mix_global_predict(x, state, arch)
+            return nn.softmax(nn.forward(state, arch, x))
+
+        before = fanout.blas_threads(1)
+        try:
+            want = [np.concatenate([predict(x[b : b + EVAL_BLOCK])
+                                    for b in range(0, len(x), EVAL_BLOCK)])
+                    for _, x, _ in chunks]
+        finally:
+            fanout.blas_threads(before)
+        # a forward that waits a little lets the helpers take blocks while
+        # the caller computes its own
+        forward, ran_in = nn.forward, set()
+
+        def slow_forward(*args):
+            ran_in.add(threading.get_ident())
+            time.sleep(0.002)
+            return forward(*args)
+
+        monkeypatch.setattr(nn, "forward", slow_forward)
+        for n in (1, 2, 4):  # 4: more threads than cores
+            monkeypatch.setattr(fanout, "workers", lambda n=n: n)
+            ran_in.clear()
+            with switching_often():
+                got = STRATEGIES[strategy].global_predict(state, chunks, arch, config)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert (len(ran_in) > 1) == (n > 1)
+
+    @needs_openblas
+    @pytest.mark.parametrize("strategy", ["fedavg", "mixture"])
+    def test_an_error_names_its_block_and_leaves_nothing(self, strategy, monkeypatch):
+        arch, config, state, x, chunks = self.built(strategy)
+        monkeypatch.setattr(fanout, "workers", lambda: 2)
+        starts = {x[lo, 0]: lo for lo in range(0, self.ROWS, EVAL_BLOCK)}
+        forward, seen = nn.forward, []  # list.append is atomic
+
+        def third_block_fails(params, arch, rows):
+            seen.append(starts.get(rows[0, 0]))
+            if seen[-1] == 2 * EVAL_BLOCK:
+                raise FloatingPointError("diverged")
+            return forward(params, arch, rows)
+
+        monkeypatch.setattr(nn, "forward", third_block_fails)
+        original = fanout.blas_threads(2)
+        try:
+            threads = threading.active_count()
+            with pytest.raises(FloatingPointError) as err:
+                STRATEGIES[strategy].global_predict(state, chunks, arch, config)
+            assert threading.active_count() == threads
+            assert fanout.blas_threads() == 2
+        finally:
+            fanout.blas_threads(original)
+        assert err.value.__notes__ == [f"raised in the eval block at test row {2 * EVAL_BLOCK}"]
+        # the failure empties the list, so the last block is not claimed
+        assert EVAL_CHUNK not in seen

@@ -488,7 +488,7 @@ class TestGlobalPredict:
         # one CPU: the caller alone at one BLAS thread; no bundled OpenBLAS:
         # the caller alone at the host's count, here 2
         arch, post, chunks = self.chunked()
-        get, put = fanout._openblas()
+        get, put = fanout._openblas()[:2]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         if not bundled:
             monkeypatch.setattr(fanout, "_openblas", lambda: None)

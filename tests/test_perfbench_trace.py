@@ -9,6 +9,7 @@ show up as one `nn.sgd_step` span, and every proximal step as one
 `optim.prox_quadratic_step` span.
 """
 
+import collections
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import pytest
 
 from fedsim import runtime
 from fedsim.experiment import build_run, parse_spec_dict, run_experiment
+from fedsim.strategies import EVAL_BLOCK, EVAL_CHUNK
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -85,3 +87,25 @@ def test_one_step_span_per_local_step(perfbench, tmp_path, strategy):
     assert steps > len(run.records[0].participants)
     assert count("nn.sgd_step") == steps
     assert count("optim.prox_quadratic_step") == (0 if strategy == "fedavg" else steps)
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "mixture"])
+def test_a_round_with_its_global_eval_on_helper_threads(perfbench, tmp_path, strategy):
+    # enough test rows for several blocks, so a helper thread calls the
+    # wrapped layers too
+    metrics, tracing = perfbench
+    obj = quickstart(tmp_path, strategy=strategy, rounds=1)
+    obj["dataset"]["test_per_class"] = 300
+    run = build_run(parse_spec_dict(obj))
+    rows = len(run.test_ds)
+    blocks = sum(
+        math.ceil(min(EVAL_CHUNK, rows - lo) / EVAL_BLOCK) for lo in range(0, rows, EVAL_CHUNK)
+    )
+    assert blocks > 1
+    with tracing.Tracer(metrics.traced_layers()) as tracer:
+        runtime.run_round(run, evaluate=True)
+    assert tracer.restored()
+    names = collections.Counter(span[tracing.NAME] for span in tracer.spans)
+    assert names["runtime.evaluate_global"] == 1
+    assert names["strategies.global_predict"] == 1
+    assert names["mixture.mix_global_predict"] == (blocks if strategy == "mixture" else 0)

@@ -13,9 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsim import data, mixture, niw, nn, runtime
+from fedsim import data, fanout, mixture, niw, nn, runtime
 from fedsim.rng import stream
 from fedsim.strategies import STRATEGIES, ClientResult
+
+from test_fanout import needs_openblas
 
 
 def tiny_dataset(seed=0, classes=3, dims=4, per_class=30):
@@ -372,6 +374,61 @@ print(sorted(sha([m]) for m in models))
             return proc.stdout
 
         assert probs_sha(1) == probs_sha(2)
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedbabu", "mixture"])
+    def test_eval_probabilities_independent_of_the_host_blas_threads(self, strategy):
+        # the NIW check above for the other strategies' eval: a full
+        # 2048-row chunk's GEMM at 784-256-10 differs in its last bits
+        # between 1 and 2 OpenBLAS threads, and their probabilities must not
+        script = f"""
+import hashlib
+import numpy as np
+from fedsim import data, nn, runtime
+from fedsim.rng import stream
+rng = stream(0, "host")
+def ds(rows):
+    return data.LabeledDataset(inputs=rng.uniform(size=(rows, 784)),
+                               labels=np.arange(rows) % 10, num_classes=10)
+rows = [np.arange(lo, lo + 100) for lo in range(0, 300, 100)]
+part = data.Partition(tuple(rows), tuple(r[:90] for r in rows), tuple(r[90:] for r in rows))
+config = runtime.FederatedConfig(n_clients=3, strategy="{strategy}")
+run = runtime.init_run(config, nn.MlpArch((784, 256, 10)), ds(300), ds(2500), part)
+predict, kept = run.strategy.global_predict, []
+run.strategy.global_predict = lambda *a: kept.append(predict(*a)) or kept[-1]
+runtime.evaluate_global(run)
+print(hashlib.sha256(b"".join(p.tobytes() for p in kept[0])).hexdigest())
+"""
+        src = os.path.dirname(os.path.dirname(runtime.__file__))
+
+        def probs_sha(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        assert probs_sha(1) == probs_sha(2)
+
+    @needs_openblas
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_every_eval_forward_runs_at_one_blas_thread(self, strategy, monkeypatch):
+        # a strategy whose eval predicts outside fanout.each would run at
+        # the host's count, here 2
+        ds = tiny_dataset(seed=20)
+        run = make_run(ds, strategy=strategy, rounds=1, seed=20, sample_count=2)
+        forward, seen = nn.forward, []
+
+        def watched(*args):
+            seen.append(fanout.blas_threads())
+            return forward(*args)
+
+        monkeypatch.setattr(nn, "forward", watched)
+        original = fanout.blas_threads(2)
+        try:
+            runtime.evaluate_global(run)
+        finally:
+            fanout.blas_threads(original)
+        assert seen and set(seen) == {1}
 
 
 def conflicting_pair_dataset(seed=19, per_side=100):
