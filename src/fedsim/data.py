@@ -41,7 +41,8 @@ PIECE = 8 << 20
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX file: bad magic, truncation, or count mismatch."""
+    """Malformed IDX file or container: bad magic, truncation, count mismatch
+    or content that fails the LabeledDataset checks."""
 
 
 class PartitionError(ValueError):
@@ -498,4 +499,7 @@ def load_dataset(path: str) -> LabeledDataset:
             raise IdxFormatError(f"{path}: unsupported version {version}")
         labels = _read_array(f, (n,), "<i8", path, "labels")
         inputs = _read_array(f, (n, dim), "<f8", path, "inputs")
-    return LabeledDataset(inputs=inputs, labels=labels, num_classes=num_classes)
+    try:
+        return LabeledDataset(inputs=inputs, labels=labels, num_classes=num_classes)
+    except ValueError as e:
+        raise IdxFormatError(f"{path}: {e}") from e

@@ -112,7 +112,7 @@ def each(units, compute, note, claim=None) -> list:
         except BaseException as e:
             with lock:
                 left.clear()
-            if i is not None and hasattr(e, "add_note"):  # Python 3.11+
+            if i is not None:
                 e.add_note(note(units[i]))
             raise
 

@@ -69,13 +69,6 @@ class MlpArch:
         return self.layer_sizes[-1]
 
 
-@dataclass(frozen=True)
-class DropoutMask:
-    """Per-layer keep flags, one per input column of that layer's weights."""
-
-    keep: tuple[np.ndarray, ...]  # bool arrays, keep[l].shape == (in_dim_l,)
-
-
 def param_count(arch: MlpArch) -> int:
     sizes = arch.layer_sizes
     return sum(sizes[l] * sizes[l + 1] + sizes[l + 1] for l in range(arch.num_layers))
@@ -131,32 +124,32 @@ def _check_params(params: np.ndarray, arch: MlpArch):
         )
 
 
-def _check_mask(mask: DropoutMask, arch: MlpArch):
-    if len(mask.keep) != arch.num_layers:
+def _check_mask(mask: tuple[np.ndarray, ...], arch: MlpArch):
+    if len(mask) != arch.num_layers:
         raise DimensionMismatch(
-            0, f"mask has {len(mask.keep)} layers, arch has {arch.num_layers}"
+            0, f"mask has {len(mask)} layers, arch has {arch.num_layers}"
         )
     for l in range(arch.num_layers):
-        if mask.keep[l].shape != (arch.layer_sizes[l],):
+        if mask[l].shape != (arch.layer_sizes[l],):
             raise DimensionMismatch(
                 l,
-                f"mask keep shape {mask.keep[l].shape} != ({arch.layer_sizes[l]},)",
+                f"mask keep shape {mask[l].shape} != ({arch.layer_sizes[l]},)",
             )
 
 
 def sample_dropout_mask(
     p_keep: float, arch: MlpArch, rng: np.random.Generator
-) -> DropoutMask:
+) -> tuple[np.ndarray, ...]:
+    """Per-layer keep flags, one bool per input column of that layer's weights."""
     if not 0.0 <= p_keep <= 1.0:
         raise ValueError(f"p_keep must be in [0, 1], got {p_keep}")
-    keep = tuple(
+    return tuple(
         rng.random(arch.layer_sizes[l]) < p_keep for l in range(arch.num_layers)
     )
-    return DropoutMask(keep=keep)
 
 
 def _check_inputs(
-    params: np.ndarray, arch: MlpArch, X: np.ndarray, mask: DropoutMask | None
+    params: np.ndarray, arch: MlpArch, X: np.ndarray, mask: tuple[np.ndarray, ...] | None
 ):
     _check_params(params, arch)
     if mask is not None:
@@ -168,17 +161,17 @@ def _check_inputs(
 
 
 def _layer_inputs(
-    params: np.ndarray, arch: MlpArch, X: np.ndarray, mask: DropoutMask | None
+    params: np.ndarray, arch: MlpArch, X: np.ndarray, mask: tuple[np.ndarray, ...] | None
 ) -> list[np.ndarray]:
     """[X, a_1, ..., logits]: each layer's unmasked input, then the logits.
 
-    A mask multiplies layer l's input by keep[l] before the product with
+    A mask multiplies layer l's input by mask[l] before the product with
     W_l (see the module docstring).
     """
     outs = [X]
     last = arch.num_layers - 1
     for l, (W, b) in enumerate(weight_views(params, arch)):
-        a = outs[-1] if mask is None else outs[-1] * mask.keep[l]
+        a = outs[-1] if mask is None else outs[-1] * mask[l]
         z = a @ W
         z += b
         if l < last:
@@ -191,7 +184,7 @@ def forward(
     params: np.ndarray,
     arch: MlpArch,
     x: np.ndarray,
-    mask: DropoutMask | None = None,
+    mask: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Logits (rows of x, num_classes); dropped groups act as zeros."""
     _check_inputs(params, arch, x, mask)
@@ -229,7 +222,7 @@ def mean_loss(
     arch: MlpArch,
     x: np.ndarray,
     y: np.ndarray,
-    mask: DropoutMask | None = None,
+    mask: tuple[np.ndarray, ...] | None = None,
 ) -> float:
     """Mean cross-entropy of labels y over the rows of x, from one forward pass.
 
@@ -244,7 +237,7 @@ def loss_and_grad(
     arch: MlpArch,
     x: np.ndarray,
     y: np.ndarray,
-    mask: DropoutMask | None = None,
+    mask: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of labels y over the rows of x, and its exact gradient.
 
@@ -265,10 +258,10 @@ def loss_and_grad(
         if mask is not None:
             # dropped rows times 0.0, as a product with the mask would give;
             # kept rows would be multiplied by 1.0, which changes nothing
-            np.multiply(dW, 0.0, out=dW, where=~mask.keep[l][:, None])
+            np.multiply(dW, 0.0, out=dW, where=~mask[l][:, None])
         np.sum(delta, axis=0, out=db)
         if l > 0:
-            W = weights[l] if mask is None else weights[l] * mask.keep[l][:, None]
+            W = weights[l] if mask is None else weights[l] * mask[l][:, None]
             delta = delta @ W.T
             delta[activations[l] <= 0.0] = 0.0
     return loss, grad

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data, fanout, niw, nn
 from .rng import stream
-from .strategies import EVAL_CHUNK, STRATEGIES, ClientResult, Strategy
+from .strategies import STRATEGIES, ClientResult, Strategy
 
 LR_SCHEDULES = ("constant_decay", "theory")
 
@@ -251,15 +251,13 @@ def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
 
 
 def evaluate_global(run: RunState) -> float:
-    """Top-1 accuracy of the strategy's global predictive distribution."""
+    """Top-1 accuracy of the strategy's global predictive distribution, from
+    the one (rows, classes) matrix of test-set probabilities it returns."""
     ds = run.test_ds
-    starts = range(0, len(ds), EVAL_CHUNK)
-    chunks = [(lo, ds.inputs[lo : lo + EVAL_CHUNK],
-               stream(run.config.seed, "eval", run.round_index, lo)) for lo in starts]
-    probs = run.strategy.global_predict(run.strategy_state, chunks, run.arch, run.config)
-    correct = sum(int((p.argmax(axis=1) == ds.labels[lo : lo + EVAL_CHUNK]).sum())
-                  for lo, p in zip(starts, probs))
-    return correct / len(ds)
+    probs = run.strategy.global_predict(
+        run.strategy_state, ds.inputs, run.arch, run.config, run.round_index
+    )
+    return int((probs.argmax(axis=1) == ds.labels).sum()) / len(ds)
 
 
 @dataclass(frozen=True)

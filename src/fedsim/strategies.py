@@ -26,12 +26,13 @@ import numpy as np
 from . import baselines, fanout, mixture, niw, nn, optim
 from .rng import stream
 
-# test rows per chunk that runtime.evaluate_global hands to global_predict;
-# each chunk's stream(seed, "eval", round, lo) is keyed by its first row lo,
-# so another size changes the NIW strategy's draws and its accuracy's bits
+# test rows per chunk of the NIW eval; each chunk's stream(seed, "eval", round,
+# lo) is keyed by its first row lo, so another size changes the NIW strategy's
+# draws and its accuracy's bits
 EVAL_CHUNK = 2048
-# test rows per unit of the FedAvg and mixture eval on fanout.each, as measured
-EVAL_BLOCK = EVAL_CHUNK // 4
+# test rows per unit of the FedAvg and mixture eval on fanout.each, as measured;
+# another size can change the last bits of their probabilities
+EVAL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,13 @@ def _local_train(m, objective, client_id, inputs, labels, arch, config, lr, roun
     return m, float(np.mean(losses))
 
 
-def _predict_blocks(chunks, predict) -> list[np.ndarray]:
-    """predict(rows) of each (first row, x, rng) chunk, in EVAL_BLOCK-row blocks on
-    `fanout.each`, put back in row order; an error's note names its block's first row."""
-    blocks = [(c, lo + b, x[b : b + EVAL_BLOCK])
-              for c, (lo, x, _) in enumerate(chunks) for b in range(0, len(x), EVAL_BLOCK)]
-    probs = fanout.each(blocks, lambda blk: predict(blk[2]),
-                        lambda blk: f"raised in the eval block at test row {blk[1]}")
-    return [np.concatenate([p for blk, p in zip(blocks, probs) if blk[0] == c])
-            for c in range(len(chunks))]
+def _predict_blocks(x, predict) -> np.ndarray:
+    """predict(rows) of the test rows x, in EVAL_BLOCK-row blocks on `fanout.each`,
+    in row order; an error's note names its block's first row."""
+    return np.concatenate(fanout.each(
+        range(0, len(x), EVAL_BLOCK), lambda lo: predict(x[lo : lo + EVAL_BLOCK]),
+        lambda lo: f"raised in the eval block at test row {lo}",
+    ))
 
 
 def _restore_slice(new: np.ndarray, old: np.ndarray, keep: slice) -> np.ndarray:
@@ -97,9 +96,10 @@ class Strategy:
         """
         raise NotImplementedError
 
-    def global_predict(self, state, chunks, arch, config) -> list[np.ndarray]:
-        """Class probabilities of each (first row, x, rng) chunk of the test set, on
-        `fanout.each`: a serial loop's bits at one BLAS thread, whatever the host's count."""
+    def global_predict(self, state, x, arch, config, round_index) -> np.ndarray:
+        """Class probabilities of the test rows x, one (rows, classes) array in row
+        order, on `fanout.each`: a serial loop's bits at one BLAS thread, whatever
+        the host's count. round_index keys the eval streams of a strategy that draws."""
         raise NotImplementedError
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng) -> np.ndarray:
@@ -133,8 +133,8 @@ class FedAvgStrategy(Strategy):
     def restore_heads(self, new_state, prev_state, arch):
         return _restore_slice(new_state, prev_state, nn.head_span(arch))
 
-    def global_predict(self, state, chunks, arch, config):
-        return _predict_blocks(chunks, lambda x: nn.softmax(nn.forward(state, arch, x)))
+    def global_predict(self, state, x, arch, config, round_index):
+        return _predict_blocks(x, lambda rows: nn.softmax(nn.forward(state, arch, rows)))
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         m, _ = optim.local_train(
@@ -187,8 +187,10 @@ class NiwStrategy(Strategy):
         m0 = _restore_slice(new_state.m0, prev_state.m0, nn.head_span(arch))
         return replace(new_state, m0=m0)
 
-    def global_predict(self, state, chunks, arch, config):
-        return niw.niw_global_predict(chunks, state, arch, config.sample_count)
+    def global_predict(self, state, x, arch, config, round_index):
+        chunks = [(lo, x[lo : lo + EVAL_CHUNK], stream(config.seed, "eval", round_index, lo))
+                  for lo in range(0, len(x), EVAL_CHUNK)]
+        return np.concatenate(niw.niw_global_predict(chunks, state, arch, config.sample_count))
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         return niw.niw_personalize(inputs, labels, state, arch, config, epochs, rng)
@@ -251,8 +253,8 @@ class MixtureStrategy(Strategy):
         gating = _restore_slice(new_state.gating, prev_state.gating, gkeep)
         return replace(new_state, prototypes=protos, gating=gating)
 
-    def global_predict(self, state, chunks, arch, config):
-        return _predict_blocks(chunks, lambda x: mixture.mix_global_predict(x, state, arch))
+    def global_predict(self, state, x, arch, config, round_index):
+        return _predict_blocks(x, lambda rows: mixture.mix_global_predict(rows, state, arch))
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         return mixture.mix_personalize(inputs, labels, state, arch, config, epochs, rng)

@@ -339,7 +339,7 @@ def _sampler_checks(seed: int) -> list[dict]:
             mask = nn.sample_dropout_mask(
                 p_keep, arch, stream(seed, "verify", "mask", repr(p_keep), i)
             )
-            for layer in mask.keep:
+            for layer in mask:
                 kept += int(layer.sum())
                 total += layer.size
         rate = kept / total

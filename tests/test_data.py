@@ -425,6 +425,29 @@ class TestContainer:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("fault,message", [
+        ("label", "labels out of range [0, 3): [0, 7]"),
+        ("input", "inputs must lie in [0, 1]"),
+        ("classes", "num_classes must be >= 1, got 0"),
+    ], ids=["label", "input", "classes"])
+    def test_bad_content_names_the_file(self, tmp_path, fault, message):
+        # written byte by byte: save_dataset takes only a valid dataset
+        inputs = stream(22, "content").random((20, 5))
+        labels, classes = np.arange(20) % 3, 3
+        if fault == "label":
+            labels[4] = 7
+        elif fault == "input":
+            inputs[9, 2] = 1.5
+        else:
+            classes = 0
+        path = tmp_path / f"bad-{fault}.bin"
+        header = struct.pack("<IIII", data.CONTAINER_VERSION, 20, 5, classes)
+        path.write_bytes(data.CONTAINER_MAGIC + header + labels.astype("<i8").tobytes()
+                         + inputs.astype("<f8").tobytes())
+        with pytest.raises(data.IdxFormatError) as info:
+            data.load_dataset(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
     def test_empty_container_round_trips(self, tmp_path):
         ds = data.LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
         path = str(tmp_path / "empty.bin")

@@ -25,7 +25,7 @@ import pytest
 
 from fedsim import experiment, fanout, mixture, nn, runtime
 from fedsim.rng import stream
-from fedsim.strategies import EVAL_BLOCK, EVAL_CHUNK, STRATEGIES
+from fedsim.strategies import EVAL_BLOCK, STRATEGIES
 
 needs_openblas = pytest.mark.skipif(
     fanout.blas_threads() is None, reason="numpy's bundled OpenBLAS not found"
@@ -574,30 +574,30 @@ def test_fanout_imports_no_fedsim_module():
 
 class TestBlockedEval:
     """The FedAvg and mixture eval in EVAL_BLOCK-row blocks on `fanout.each`.
-    2500 test rows make a full chunk of four blocks and a short last chunk
-    of one short block."""
+    2500 test rows make four full blocks and a short last one; 300 rows
+    make one short block, which starts no helper."""
 
-    ROWS = 2500
-
-    def built(self, strategy):
+    def built(self, strategy, rows=2500):
         arch = nn.MlpArch((784, 256, 10))
         config = runtime.FederatedConfig(n_clients=3, strategy=strategy)
         state = STRATEGIES[strategy].init_state(
             arch, nn.init_params(arch, stream(0, "eval params")), config, 300
         )
-        x = stream(0, "eval rows").uniform(size=(self.ROWS, 784))
-        chunks = [(lo, x[lo : lo + EVAL_CHUNK], None) for lo in range(0, self.ROWS, EVAL_CHUNK)]
-        assert len(chunks[-1][1]) < EVAL_BLOCK < len(chunks[0][1])
-        return arch, config, state, x, chunks
+        x = stream(0, "eval rows").uniform(size=(rows, 784))
+        return arch, config, state, x
 
     @needs_openblas
-    @pytest.mark.parametrize("strategy", ["fedavg", "mixture"])
-    def test_blocks_keep_the_serial_loops_bits(self, strategy, monkeypatch):
-        # the serial loop over the blocks, not the chunks: OpenBLAS takes
-        # another path for products with M*N*K <= 1e6, so the mixture's
-        # 2-output gating layer, or a block of 390 rows or fewer at 256-10,
-        # gets other last bits than a whole chunk
-        arch, config, state, _, chunks = self.built(strategy)
+    @pytest.mark.parametrize(
+        "strategy,rows",
+        [("fedavg", 2500), ("mixture", 2500), ("fedavg", 300), ("mixture", 300)],
+        ids=["fedavg", "mixture", "fedavg-one-short-block", "mixture-one-short-block"],
+    )
+    def test_blocks_keep_the_serial_loops_bits(self, strategy, rows, monkeypatch):
+        # the serial loop over the blocks, not the whole test set: OpenBLAS
+        # takes another path for products with M*N*K <= 1e6, so the
+        # mixture's 2-output gating layer, or a block of 390 rows or fewer
+        # at 256-10, gets other last bits than a larger product
+        arch, config, state, x = self.built(strategy, rows)
 
         def predict(x):
             if strategy == "mixture":
@@ -606,9 +606,8 @@ class TestBlockedEval:
 
         before = fanout.blas_threads(1)
         try:
-            want = [np.concatenate([predict(x[b : b + EVAL_BLOCK])
-                                    for b in range(0, len(x), EVAL_BLOCK)])
-                    for _, x, _ in chunks]
+            want = np.concatenate([predict(x[b : b + EVAL_BLOCK])
+                                   for b in range(0, rows, EVAL_BLOCK)])
         finally:
             fanout.blas_threads(before)
         # a forward that waits a little lets the helpers take blocks while
@@ -625,16 +624,16 @@ class TestBlockedEval:
             monkeypatch.setattr(fanout, "workers", lambda n=n: n)
             ran_in.clear()
             with switching_often():
-                got = STRATEGIES[strategy].global_predict(state, chunks, arch, config)
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-            assert (len(ran_in) > 1) == (n > 1)
+                got = STRATEGIES[strategy].global_predict(state, x, arch, config, 0)
+            assert got.shape == (rows, 10) and got.tobytes() == want.tobytes()
+            assert (len(ran_in) > 1) == (n > 1 and rows > EVAL_BLOCK)
 
     @needs_openblas
     @pytest.mark.parametrize("strategy", ["fedavg", "mixture"])
     def test_an_error_names_its_block_and_leaves_nothing(self, strategy, monkeypatch):
-        arch, config, state, x, chunks = self.built(strategy)
+        arch, config, state, x = self.built(strategy)
         monkeypatch.setattr(fanout, "workers", lambda: 2)
-        starts = {x[lo, 0]: lo for lo in range(0, self.ROWS, EVAL_BLOCK)}
+        starts = {x[lo, 0]: lo for lo in range(0, len(x), EVAL_BLOCK)}
         forward, seen = nn.forward, []  # list.append is atomic
 
         def third_block_fails(params, arch, rows):
@@ -648,11 +647,11 @@ class TestBlockedEval:
         try:
             threads = threading.active_count()
             with pytest.raises(FloatingPointError) as err:
-                STRATEGIES[strategy].global_predict(state, chunks, arch, config)
+                STRATEGIES[strategy].global_predict(state, x, arch, config, 0)
             assert threading.active_count() == threads
             assert fanout.blas_threads() == 2
         finally:
             fanout.blas_threads(original)
         assert err.value.__notes__ == [f"raised in the eval block at test row {2 * EVAL_BLOCK}"]
         # the failure empties the list, so the last block is not claimed
-        assert EVAL_CHUNK not in seen
+        assert 4 * EVAL_BLOCK not in seen

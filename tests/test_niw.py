@@ -102,7 +102,7 @@ class TestClientLossGrad:
             )
 
         mask = nn.sample_dropout_mask(0.8, self.arch, stream(7, "mask"))
-        assert not all(layer.all() for layer in mask.keep)
+        assert not all(layer.all() for layer in mask)
         _, grad = total_loss_and_grad(objective(), m_i, self.x, self.y)
         fd = central_diff_grad(lambda p: objective()(p, self.x, self.y)[0], m_i)
         assert rel_err(grad, fd).max() < 1e-5

@@ -31,7 +31,7 @@ def apply_mask(params, arch, mask):
     """Zero every parameter in a dropped group (biases untouched)."""
     out = params.copy()
     for l, (W, b) in enumerate(nn.weight_views(out, arch)):
-        W *= mask.keep[l][:, None].astype(np.float64)
+        W *= mask[l][:, None].astype(np.float64)
     return out
 
 
@@ -40,7 +40,7 @@ def oracle_forward(params, arch, a, mask=None):
     last = arch.num_layers - 1
     for l, (W, b) in enumerate(nn.weight_views(params, arch)):
         if mask is not None:
-            W = W * mask.keep[l][:, None].astype(np.float64)
+            W = W * mask[l][:, None].astype(np.float64)
         z = a @ W + b
         a = np.maximum(z, 0.0) if l < last else z
     return a
@@ -55,7 +55,7 @@ def oracle_loss_and_grad(params, arch, X, y, mask=None):
     masked_weights = []
     for l, (W, b) in enumerate(nn.weight_views(params, arch)):
         if mask is not None:
-            W = W * mask.keep[l][:, None].astype(np.float64)
+            W = W * mask[l][:, None].astype(np.float64)
         masked_weights.append(W)
         z = a @ W + b
         a = np.maximum(z, 0.0) if l < last else z
@@ -72,7 +72,7 @@ def oracle_loss_and_grad(params, arch, X, y, mask=None):
         w_span, b_span = spans[l]
         dW = activations[l].T @ delta
         if mask is not None:
-            dW *= mask.keep[l][:, None].astype(np.float64)
+            dW *= mask[l][:, None].astype(np.float64)
         grad[w_span] = dW.reshape(-1)
         grad[b_span] = delta.sum(axis=0)
         if l > 0:
@@ -160,7 +160,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         params = nn.init_params(arch, rng)
         x, _ = make_batch(rng, 6, 4, 2)
-        mask = nn.DropoutMask(keep=tuple(np.zeros(s, dtype=bool) for s in (4, 3)))
+        mask = tuple(np.zeros(s, dtype=bool) for s in (4, 3))
         got = nn.forward(params, arch, x, mask)
         zeroed = apply_mask(params, arch, mask)
         assert np.array_equal(got, nn.forward(zeroed, arch, x))
@@ -187,7 +187,7 @@ class TestForward:
             nn.forward(np.zeros(nn.param_count(arch)), arch, bad_x)
         with pytest.raises(nn.DimensionMismatch):  # one row, not a matrix
             nn.forward(np.zeros(nn.param_count(arch)), arch, x[0])
-        bad_mask = nn.DropoutMask(keep=(np.ones(4, dtype=bool),))
+        bad_mask = (np.ones(4, dtype=bool),)
         with pytest.raises(nn.DimensionMismatch):
             nn.forward(np.zeros(nn.param_count(arch)), arch, x, bad_mask)
 
@@ -237,7 +237,7 @@ class TestLossAndGrad:
         )
         assert rel_err(grad, fd).max() < 1e-6
         for l, (W, b) in enumerate(nn.weight_views(grad, arch)):
-            dropped = ~mask.keep[l]
+            dropped = ~mask[l]
             assert np.array_equal(W[dropped], np.zeros_like(W[dropped]))
 
     def test_non_finite_loss_reports_batch_index(self):
@@ -298,12 +298,12 @@ class TestDropoutSampling:
     def test_p_one_keeps_all(self):
         arch = nn.MlpArch((10, 8, 4))
         mask = nn.sample_dropout_mask(1.0, arch, stream(0, "m"))
-        assert all(k.all() for k in mask.keep)
+        assert all(k.all() for k in mask)
 
     def test_p_zero_drops_all_weight_groups(self):
         arch = nn.MlpArch((10, 8, 4))
         mask = nn.sample_dropout_mask(0.0, arch, stream(0, "m"))
-        assert not any(k.any() for k in mask.keep)
+        assert not any(k.any() for k in mask)
         # bias groups have no keep entry: they are always applied
         x, _ = make_batch(np.random.default_rng(1), 3, 10, 4)
         params = nn.init_params(arch, np.random.default_rng(2))
@@ -318,7 +318,7 @@ class TestDropoutSampling:
         draws = 100
         rng = stream(42, "mc")
         total = np.sum([
-            nn.sample_dropout_mask(p, arch, rng).keep[0].sum() for _ in range(draws)
+            nn.sample_dropout_mask(p, arch, rng)[0].sum() for _ in range(draws)
         ])
         n = 100 * draws
         se = np.sqrt(p * (1 - p) / n)
@@ -328,7 +328,7 @@ class TestDropoutSampling:
         arch = nn.MlpArch((30, 20, 5))
         m1 = nn.sample_dropout_mask(0.7, arch, stream(5, "mask", 3))
         m2 = nn.sample_dropout_mask(0.7, arch, stream(5, "mask", 3))
-        assert all(np.array_equal(a, b) for a, b in zip(m1.keep, m2.keep))
+        assert all(np.array_equal(a, b) for a, b in zip(m1, m2))
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
@@ -406,9 +406,9 @@ def protocol_mask(kind):
         return nn.sample_dropout_mask(0.5, PROTOCOL, stream(2, "mask"))
     # every group of one layer dropped, the other layer at p_keep 0.5
     dropped = int(kind[-1])
-    keep = list(nn.sample_dropout_mask(0.5, PROTOCOL, stream(3, "mask")).keep)
+    keep = list(nn.sample_dropout_mask(0.5, PROTOCOL, stream(3, "mask")))
     keep[dropped] = np.zeros_like(keep[dropped])
-    return nn.DropoutMask(keep=tuple(keep))
+    return tuple(keep)
 
 
 MASK_KINDS = ["none", "p0.999", "p0.5", "drop_layer0", "drop_layer1"]

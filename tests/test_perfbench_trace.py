@@ -18,7 +18,7 @@ import pytest
 
 from fedsim import runtime
 from fedsim.experiment import build_run, parse_spec_dict, run_experiment
-from fedsim.strategies import EVAL_BLOCK, EVAL_CHUNK
+from fedsim.strategies import EVAL_BLOCK
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -98,9 +98,7 @@ def test_a_round_with_its_global_eval_on_helper_threads(perfbench, tmp_path, str
     obj["dataset"]["test_per_class"] = 300
     run = build_run(parse_spec_dict(obj))
     rows = len(run.test_ds)
-    blocks = sum(
-        math.ceil(min(EVAL_CHUNK, rows - lo) / EVAL_BLOCK) for lo in range(0, rows, EVAL_CHUNK)
-    )
+    blocks = math.ceil(rows / EVAL_BLOCK)
     assert blocks > 1
     with tracing.Tracer(metrics.traced_layers()) as tracer:
         runtime.run_round(run, evaluate=True)

@@ -13,9 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsim import data, fanout, mixture, niw, nn, runtime
+from fedsim import data, fanout, mixture, niw, nn, runtime, strategies
 from fedsim.rng import stream
-from fedsim.strategies import STRATEGIES, ClientResult
+from fedsim.strategies import EVAL_CHUNK, STRATEGIES, ClientResult
 
 from test_fanout import needs_openblas
 
@@ -429,6 +429,26 @@ print(hashlib.sha256(b"".join(p.tobytes() for p in kept[0])).hexdigest())
         finally:
             fanout.blas_threads(original)
         assert seen and set(seen) == {1}
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_only_the_niw_eval_builds_streams(self, strategy, monkeypatch):
+        # only the NIW predictive draws: one stream per EVAL_CHUNK-row chunk,
+        # keyed by the round and the chunk's first row; the others predict
+        # deterministically and build none
+        test_ds = tiny_dataset(seed=24, per_class=1400)  # 4200 rows, three chunks
+        run = make_run(tiny_dataset(seed=23), test_ds=test_ds, strategy=strategy,
+                       rounds=1, seed=23, sample_count=2)
+        built = []
+
+        def counted(real):
+            return lambda *tags: built.append(tags) or real(*tags)
+
+        for module in (runtime, strategies):
+            monkeypatch.setattr(module, "stream", counted(module.stream))
+        runtime.evaluate_global(run)
+        chunks = range(0, len(test_ds), EVAL_CHUNK)
+        want = [(23, "eval", run.round_index, lo) for lo in chunks]
+        assert built == (want if strategy == "niw" else [])
 
 
 def conflicting_pair_dataset(seed=19, per_side=100):
