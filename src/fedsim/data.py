@@ -7,13 +7,18 @@ a small binary container for reproducible dataset snapshots.
 
 Setup reads and checks each dataset once: both loaders check a block's
 declared size against the file before allocating it, the container loader
-reads every block straight into its array in PIECE-byte pieces on
-`fanout.each`, so both cores copy from the page cache at once,
-`LabeledDataset` validates the inputs in one pass over their bits, one
-row block of about PIECE bytes per unit on the same loop, and `Partition`
-checks client overlap with one sort of all the clients' indices.
-`save_dataset` replaces a container atomically, so a reader never sees a
-half-written one.
+reads every block in PIECE-byte pieces on `fanout.each`, so both cores copy
+from the page cache at once, `LabeledDataset` validates the inputs in one
+pass over their bits, one row block of about PIECE bytes per unit on the
+same loop, and `Partition` checks client overlap with one sort of all the
+clients' indices.
+
+A regular-file container's inputs block is checked at load but not kept:
+the dataset holds the labels and an open descriptor, and `rows` reads the
+rows a client needs when it needs them. `save_dataset` replaces a
+container atomically, so a reader never sees a half-written one, and a
+loaded dataset goes on reading the file it opened; a container rewritten
+in place is refused at the next read.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,24 +57,30 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    inputs: np.ndarray  # (n, dim) float64, values in [0, 1]
+    inputs: np.ndarray | None  # (n, dim) float64 in [0, 1]; None with a source
     labels: np.ndarray  # (n,) integer class indices
     num_classes: int
+    # the inputs left in a container file, checked when it was loaded
+    source: ContainerRows | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if inputs.ndim != 2:
-            raise ValueError(f"inputs must be 2-d, got shape {inputs.shape}")
-        if labels.shape != (inputs.shape[0],):
+        if self.source is None:
+            inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
+            shape = inputs.shape
+            if inputs.ndim != 2:
+                raise ValueError(f"inputs must be 2-d, got shape {shape}")
+        else:
+            inputs, shape = None, self.source.shape
+        if labels.shape != (shape[0],):
             raise ValueError(
-                f"labels shape {labels.shape} incompatible with {inputs.shape}"
+                f"labels shape {labels.shape} incompatible with {shape}"
             )
         # one pass: a float in [+0.0, 1.0] has no sign bit and sorts as a
         # uint64 at most ONE_BITS. What fails (-0.0 among them) goes to the
         # min/max test, where NaN propagates and +-inf lies outside [0, 1],
         # so it decides without a temporary; isfinite only picks the message
-        if (inputs.size and _bits_max(inputs) > ONE_BITS
+        if (inputs is not None and inputs.size and _bits_max(inputs) > ONE_BITS
                 and not (inputs.min() >= 0.0 and inputs.max() <= 1.0)):
             if not np.isfinite(inputs).all():
                 raise ValueError("inputs contain non-finite values")
@@ -84,11 +96,54 @@ class LabeledDataset:
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.labels.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.inputs.shape[1]
+        return (self.inputs if self.source is None else self.source).shape[1]
+
+    def rows(self, idx) -> np.ndarray:
+        """The inputs of the rows idx, in idx order, as a fresh float64
+        array; an index outside [0, len(self)) raises IndexError."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
+            raise IndexError(
+                f"row indices [{idx.min()}, {idx.max()}] outside [0, {len(self)})"
+            )
+        return self.inputs[idx] if self.source is None else self.source.read(idx)
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+@dataclass(frozen=True)
+class ContainerRows:
+    """A container's checked inputs block, left in the file: an open
+    descriptor (closed with this object), the block's byte offset, its
+    (rows, dim) shape, and the file's fstat stamp at load."""
+
+    path: str
+    fd: int
+    offset: int
+    shape: tuple[int, int]
+    stamp: tuple[int, int, int]
+
+    def read(self, idx: np.ndarray) -> np.ndarray:
+        """Rows idx (in range) in idx order: one positional read per run of
+        consecutive indices, straight into its slice of a fresh array. A
+        short read, or a stamp that moved, means the file changed."""
+        row = 8 * self.shape[1]
+        out = np.empty((idx.size, self.shape[1]), dtype="<f8")
+        flat = out.reshape(-1).view(np.uint8)
+        cuts = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
+        intact = all(
+            _pread(self.fd, flat[lo * row:hi * row], self.offset + int(idx[lo]) * row)
+            for lo, hi in zip([0, *cuts], [*cuts, idx.size]) if hi > lo
+        )
+        if not intact or _stamp(os.fstat(self.fd)) != self.stamp:
+            raise IdxFormatError(f"{self.path}: changed since it was loaded")
+        return out.astype(np.float64, copy=False)
 
 
 def _bits_max(inputs: np.ndarray) -> np.uint64:
@@ -280,6 +335,18 @@ def _read_exact(f, count: int, path: str, what: str) -> bytes:
     return data
 
 
+def _pread(fd: int, buf: np.ndarray, offset: int) -> bool:
+    """Fill the uint8 array buf from fd at offset with positional reads,
+    which move no file offset; False if the file ends first."""
+    got = 0
+    while got < buf.size:
+        n = os.preadv(fd, [buf[got:]], offset + got)
+        if n == 0:
+            return False
+        got += n
+    return True
+
+
 def _read_array(
     f, shape: tuple[int, ...], dtype: str, path: str, what: str
 ) -> np.ndarray:
@@ -301,19 +368,9 @@ def _read_array(
             raise IdxFormatError(f"{path}: truncated {what}")
     else:
         start, fd, flat = f.tell(), f.fileno(), out.reshape(-1).view(np.uint8)
-
-        def read_piece(lo):  # whether the piece filled before end of file
-            piece = flat[lo:lo + PIECE]
-            got = 0
-            while got < piece.size:
-                n = os.preadv(fd, [piece[got:]], start + lo + got)
-                if n == 0:
-                    return False
-                got += n
-            return True
-
         filled = fanout.each(
-            range(0, nbytes, PIECE), read_piece,
+            range(0, nbytes, PIECE),
+            lambda lo: _pread(fd, flat[lo:lo + PIECE], start + lo),
             lambda lo: f"reading {what} of {path} at byte {start + lo}",
         )
         if not all(filled):
@@ -483,11 +540,55 @@ def save_dataset(path: str, ds: LabeledDataset) -> None:
             )
         )
         f.write(ds.labels.astype("<i8").tobytes())
-        f.write(ds.inputs.astype("<f8").tobytes())
+        inputs = ds.inputs if ds.source is None else ds.rows(np.arange(len(ds)))
+        f.write(inputs.astype("<f8").tobytes())
 
 
-def load_dataset(path: str) -> LabeledDataset:
-    """Read a save_dataset container; its labels and inputs are read-only."""
+def _checked_rows(f, shape: tuple[int, int], path: str) -> ContainerRows | None:
+    """The inputs block at f's position, checked and left in the file.
+
+    From a regular file on a platform with os.preadv, each PIECE-byte piece
+    is read on fanout.each into a reused scratch buffer, one per thread at
+    most, and given the one-pass bit test; no piece is kept. None, with f's position unmoved,
+    where the block must be read whole: a pipe, no os.preadv, or content
+    that fails the bit test, whose full check then runs in memory.
+    """
+    nbytes = 8 * shape[0] * shape[1]
+    if not (_check_remaining(f, nbytes, path, "inputs") and hasattr(os, "preadv")):
+        return None
+    start, fd, stamp = f.tell(), f.fileno(), _stamp(os.fstat(f.fileno()))
+    spare = []  # scratch pieces, one per thread; list pop and append are atomic
+
+    def piece_bits(lo):  # the piece's largest uint64, or None at end of file
+        try:
+            buf = spare.pop()
+        except IndexError:
+            buf = np.empty(min(PIECE, nbytes) // 8, dtype="<f8")
+        piece = buf[:min(PIECE, nbytes - lo) // 8].view(np.uint64)
+        bits = piece.max() if _pread(fd, piece.view(np.uint8), start + lo) else None
+        spare.append(buf)
+        return bits
+
+    bits = fanout.each(
+        range(0, nbytes, PIECE), piece_bits,
+        lambda lo: f"checking inputs of {path} at byte {start + lo}",
+    )
+    if any(b is None for b in bits):
+        raise IdxFormatError(f"{path}: truncated inputs")
+    if bits and max(bits) > ONE_BITS:
+        return None
+    rows = ContainerRows(path, os.dup(fd), start, shape, stamp)
+    weakref.finalize(rows, os.close, rows.fd)
+    return rows
+
+
+def load_dataset(path: str, resident: bool = False) -> LabeledDataset:
+    """Read and check a save_dataset container; its arrays are read-only.
+
+    The inputs block stays in a regular file (see `_checked_rows`) unless
+    resident, and `LabeledDataset.rows` reads it; do not rewrite the file
+    in place while the dataset is in use.
+    """
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, path, "magic")
         if magic != CONTAINER_MAGIC:
@@ -498,8 +599,9 @@ def load_dataset(path: str) -> LabeledDataset:
         if version != CONTAINER_VERSION:
             raise IdxFormatError(f"{path}: unsupported version {version}")
         labels = _read_array(f, (n,), "<i8", path, "labels")
-        inputs = _read_array(f, (n, dim), "<f8", path, "inputs")
+        source = None if resident else _checked_rows(f, (n, dim), path)
+        inputs = None if source else _read_array(f, (n, dim), "<f8", path, "inputs")
     try:
-        return LabeledDataset(inputs=inputs, labels=labels, num_classes=num_classes)
+        return LabeledDataset(inputs, labels, num_classes, source)
     except ValueError as e:
         raise IdxFormatError(f"{path}: {e}") from e

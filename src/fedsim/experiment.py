@@ -41,7 +41,7 @@ import json
 import math
 import os
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -322,9 +322,9 @@ def _file_datasets(train, test, test_path: str):
         raise SpecError(f"{test_path}: the test set has no rows")
     nc = max(train.num_classes, test.num_classes)
     if train.num_classes != nc:
-        train = data.LabeledDataset(train.inputs, train.labels, nc)
+        train = replace(train, num_classes=nc)
     if test.num_classes != nc:
-        test = data.LabeledDataset(test.inputs, test.labels, nc)
+        test = replace(test, num_classes=nc)
     return train, test
 
 
@@ -335,8 +335,11 @@ def build_datasets(spec: ExperimentSpec):
         test = data.load_idx(ds["test_images"], ds["test_labels"])
         return _file_datasets(train, test, ds["test_images"])
     if ds["kind"] == "container":
+        # clients read their train rows when they need them; every eval
+        # reads the whole test set, so it is held in memory
         return _file_datasets(
-            data.load_dataset(ds["train"]), data.load_dataset(ds["test"]), ds["test"]
+            data.load_dataset(ds["train"]),
+            data.load_dataset(ds["test"], resident=True), ds["test"],
         )
     rng = stream(spec.seed, "data")
     train, _, test, _ = data.synth_train_test(

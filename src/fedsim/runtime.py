@@ -148,8 +148,8 @@ class RunState:
     config: FederatedConfig
     arch: nn.MlpArch
     strategy: Strategy
-    train_ds: data.LabeledDataset
-    test_ds: data.LabeledDataset
+    train_ds: data.LabeledDataset  # clients read it through `rows`
+    test_ds: data.LabeledDataset  # in memory: every eval reads all of it
     clients: list[ClientState]
     strategy_state: object
     round_index: int = 1  # next round to execute, 1-based
@@ -163,6 +163,8 @@ def init_run(
     test_ds: data.LabeledDataset,
     partition: data.Partition,
 ) -> RunState:
+    if test_ds.inputs is None:
+        raise ValueError("every global eval reads the whole test set: load it resident")
     if partition.num_clients != config.n_clients:
         raise ConfigError(
             f"partition has {partition.num_clients} clients, "
@@ -217,7 +219,7 @@ def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
     results: list[ClientResult] = []
     for cid in ids:  # ascending id order keeps reductions reproducible
         cl = run.clients[cid]
-        inputs = run.train_ds.inputs[cl.train_indices]
+        inputs = run.train_ds.rows(cl.train_indices)
         labels = run.train_ds.labels[cl.train_indices]
         try:
             res = run.strategy.client_update(
@@ -269,13 +271,13 @@ class PersonalizationReport:
 
 def client_accuracy(run: RunState, cl: ClientState, epochs: int) -> float:
     """Fine-tune on cl's train split at config.lr; accuracy on its test split."""
-    inputs = run.train_ds.inputs[cl.train_indices]
+    inputs = run.train_ds.rows(cl.train_indices)
     labels = run.train_ds.labels[cl.train_indices]
     rng = stream(run.config.seed, "personalize", cl.client_id)
     m = run.strategy.personalize(
         run.strategy_state, inputs, labels, run.arch, run.config, epochs, rng
     )
-    pred = nn.forward(m, run.arch, run.train_ds.inputs[cl.test_indices]).argmax(axis=1)
+    pred = nn.forward(m, run.arch, run.train_ds.rows(cl.test_indices)).argmax(axis=1)
     return float((pred == run.train_ds.labels[cl.test_indices]).mean())
 
 

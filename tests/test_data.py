@@ -1,5 +1,6 @@
 """Tests for dataset loading, synthetic generation, and partitioning."""
 
+import ast
 import contextlib
 import os
 import stat
@@ -310,7 +311,7 @@ class TestContainer:
         path = str(tmp_path / "ds.bin")
         data.save_dataset(path, ds)
         back = data.load_dataset(path)
-        np.testing.assert_array_equal(back.inputs, ds.inputs)
+        np.testing.assert_array_equal(all_rows(back), ds.inputs)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.num_classes == ds.num_classes
 
@@ -391,7 +392,7 @@ class TestContainer:
         monkeypatch.undo()
         assert os.listdir(tmp_path) == ["ds.bin"]
         back = data.load_dataset(path)
-        assert back.inputs.tobytes() == ds.inputs.tobytes()
+        assert all_rows(back).tobytes() == ds.inputs.tobytes()
 
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         ds, _ = synth(1, 2, 3, 4, 0.5, stream(17, "tr"))
@@ -412,15 +413,16 @@ class TestContainer:
         back = data.load_dataset(str(first))
         data.save_dataset(str(second), back)
         assert first.read_bytes() == second.read_bytes()
-        assert back.inputs.tobytes() == ds.inputs.tobytes()
+        assert all_rows(back).tobytes() == ds.inputs.tobytes()
         assert back.labels.tobytes() == ds.labels.tobytes()
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
         ds, _ = synth(1, 2, 3, 4, 0.5, stream(19, "ro"))
         path = str(tmp_path / "ds.bin")
         data.save_dataset(path, ds)
-        back = data.load_dataset(path)
-        for arr in (back.inputs, back.labels):
+        back, resident = data.load_dataset(path), data.load_dataset(path, resident=True)
+        assert back.inputs is None  # they stay in the file
+        for arr in (back.labels, resident.inputs, resident.labels):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
@@ -453,7 +455,11 @@ class TestContainer:
         path = str(tmp_path / "empty.bin")
         data.save_dataset(path, ds)
         back = data.load_dataset(path)
-        assert back.inputs.shape == (0, 3) and back.num_classes == 2
+        assert back.rows([]).shape == (0, 3) and back.num_classes == 2
+
+
+def all_rows(ds):
+    return ds.rows(np.arange(len(ds)))
 
 
 def small_pieces(monkeypatch, dim):
@@ -494,14 +500,16 @@ class TestPieces:
         # a byte left unread keeps this fill; np.empty may hand back freed
         # memory that already holds the right bytes
         monkeypatch.setattr(np, "empty", lambda shape, dtype: np.full(shape, -7, dtype))
-        back = data.load_dataset(path)
+        back, resident = data.load_dataset(path), data.load_dataset(path, resident=True)
         n, dim = len(ds), ds.input_dim
         assert 8 * n > data.PIECE and (8 * n * dim) % data.PIECE  # labels span pieces too
         labels = np.fromfile(path, dtype="<i8", count=n, offset=20)
         inputs = np.fromfile(path, dtype="<f8", offset=20 + 8 * n).reshape(n, dim)
         assert back.labels.tobytes() == labels.tobytes() == ds.labels.tobytes()
-        assert back.inputs.tobytes() == inputs.tobytes() == ds.inputs.tobytes()
-        for arr in (back.inputs, back.labels):
+        assert resident.labels.tobytes() == labels.tobytes()
+        assert all_rows(back).tobytes() == inputs.tobytes() == ds.inputs.tobytes()
+        assert resident.inputs.tobytes() == inputs.tobytes()
+        for arr in (back.labels, resident.inputs, resident.labels):
             assert not arr.flags.writeable
 
     def test_labels_then_inputs_from_one_file(self, tmp_path, monkeypatch):
@@ -573,6 +581,134 @@ class TestPieces:
         back = data.load_dataset(path)
         assert back.inputs.tobytes() == ds.inputs.tobytes()
         assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+ROW_SETS = {
+    "contiguous": [5, 6, 7, 8, 9],
+    "scattered": [0, 3, 4, 11, 30, 31, 32, 53],
+    "unsorted": [40, 2, 3, 1, 17, 16, 53, 0],
+    "repeated": [7, 7, 8, 7, 0, 0],
+    "empty": [],
+}
+
+
+class TestRows:
+    """A loaded container's inputs stay in the file; `rows` reads them."""
+
+    def saved(self, tmp_path, seed=20):
+        ds, _ = synth(2, 3, 7, 9, 1.0, stream(seed, "rows"))  # 54 rows of 7
+        path = tmp_path / "ds.bin"
+        data.save_dataset(str(path), ds)
+        return ds, path
+
+    @pytest.mark.parametrize("which", sorted(ROW_SETS))
+    def test_reads_equal_the_memory_gather(self, tmp_path, monkeypatch, which):
+        ds, path = self.saved(tmp_path)
+        small_pieces(monkeypatch, ds.input_dim)
+        back = data.load_dataset(str(path))
+        assert back.inputs is None and back.source is not None
+        idx = np.array(ROW_SETS[which], dtype=np.int64)
+        expected = ds.inputs[idx]
+        for got in (back.rows(idx), ds.rows(idx)):
+            assert got.dtype == np.float64 and got.shape == (idx.size, ds.input_dim)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 54, 10**6])
+    def test_indices_out_of_range_raise_index_error(self, tmp_path, bad):
+        ds, path = self.saved(tmp_path)
+        for held in (data.load_dataset(str(path)), ds):
+            with pytest.raises(IndexError, match=r"outside \[0, 54\)"):
+                held.rows([0, bad, 3])
+
+    def test_an_in_place_rewrite_is_refused_at_the_next_read(self, tmp_path):
+        ds, path = self.saved(tmp_path)
+        back = data.load_dataset(str(path))
+        assert back.rows([1]).tobytes() == ds.inputs[[1]].tobytes()
+        with open(path, "r+b") as f:  # the same length, other values
+            f.seek(4 + 16 + 8 * len(ds))
+            f.write(np.full(ds.input_dim, 0.5).tobytes())
+        with pytest.raises(data.IdxFormatError) as info:
+            back.rows([1])
+        assert str(info.value) == f"{path}: changed since it was loaded"
+
+    def test_a_replaced_path_goes_on_reading_its_own_bytes(self, tmp_path):
+        ds, path = self.saved(tmp_path)
+        back = data.load_dataset(str(path))
+        other, _ = self.saved(tmp_path, seed=21)  # save_dataset replaces path
+        assert other.inputs.tobytes() != ds.inputs.tobytes()
+        assert all_rows(back).tobytes() == ds.inputs.tobytes()
+        assert all_rows(data.load_dataset(str(path))).tobytes() == other.inputs.tobytes()
+
+    def test_content_that_fails_the_bit_test_stays_in_memory(self, tmp_path):
+        inputs = stream(22, "negzero").random((20, 5))
+        inputs[3, 1] = -0.0  # in range, but with the sign bit set
+        path = str(tmp_path / "negzero.bin")
+        data.save_dataset(path, data.LabeledDataset(inputs, np.arange(20) % 2, 2))
+        back = data.load_dataset(path)
+        assert back.source is None and back.inputs.tobytes() == inputs.tobytes()
+
+    def test_a_load_holds_pieces_not_the_inputs_block(self, tmp_path, monkeypatch):
+        n, dim = 600, 1000  # a 4.8 MB block, pieces of three rows
+        inputs = stream(23, "big").random((n, dim))
+        path = str(tmp_path / "big.bin")
+        data.save_dataset(path, data.LabeledDataset(inputs, np.zeros(n, np.int64), 1))
+        small_pieces(monkeypatch, dim)
+        for resident in (False, True):
+            tracemalloc.start()
+            try:
+                back = data.load_dataset(path, resident=resident)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            held = 8 * n + 2 * fanout.workers() * data.PIECE
+            if resident:
+                assert peak >= inputs.nbytes
+            else:
+                assert back.inputs is None
+                assert peak < held + (64 << 10), f"peak {peak}, pieces and labels {held}"
+        assert all_rows(back).tobytes() == inputs.tobytes()
+
+    def test_repeated_builds_leak_no_descriptors(self, tmp_path):
+        from fedsim import experiment
+
+        train, _, test, _ = data.synth_train_test(1, 3, 4, 30, 8, 0.5, stream(24, "fd"))
+        paths = {}
+        for name, ds in (("train", train), ("test", test)):
+            paths[name] = str(tmp_path / f"{name}.bin")
+            data.save_dataset(paths[name], ds)
+        spec = experiment.parse_spec_dict({
+            "name": "fds", "seed": 0, "out": str(tmp_path / "out"),
+            "dataset": {"kind": "container", **paths},
+            "partition": {"kind": "shard", "shards_per_client": 1},
+            "model": {"hidden": [4]},
+            "federated": {"n_clients": 3, "rounds": 1, "batch_size": 10},
+        })
+        fds = lambda: len(os.listdir("/proc/self/fd"))
+        experiment.build_run(spec)
+        before = fds()
+        for _ in range(5):
+            run = experiment.build_run(spec)
+            assert run.train_ds.source is not None and run.test_ds.source is None
+        del run
+        assert fds() == before
+
+
+def test_only_data_indexes_inputs():
+    """Every read of a dataset's inputs by index goes through
+    `LabeledDataset.rows`: `.inputs[...]` anywhere else in fedsim would
+    hold a container's whole inputs block in memory."""
+    src = os.path.dirname(data.__file__)
+    readers = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "data.py":
+            continue
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "inputs"):
+                readers.append(f"{name}:{node.lineno}")
+    assert readers == []
 
 
 # Reference versions of the Partition and LabeledDataset checks: Python sets

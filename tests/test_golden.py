@@ -15,7 +15,8 @@ import os
 import pytest
 
 from fedsim import checkpoint
-from fedsim.experiment import build_run, parse_spec_dict, run_experiment
+from fedsim.data import save_dataset
+from fedsim.experiment import build_datasets, build_run, parse_spec_dict, run_experiment
 from fedsim.rng import stream
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
@@ -93,7 +94,7 @@ def _personalized_sha(spec, ckpt_path) -> str:
             continue
         m = run.strategy.personalize(
             run.strategy_state,
-            run.train_ds.inputs[cl.train_indices],
+            run.train_ds.rows(cl.train_indices),
             run.train_ds.labels[cl.train_indices],
             run.arch, run.config, spec.evaluation.personalization_epochs,
             stream(run.config.seed, "personalize", cl.client_id),
@@ -102,21 +103,38 @@ def _personalized_sha(spec, ckpt_path) -> str:
     return h.hexdigest()
 
 
-def _spec(case: str, out: str):
+def _spec(case: str, out: str, dataset: dict | None = None):
     with open(os.path.join(SPEC_DIR, "quickstart.json")) as f:
         obj = json.load(f)
     obj["out"] = out
+    obj["dataset"] = dataset or obj["dataset"]
     obj["federated"].update({"rounds": 4, **CASES[case]})
     obj["evaluation"].update({"eval_every": 1, "personalization_epochs": 2})
     return parse_spec_dict(obj)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_outputs(case, tmp_path):
-    spec = _spec(case, str(tmp_path))
+def _hashes(spec) -> tuple[str, str, str]:
     summary = run_experiment(spec)
-    with open(tmp_path / "metrics.csv", "rb") as f:
+    with open(os.path.join(spec.out, "metrics.csv"), "rb") as f:
         metrics_sha = _sha(f.read())
     pers = tuple(summary["personalization"]["per_client"])
-    params_sha = _personalized_sha(spec, str(tmp_path / "checkpoint_round00004.bin"))
-    assert (metrics_sha, _sha(repr(pers).encode()), params_sha) == GOLDEN[case]
+    params_sha = _personalized_sha(spec, os.path.join(spec.out, "checkpoint_round00004.bin"))
+    return metrics_sha, _sha(repr(pers).encode()), params_sha
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_outputs(case, tmp_path):
+    assert _hashes(_spec(case, str(tmp_path))) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_outputs_from_containers(case, tmp_path):
+    """The same data saved as containers: every train row is then read from
+    the file when a client needs it, and no hash moves."""
+    paths = {}
+    for name, ds in zip(("train", "test"), build_datasets(_spec(case, ""))):
+        paths[name] = str(tmp_path / f"{name}.bin")
+        save_dataset(paths[name], ds)
+    spec = _spec(case, str(tmp_path / "out"), {"kind": "container", **paths})
+    assert build_run(spec).train_ds.source is not None
+    assert _hashes(spec) == GOLDEN[case]
