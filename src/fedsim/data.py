@@ -14,8 +14,9 @@ same loop, and `Partition` checks client overlap with one sort of all the
 clients' indices.
 
 A regular-file container's inputs block is checked at load but not kept:
-the dataset holds the labels and an open descriptor, and `rows` reads the
-rows a client needs when it needs them. `save_dataset` replaces a
+the dataset holds the labels and an open descriptor, `rows` reads the
+rows a client needs when it needs them, and `block` the contiguous rows
+of one eval unit. `save_dataset` replaces a
 container atomically, so a reader never sees a half-written one, and a
 loaded dataset goes on reading the file it opened; a container rewritten
 in place is refused at the next read.
@@ -111,6 +112,17 @@ class LabeledDataset:
                 f"row indices [{idx.min()}, {idx.max()}] outside [0, {len(self)})"
             )
         return self.inputs[idx] if self.source is None else self.source.read(idx)
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The inputs of rows lo to hi - 1, clipped to the dataset as a slice
+        is: a read-only view of inputs in memory, so nothing is copied, or
+        a fresh float64 array read from the container in one positional
+        read."""
+        if self.source is not None:
+            return self.source.read(np.arange(*slice(lo, hi).indices(len(self))))
+        view = self.inputs[lo:hi]
+        view.flags.writeable = False
+        return view
 
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int]:
@@ -582,12 +594,12 @@ def _checked_rows(f, shape: tuple[int, int], path: str) -> ContainerRows | None:
     return rows
 
 
-def load_dataset(path: str, resident: bool = False) -> LabeledDataset:
+def load_dataset(path: str) -> LabeledDataset:
     """Read and check a save_dataset container; its arrays are read-only.
 
-    The inputs block stays in a regular file (see `_checked_rows`) unless
-    resident, and `LabeledDataset.rows` reads it; do not rewrite the file
-    in place while the dataset is in use.
+    The inputs block stays in a regular file (see `_checked_rows`), and
+    `LabeledDataset.rows` and `block` read it; do not rewrite the file in
+    place while the dataset is in use.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, path, "magic")
@@ -599,7 +611,7 @@ def load_dataset(path: str, resident: bool = False) -> LabeledDataset:
         if version != CONTAINER_VERSION:
             raise IdxFormatError(f"{path}: unsupported version {version}")
         labels = _read_array(f, (n,), "<i8", path, "labels")
-        source = None if resident else _checked_rows(f, (n, dim), path)
+        source = _checked_rows(f, (n, dim), path)
         inputs = None if source else _read_array(f, (n, dim), "<f8", path, "inputs")
     try:
         return LabeledDataset(inputs, labels, num_classes, source)

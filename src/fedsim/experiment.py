@@ -335,11 +335,10 @@ def build_datasets(spec: ExperimentSpec):
         test = data.load_idx(ds["test_images"], ds["test_labels"])
         return _file_datasets(train, test, ds["test_images"])
     if ds["kind"] == "container":
-        # clients read their train rows when they need them; every eval
-        # reads the whole test set, so it is held in memory
+        # clients read their train rows, and eval units their test rows,
+        # when they need them
         return _file_datasets(
-            data.load_dataset(ds["train"]),
-            data.load_dataset(ds["test"], resident=True), ds["test"],
+            data.load_dataset(ds["train"]), data.load_dataset(ds["test"]), ds["test"]
         )
     rng = stream(spec.seed, "data")
     train, _, test, _ = data.synth_train_test(

@@ -244,44 +244,57 @@ def niw_sample_global(
 
 
 def niw_global_predict(
-    chunks: list[tuple[int, np.ndarray, np.random.Generator]],
+    chunks: list[tuple[int, object, np.random.Generator]],
     global_post: NiwGlobalPosterior,
     arch: nn.MlpArch,
     sample_count: int,
+    read=None,
 ) -> list[np.ndarray]:
     """Class probabilities of each (first row, x, rng) chunk, averaged over
-    S Student-t backbone draws from the chunk's rng.
+    S Student-t backbone draws from the chunk's rng. The chunk's rows are
+    x, or read(first row, x) where read is given.
 
     The units of work are the (chunk, draw) pairs in order, run by
     `fanout.each`: a thread draws a unit's theta from the chunk's rng in
     the claim, so every rng is read as a serial loop reads it, then runs
-    the forward and softmax outside the lock. Each chunk's softmaxes are
-    summed in draw order after the pass, so its probabilities are the
-    serial loop's bits at one BLAS thread. An exception is raised with a
-    note naming the chunk's first row and the draw.
+    the forward and softmax outside the lock. The claim of a chunk's first
+    draw reads its rows and that of its last draw lets them go, so the
+    rows of at most one chunk per thread, and of the one being read, are
+    held. The thread that ends a chunk's last forward sums its softmaxes
+    in draw order and drops them, so its probabilities are the serial
+    loop's bits at one BLAS thread. An exception is raised with a note
+    naming the chunk's first row and the draw.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     sqrt_scale = np.sqrt(predictive_scale(global_post))
+    held = {}  # chunk -> its rows, until its last draw is claimed
+    softmaxes = [[None] * sample_count for _ in chunks]
+    # a token per draw; list.pop is atomic, so one thread pops each chunk's 0
+    tokens = [list(range(sample_count)) for _ in chunks]
+    probs = [None] * len(chunks)
 
     def draw(unit):
-        _, x, rng = chunks[unit // sample_count]
-        return x, niw_sample_global(global_post, rng, sqrt_scale)
+        c, s = divmod(unit, sample_count)
+        lo, x, rng = chunks[c]
+        if s == 0:
+            held[c] = x if read is None else read(lo, x)
+        rows = held.pop(c) if s == sample_count - 1 else held[c]
+        return c, s, rows, niw_sample_global(global_post, rng, sqrt_scale)
+
+    def forward(drawn):
+        c, s, rows, theta = drawn
+        softmaxes[c][s] = nn.softmax(nn.forward(theta, arch, rows))
+        if tokens[c].pop() == 0:  # every draw of chunk c is in
+            probs[c] = sum(softmaxes[c]) / sample_count
+            softmaxes[c] = None
 
     def note(unit):
         c, s = divmod(unit, sample_count)
         return f"raised in draw {s} of the eval chunk at test row {chunks[c][0]}"
 
-    softmaxes = fanout.each(
-        range(len(chunks) * sample_count),
-        lambda drawn: nn.softmax(nn.forward(drawn[1], arch, drawn[0])),
-        note,
-        draw,
-    )
-    return [
-        sum(softmaxes[c * sample_count : (c + 1) * sample_count]) / sample_count
-        for c in range(len(chunks))
-    ]
+    fanout.each(range(len(chunks) * sample_count), forward, note, draw)
+    return probs
 
 
 def niw_personalize(

@@ -149,7 +149,7 @@ class RunState:
     arch: nn.MlpArch
     strategy: Strategy
     train_ds: data.LabeledDataset  # clients read it through `rows`
-    test_ds: data.LabeledDataset  # in memory: every eval reads all of it
+    test_ds: data.LabeledDataset  # each eval unit reads its rows through `block`
     clients: list[ClientState]
     strategy_state: object
     round_index: int = 1  # next round to execute, 1-based
@@ -163,8 +163,6 @@ def init_run(
     test_ds: data.LabeledDataset,
     partition: data.Partition,
 ) -> RunState:
-    if test_ds.inputs is None:
-        raise ValueError("every global eval reads the whole test set: load it resident")
     if partition.num_clients != config.n_clients:
         raise ConfigError(
             f"partition has {partition.num_clients} clients, "
@@ -257,7 +255,7 @@ def evaluate_global(run: RunState) -> float:
     the one (rows, classes) matrix of test-set probabilities it returns."""
     ds = run.test_ds
     probs = run.strategy.global_predict(
-        run.strategy_state, ds.inputs, run.arch, run.config, run.round_index
+        run.strategy_state, ds, run.arch, run.config, run.round_index
     )
     return int((probs.argmax(axis=1) == ds.labels).sum()) / len(ds)
 

@@ -54,11 +54,12 @@ def _local_train(m, objective, client_id, inputs, labels, arch, config, lr, roun
     return m, float(np.mean(losses))
 
 
-def _predict_blocks(x, predict) -> np.ndarray:
-    """predict(rows) of the test rows x, in EVAL_BLOCK-row blocks on `fanout.each`,
-    in row order; an error's note names its block's first row."""
+def _predict_blocks(ds, predict) -> np.ndarray:
+    """predict(rows) of the test set ds, in EVAL_BLOCK-row blocks on `fanout.each`,
+    in row order; each unit reads its block's rows itself, and an error's note
+    names its block's first row."""
     return np.concatenate(fanout.each(
-        range(0, len(x), EVAL_BLOCK), lambda lo: predict(x[lo : lo + EVAL_BLOCK]),
+        range(0, len(ds), EVAL_BLOCK), lambda lo: predict(ds.block(lo, lo + EVAL_BLOCK)),
         lambda lo: f"raised in the eval block at test row {lo}",
     ))
 
@@ -96,10 +97,11 @@ class Strategy:
         """
         raise NotImplementedError
 
-    def global_predict(self, state, x, arch, config, round_index) -> np.ndarray:
-        """Class probabilities of the test rows x, one (rows, classes) array in row
-        order, on `fanout.each`: a serial loop's bits at one BLAS thread, whatever
-        the host's count. round_index keys the eval streams of a strategy that draws."""
+    def global_predict(self, state, ds, arch, config, round_index) -> np.ndarray:
+        """Class probabilities of the rows of the test set ds, one (rows, classes)
+        array in row order, on `fanout.each`, whose units read their rows through
+        `ds.block`: a serial loop's bits at one BLAS thread, whatever the host's
+        count. round_index keys the eval streams of a strategy that draws."""
         raise NotImplementedError
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng) -> np.ndarray:
@@ -133,8 +135,8 @@ class FedAvgStrategy(Strategy):
     def restore_heads(self, new_state, prev_state, arch):
         return _restore_slice(new_state, prev_state, nn.head_span(arch))
 
-    def global_predict(self, state, x, arch, config, round_index):
-        return _predict_blocks(x, lambda rows: nn.softmax(nn.forward(state, arch, rows)))
+    def global_predict(self, state, ds, arch, config, round_index):
+        return _predict_blocks(ds, lambda rows: nn.softmax(nn.forward(state, arch, rows)))
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         m, _ = optim.local_train(
@@ -187,10 +189,12 @@ class NiwStrategy(Strategy):
         m0 = _restore_slice(new_state.m0, prev_state.m0, nn.head_span(arch))
         return replace(new_state, m0=m0)
 
-    def global_predict(self, state, x, arch, config, round_index):
-        chunks = [(lo, x[lo : lo + EVAL_CHUNK], stream(config.seed, "eval", round_index, lo))
-                  for lo in range(0, len(x), EVAL_CHUNK)]
-        return np.concatenate(niw.niw_global_predict(chunks, state, arch, config.sample_count))
+    def global_predict(self, state, ds, arch, config, round_index):
+        chunks = [(lo, lo + EVAL_CHUNK, stream(config.seed, "eval", round_index, lo))
+                  for lo in range(0, len(ds), EVAL_CHUNK)]
+        return np.concatenate(
+            niw.niw_global_predict(chunks, state, arch, config.sample_count, ds.block)
+        )
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         return niw.niw_personalize(inputs, labels, state, arch, config, epochs, rng)
@@ -253,8 +257,8 @@ class MixtureStrategy(Strategy):
         gating = _restore_slice(new_state.gating, prev_state.gating, gkeep)
         return replace(new_state, prototypes=protos, gating=gating)
 
-    def global_predict(self, state, x, arch, config, round_index):
-        return _predict_blocks(x, lambda rows: mixture.mix_global_predict(rows, state, arch))
+    def global_predict(self, state, ds, arch, config, round_index):
+        return _predict_blocks(ds, lambda rows: mixture.mix_global_predict(rows, state, arch))
 
     def personalize(self, state, inputs, labels, arch, config, epochs, rng):
         return mixture.mix_personalize(inputs, labels, state, arch, config, epochs, rng)

@@ -416,11 +416,11 @@ class TestContainer:
         assert all_rows(back).tobytes() == ds.inputs.tobytes()
         assert back.labels.tobytes() == ds.labels.tobytes()
 
-    def test_loaded_arrays_are_read_only(self, tmp_path):
+    def test_loaded_arrays_are_read_only(self, tmp_path, monkeypatch):
         ds, _ = synth(1, 2, 3, 4, 0.5, stream(19, "ro"))
         path = str(tmp_path / "ds.bin")
         data.save_dataset(path, ds)
-        back, resident = data.load_dataset(path), data.load_dataset(path, resident=True)
+        back, resident = data.load_dataset(path), load_whole(path, monkeypatch)
         assert back.inputs is None  # they stay in the file
         for arr in (back.labels, resident.inputs, resident.labels):
             assert not arr.flags.writeable
@@ -462,6 +462,14 @@ def all_rows(ds):
     return ds.rows(np.arange(len(ds)))
 
 
+def load_whole(path, monkeypatch):
+    """The container at path loaded with its inputs block in memory: without
+    os.preadv, `load_dataset` reads the block whole, in one pass."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "preadv", raising=False)
+        return data.load_dataset(path)
+
+
 def small_pieces(monkeypatch, dim):
     """Pieces and check blocks of three rows of dim floats plus 16 bytes,
     and a helper thread wherever fanout can start one."""
@@ -500,7 +508,7 @@ class TestPieces:
         # a byte left unread keeps this fill; np.empty may hand back freed
         # memory that already holds the right bytes
         monkeypatch.setattr(np, "empty", lambda shape, dtype: np.full(shape, -7, dtype))
-        back, resident = data.load_dataset(path), data.load_dataset(path, resident=True)
+        back, resident = data.load_dataset(path), load_whole(path, monkeypatch)
         n, dim = len(ds), ds.input_dim
         assert 8 * n > data.PIECE and (8 * n * dim) % data.PIECE  # labels span pieces too
         labels = np.fromfile(path, dtype="<i8", count=n, offset=20)
@@ -613,6 +621,18 @@ class TestRows:
             assert got.dtype == np.float64 and got.shape == (idx.size, ds.input_dim)
             assert got.tobytes() == expected.tobytes()
 
+    def test_block_reads_the_rows_of_its_range(self, tmp_path):
+        ds, path = self.saved(tmp_path)
+        back = data.load_dataset(str(path))
+        for lo, hi in ((0, 5), (20, 54), (50, 60), (54, 60)):  # the last two clipped
+            expected = ds.inputs[lo:hi]
+            got, view = back.block(lo, hi), ds.block(lo, hi)
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert got.tobytes() == view.tobytes() == expected.tobytes()
+            # in memory: a read-only view, which leaves inputs writable
+            assert view.base is ds.inputs and not view.flags.writeable
+        assert ds.inputs.flags.writeable
+
     @pytest.mark.parametrize("bad", [-1, 54, 10**6])
     def test_indices_out_of_range_raise_index_error(self, tmp_path, bad):
         ds, path = self.saved(tmp_path)
@@ -656,7 +676,7 @@ class TestRows:
         for resident in (False, True):
             tracemalloc.start()
             try:
-                back = data.load_dataset(path, resident=resident)
+                back = load_whole(path, monkeypatch) if resident else data.load_dataset(path)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -688,15 +708,13 @@ class TestRows:
         before = fds()
         for _ in range(5):
             run = experiment.build_run(spec)
-            assert run.train_ds.source is not None and run.test_ds.source is None
+            assert run.train_ds.source is not None and run.test_ds.source is not None
         del run
         assert fds() == before
 
 
-def test_only_data_indexes_inputs():
-    """Every read of a dataset's inputs by index goes through
-    `LabeledDataset.rows`: `.inputs[...]` anywhere else in fedsim would
-    hold a container's whole inputs block in memory."""
+def outside_data(found):
+    """name:line of each AST node of fedsim outside data.py that found(node) picks."""
     src = os.path.dirname(data.__file__)
     readers = []
     for name in sorted(os.listdir(src)):
@@ -704,11 +722,27 @@ def test_only_data_indexes_inputs():
             continue
         with open(os.path.join(src, name)) as f:
             tree = ast.parse(f.read(), name)
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
-                    and node.value.attr == "inputs"):
-                readers.append(f"{name}:{node.lineno}")
-    assert readers == []
+        readers += [f"{name}:{node.lineno}" for node in ast.walk(tree) if found(node)]
+    return readers
+
+
+def test_only_data_indexes_inputs():
+    """Every read of a dataset's inputs by index goes through
+    `LabeledDataset.rows`: `.inputs[...]` anywhere else in fedsim would
+    hold a container's whole inputs block in memory."""
+    assert outside_data(lambda node: (
+        isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "inputs"
+    )) == []
+
+
+def test_only_data_reads_inputs():
+    """Nothing outside data.py reads a dataset's `.inputs` at all: clients
+    read their rows through `LabeledDataset.rows` and eval units theirs
+    through `block`, so no code path holds a container's inputs block."""
+    assert outside_data(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "inputs"
+    ) == []
 
 
 # Reference versions of the Partition and LabeledDataset checks: Python sets

@@ -23,7 +23,7 @@ import types
 import numpy as np
 import pytest
 
-from fedsim import experiment, fanout, mixture, nn, runtime
+from fedsim import data, experiment, fanout, mixture, nn, runtime
 from fedsim.rng import stream
 from fedsim.strategies import EVAL_BLOCK, STRATEGIES
 
@@ -578,13 +578,15 @@ class TestBlockedEval:
     make one short block, which starts no helper."""
 
     def built(self, strategy, rows=2500):
+        """The eval's arch, config and state, the test rows x, and the
+        in-memory test set of x."""
         arch = nn.MlpArch((784, 256, 10))
         config = runtime.FederatedConfig(n_clients=3, strategy=strategy)
         state = STRATEGIES[strategy].init_state(
             arch, nn.init_params(arch, stream(0, "eval params")), config, 300
         )
         x = stream(0, "eval rows").uniform(size=(rows, 784))
-        return arch, config, state, x
+        return arch, config, state, x, data.LabeledDataset(x, np.zeros(rows, np.int64), 10)
 
     @needs_openblas
     @pytest.mark.parametrize(
@@ -597,7 +599,7 @@ class TestBlockedEval:
         # takes another path for products with M*N*K <= 1e6, so the
         # mixture's 2-output gating layer, or a block of 390 rows or fewer
         # at 256-10, gets other last bits than a larger product
-        arch, config, state, x = self.built(strategy, rows)
+        arch, config, state, x, test_ds = self.built(strategy, rows)
 
         def predict(x):
             if strategy == "mixture":
@@ -624,14 +626,14 @@ class TestBlockedEval:
             monkeypatch.setattr(fanout, "workers", lambda n=n: n)
             ran_in.clear()
             with switching_often():
-                got = STRATEGIES[strategy].global_predict(state, x, arch, config, 0)
+                got = STRATEGIES[strategy].global_predict(state, test_ds, arch, config, 0)
             assert got.shape == (rows, 10) and got.tobytes() == want.tobytes()
             assert (len(ran_in) > 1) == (n > 1 and rows > EVAL_BLOCK)
 
     @needs_openblas
     @pytest.mark.parametrize("strategy", ["fedavg", "mixture"])
     def test_an_error_names_its_block_and_leaves_nothing(self, strategy, monkeypatch):
-        arch, config, state, x = self.built(strategy)
+        arch, config, state, x, test_ds = self.built(strategy)
         monkeypatch.setattr(fanout, "workers", lambda: 2)
         starts = {x[lo, 0]: lo for lo in range(0, len(x), EVAL_BLOCK)}
         forward, seen = nn.forward, []  # list.append is atomic
@@ -647,7 +649,7 @@ class TestBlockedEval:
         try:
             threads = threading.active_count()
             with pytest.raises(FloatingPointError) as err:
-                STRATEGIES[strategy].global_predict(state, x, arch, config, 0)
+                STRATEGIES[strategy].global_predict(state, test_ds, arch, config, 0)
             assert threading.active_count() == threads
             assert fanout.blas_threads() == 2
         finally:

@@ -8,6 +8,7 @@ iterate by iterate across rounds.
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from fedsim import data, fanout, mixture, niw, nn, runtime, strategies
 from fedsim.rng import stream
-from fedsim.strategies import EVAL_CHUNK, STRATEGIES, ClientResult
+from fedsim.strategies import EVAL_BLOCK, EVAL_CHUNK, STRATEGIES, ClientResult
 
 from test_fanout import needs_openblas
 
@@ -449,6 +450,111 @@ print(hashlib.sha256(b"".join(p.tobytes() for p in kept[0])).hexdigest())
         chunks = range(0, len(test_ds), EVAL_CHUNK)
         want = [(23, "eval", run.round_index, lo) for lo in chunks]
         assert built == (want if strategy == "niw" else [])
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedEval:
+    """A container test set is read inside the eval's units: a FedAvg or
+    mixture block of EVAL_BLOCK rows in its unit, an NIW chunk of
+    EVAL_CHUNK rows when its first draw is claimed."""
+
+    ROWS, DIM, CLASSES, DRAWS = 4 * EVAL_CHUNK, 256, 3, 3  # 16 blocks, 4 chunks
+
+    def saved_run(self, tmp_path, strategy):
+        """A run whose test set is a saved container, that container's path,
+        and the in-memory test set it was saved from."""
+        rng = stream(30, "streamed")
+        test = data.LabeledDataset(
+            rng.uniform(size=(self.ROWS, self.DIM)), np.arange(self.ROWS) % self.CLASSES,
+            self.CLASSES,
+        )
+        path = str(tmp_path / "test.bin")
+        data.save_dataset(path, test)
+        run = make_run(tiny_dataset(seed=30, classes=self.CLASSES, dims=self.DIM),
+                       test_ds=data.load_dataset(path), strategy=strategy, rounds=1,
+                       seed=30, sample_count=self.DRAWS)
+        runtime.run_round(run, evaluate=False)
+        return run, path, test
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "mixture", "niw"])
+    def test_an_eval_holds_one_unit_per_thread_and_one_more(
+        self, tmp_path, monkeypatch, strategy
+    ):
+        run, _, test = self.saved_run(tmp_path, strategy)
+        monkeypatch.setattr(fanout, "workers", lambda: 2)
+        predict, kept = run.strategy.global_predict, []
+        monkeypatch.setattr(run.strategy, "global_predict",
+                            lambda *a: kept.append(predict(*a)) or kept[-1])
+        runtime.evaluate_global(run)  # warm
+        acc, peak = traced_peak(lambda: runtime.evaluate_global(run))
+        unit, draws = (EVAL_CHUNK, self.DRAWS) if strategy == "niw" else (EVAL_BLOCK, 1)
+        # a unit's rows and softmaxes, and every row's probabilities twice:
+        # per unit and concatenated
+        held = ((fanout.workers() + 1) * unit * 8 * (self.DIM + draws * self.CLASSES)
+                + 2 * 8 * self.ROWS * self.CLASSES)
+        assert peak < held + (256 << 10), f"peak {peak}, units and probabilities {held}"
+        assert held + (256 << 10) < self.ROWS * self.DIM * 8  # below the whole block
+        # the same bits as the eval of the test set in memory
+        run.test_ds = test
+        assert runtime.evaluate_global(run) == acc
+        assert kept[-1].tobytes() == kept[-2].tobytes()
+
+    def test_niw_drops_each_chunks_softmaxes_once_they_are_summed(self, monkeypatch):
+        # in memory, so the rows cost nothing; 8 chunks of 10 draws of 10
+        # classes are 13 MB of softmaxes, of which at most three chunks' live
+        rows, classes, draws = 8 * EVAL_CHUNK, 10, 10
+        test = tiny_dataset(seed=31, classes=classes, per_class=rows // classes + 1)
+        run = make_run(tiny_dataset(seed=31, classes=classes), test_ds=test,
+                       strategy="niw", rounds=1, seed=31, sample_count=draws)
+        monkeypatch.setattr(fanout, "workers", lambda: 2)
+        runtime.evaluate_global(run)  # warm
+        _, peak = traced_peak(lambda: runtime.evaluate_global(run))
+        held = 8 * classes * ((fanout.workers() + 1) * EVAL_CHUNK * draws + 2 * len(test))
+        assert peak < held + (1 << 20), f"peak {peak}, softmaxes and probabilities {held}"
+        assert held + (1 << 20) < 8 * classes * len(test) * draws
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "mixture", "niw"])
+    def test_an_in_place_rewrite_is_refused_at_the_next_eval(
+        self, tmp_path, monkeypatch, strategy
+    ):
+        run, path, test = self.saved_run(tmp_path, strategy)
+        monkeypatch.setattr(fanout, "workers", lambda: 1)  # the first unit fails
+        runtime.evaluate_global(run)
+        with open(path, "r+b") as f:  # the same length, other values
+            f.seek(4 + 16 + 8 * len(test))
+            f.write(np.full(self.DIM, 0.5).tobytes())
+        with pytest.raises(data.IdxFormatError) as info:
+            runtime.evaluate_global(run)
+        assert str(info.value) == f"{path}: changed since it was loaded"
+        note = ("raised in draw 0 of the eval chunk at test row 0" if strategy == "niw"
+                else "raised in the eval block at test row 0")
+        assert info.value.__notes__ == [note]
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_an_in_memory_test_set_is_read_in_place(self, strategy, monkeypatch):
+        # synthetic and IDX test sets: every forward gets a read-only view
+        # of the inputs, so the eval copies no row
+        test = tiny_dataset(seed=32, per_class=1000)  # 3000 rows: blocks and chunks
+        run = make_run(tiny_dataset(seed=32), test_ds=test, strategy=strategy,
+                       rounds=1, seed=32, sample_count=2)
+        forward, seen = nn.forward, []
+
+        def watched(params, arch, x):
+            seen.append(np.shares_memory(x, test.inputs) and not x.flags.writeable)
+            return forward(params, arch, x)
+
+        monkeypatch.setattr(nn, "forward", watched)
+        runtime.evaluate_global(run)
+        assert seen and all(seen)
 
 
 def conflicting_pair_dataset(seed=19, per_side=100):
