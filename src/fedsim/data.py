@@ -5,18 +5,17 @@ desk-scale heterogeneous experiments, the two client partitioners (label
 shards and Dirichlet proportions) with per-client train/test sub-splits, and
 a small binary container for reproducible dataset snapshots.
 
-Setup reads and checks each dataset once: both loaders check a block's
-declared size against the file before allocating it, the container loader
-reads every block in PIECE-byte pieces on `fanout.each`, so both cores copy
-from the page cache at once, `LabeledDataset` validates the inputs in one
-pass over their bits, one row block of about PIECE bytes per unit on the
-same loop, and `Partition` checks client overlap with one sort of all the
-clients' indices.
+Setup reads and checks each dataset once. Both loaders check a block's
+declared size against the file before allocating it, and read each block
+they keep in one sequential readinto (`_read_array`). The inputs have one
+check, `_fault`, run on `fanout.each` over blocks of about PIECE bytes:
+row blocks of inputs in memory, or the pieces of a regular-file
+container's inputs block, read by positional reads (`_pread`) on both
+cores at once. `Partition` checks client overlap with one sort.
 
-A regular-file container's inputs block is checked at load but not kept:
-the dataset holds the labels and an open descriptor, `rows` reads the
-rows a client needs when it needs them, and `block` the contiguous rows
-of one eval unit. `save_dataset` replaces a
+That inputs block is not kept: the dataset holds the labels and an open
+descriptor, `rows` reads the rows a client needs when it needs them, and
+`block` the contiguous rows of one eval unit. `save_dataset` replaces a
 container atomically, so a reader never sees a half-written one, and a
 loaded dataset goes on reading the file it opened; a container rewritten
 in place is refused at the next read.
@@ -77,15 +76,14 @@ class LabeledDataset:
             raise ValueError(
                 f"labels shape {labels.shape} incompatible with {shape}"
             )
-        # one pass: a float in [+0.0, 1.0] has no sign bit and sorts as a
-        # uint64 at most ONE_BITS. What fails (-0.0 among them) goes to the
-        # min/max test, where NaN propagates and +-inf lies outside [0, 1],
-        # so it decides without a temporary; isfinite only picks the message
-        if (inputs is not None and inputs.size and _bits_max(inputs) > ONE_BITS
-                and not (inputs.min() >= 0.0 and inputs.max() <= 1.0)):
-            if not np.isfinite(inputs).all():
-                raise ValueError("inputs contain non-finite values")
-            raise ValueError("inputs must lie in [0, 1]")
+        if inputs is not None and inputs.size:
+            rows = _rows_per_piece(shape[1])
+            worst = max(fanout.each(
+                range(0, shape[0], rows), lambda lo: _fault(inputs[lo:lo + rows]),
+                lambda lo: f"checking input rows from {lo}",
+            ))
+            if worst:
+                raise ValueError(_FAULTS[worst])
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
@@ -158,15 +156,28 @@ class ContainerRows:
         return out.astype(np.float64, copy=False)
 
 
-def _bits_max(inputs: np.ndarray) -> np.uint64:
-    """inputs.view(np.uint64).max(), as the max of row blocks of about
-    PIECE bytes on fanout.each; inputs is C-contiguous and not empty."""
-    bits = inputs.view(np.uint64)
-    rows = max(1, PIECE // (8 * inputs.shape[1]))
-    return max(fanout.each(
-        range(0, len(bits), rows), lambda lo: bits[lo:lo + rows].max(),
-        lambda lo: f"checking input rows from {lo}",
-    ))
+_FAULTS = (None, "inputs must lie in [0, 1]", "inputs contain non-finite values")
+
+
+def _fault(block: np.ndarray) -> int:
+    """What is wrong with one non-empty C-contiguous float64 block, as an
+    index into _FAULTS, worst last and 0 for nothing. It does not raise, so
+    the worst of many blocks does not depend on which thread checked which.
+
+    A float in [+0.0, 1.0] has no sign bit and sorts as a uint64 at most
+    ONE_BITS, so one pass over the bits passes almost every block. What
+    fails (-0.0 among them) goes to the min/max test, where NaN propagates
+    and +-inf lies outside [0, 1]; isfinite only picks the fault.
+    """
+    if block.view(np.uint64).max() <= ONE_BITS or (
+            block.min() >= 0.0 and block.max() <= 1.0):
+        return 0
+    return 1 if np.isfinite(block).all() else 2
+
+
+def _rows_per_piece(dim: int) -> int:
+    """Rows of dim float64s in about PIECE bytes, at least one."""
+    return max(1, PIECE // (8 * max(dim, 1)))
 
 
 @dataclass(frozen=True)
@@ -362,32 +373,14 @@ def _pread(fd: int, buf: np.ndarray, offset: int) -> bool:
 def _read_array(
     f, shape: tuple[int, ...], dtype: str, path: str, what: str
 ) -> np.ndarray:
-    """Read the next block straight into a fresh read-only array.
-
-    There is no intermediate bytes object. numpy asks for huge pages for a
-    large allocation, so filling it takes far fewer page faults too. From a
-    regular file the block is read in PIECE-byte pieces on fanout.each, each
-    by a positional read into its slice of the array, so the caller and the
-    helper thread copy from the page cache at once and share no file
-    offset; then f seeks past the block. A pipe, or a platform without
-    os.preadv, is read in one sequential readinto.
-    """
+    """Read the next block of f straight into a fresh read-only array with
+    one sequential readinto: no intermediate bytes object, and numpy asks
+    for huge pages for a large allocation, so it takes far fewer faults."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    regular = _check_remaining(f, nbytes, path, what)
+    _check_remaining(f, nbytes, path, what)
     out = np.empty(shape, dtype=dtype)
-    if not (regular and hasattr(os, "preadv")):
-        if f.readinto(out) != nbytes:
-            raise IdxFormatError(f"{path}: truncated {what}")
-    else:
-        start, fd, flat = f.tell(), f.fileno(), out.reshape(-1).view(np.uint8)
-        filled = fanout.each(
-            range(0, nbytes, PIECE),
-            lambda lo: _pread(fd, flat[lo:lo + PIECE], start + lo),
-            lambda lo: f"reading {what} of {path} at byte {start + lo}",
-        )
-        if not all(filled):
-            raise IdxFormatError(f"{path}: truncated {what}")
-        f.seek(start + nbytes)
+    if f.readinto(out) != nbytes:
+        raise IdxFormatError(f"{path}: truncated {what}")
     out.flags.writeable = False
     return out
 
@@ -403,7 +396,7 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
                 f"{images_path}: bad magic 0x{magic:08x}, "
                 f"expected 0x{IDX_IMAGES_MAGIC:08x}"
             )
-        raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
+        pixels = _read_array(f, (count, rows * cols), "u1", images_path, "pixel data")
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(
             ">II", _read_exact(f, 8, labels_path, "header")
@@ -413,17 +406,15 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
                 f"{labels_path}: bad magic 0x{magic:08x}, "
                 f"expected 0x{IDX_LABELS_MAGIC:08x}"
             )
-        label_raw = _read_exact(f, label_count, labels_path, "label data")
+        labels = _read_array(f, (label_count,), "u1", labels_path, "label data")
     if count != label_count:
         raise IdxFormatError(
             f"image count {count} != label count {label_count} "
             f"({images_path} vs {labels_path})"
         )
-    inputs = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
     return LabeledDataset(
-        # one float64 allocation; the same bits as inputs.astype(float64) / 255
-        inputs=np.divide(inputs, 255.0, dtype=np.float64),
+        # one float64 allocation; the same bits as pixels.astype(float64) / 255
+        inputs=np.divide(pixels, 255.0, dtype=np.float64),
         labels=labels,
         num_classes=int(labels.max()) + 1 if labels.size else 1,
     )
@@ -543,7 +534,8 @@ def durable_write(path: str):
 
 
 def save_dataset(path: str, ds: LabeledDataset) -> None:
-    """Binary container: magic, version, dims, little-endian labels + floats."""
+    """Binary container: magic, version, dims, little-endian labels + floats,
+    the inputs written from `LabeledDataset.block` in PIECE-byte row blocks."""
     with durable_write(path) as f:
         f.write(CONTAINER_MAGIC)
         f.write(
@@ -551,19 +543,20 @@ def save_dataset(path: str, ds: LabeledDataset) -> None:
                 "<IIII", CONTAINER_VERSION, len(ds), ds.input_dim, ds.num_classes
             )
         )
-        f.write(ds.labels.astype("<i8").tobytes())
-        inputs = ds.inputs if ds.source is None else ds.rows(np.arange(len(ds)))
-        f.write(inputs.astype("<f8").tobytes())
+        f.write(ds.labels.astype("<i8", copy=False))
+        rows = _rows_per_piece(ds.input_dim)
+        for lo in range(0, len(ds), rows):
+            f.write(ds.block(lo, lo + rows).astype("<f8", copy=False))
 
 
 def _checked_rows(f, shape: tuple[int, int], path: str) -> ContainerRows | None:
     """The inputs block at f's position, checked and left in the file.
 
-    From a regular file on a platform with os.preadv, each PIECE-byte piece
-    is read on fanout.each into a reused scratch buffer, one per thread at
-    most, and given the one-pass bit test; no piece is kept. None, with f's position unmoved,
-    where the block must be read whole: a pipe, no os.preadv, or content
-    that fails the bit test, whose full check then runs in memory.
+    Each PIECE-byte piece is read on fanout.each into a reused scratch
+    buffer, one per thread at most, and given `_fault`; no piece is kept,
+    and the worst fault of any piece is raised. None, with f's position
+    unmoved, where the block must be read whole: a pipe, or a platform
+    without os.preadv.
     """
     nbytes = 8 * shape[0] * shape[1]
     if not (_check_remaining(f, nbytes, path, "inputs") and hasattr(os, "preadv")):
@@ -571,24 +564,25 @@ def _checked_rows(f, shape: tuple[int, int], path: str) -> ContainerRows | None:
     start, fd, stamp = f.tell(), f.fileno(), _stamp(os.fstat(f.fileno()))
     spare = []  # scratch pieces, one per thread; list pop and append are atomic
 
-    def piece_bits(lo):  # the piece's largest uint64, or None at end of file
+    def piece_fault(lo):  # the piece's fault, or None at end of file
         try:
             buf = spare.pop()
         except IndexError:
             buf = np.empty(min(PIECE, nbytes) // 8, dtype="<f8")
-        piece = buf[:min(PIECE, nbytes - lo) // 8].view(np.uint64)
-        bits = piece.max() if _pread(fd, piece.view(np.uint8), start + lo) else None
+        piece = buf[:min(PIECE, nbytes - lo) // 8]
+        fault = _fault(piece) if _pread(fd, piece.view(np.uint8), start + lo) else None
         spare.append(buf)
-        return bits
+        return fault
 
-    bits = fanout.each(
-        range(0, nbytes, PIECE), piece_bits,
+    faults = fanout.each(
+        range(0, nbytes, PIECE), piece_fault,
         lambda lo: f"checking inputs of {path} at byte {start + lo}",
     )
-    if any(b is None for b in bits):
+    if None in faults:
         raise IdxFormatError(f"{path}: truncated inputs")
-    if bits and max(bits) > ONE_BITS:
-        return None
+    worst = max(faults, default=0)
+    if worst:
+        raise IdxFormatError(f"{path}: {_FAULTS[worst]}")
     rows = ContainerRows(path, os.dup(fd), start, shape, stamp)
     weakref.finalize(rows, os.close, rows.fd)
     return rows

@@ -3,11 +3,11 @@
 `workers()` counts them: the caller plus one helper thread per spare CPU
 in the process's affinity set, at most MAX_HELPERS. `each` is the one
 claim loop on them, which every strategy's global eval,
-`runtime.evaluate_personalized` and `data`'s container read and input bit
-check share. It pins OpenBLAS to one thread, runs the loop in the caller
-and the helper threads at once, joins them and re-raises a helper's
-exception in the caller; the caller's count is restored afterwards. A
-single unit starts no helper. Where numpy's bundled OpenBLAS is missing,
+`runtime.evaluate_personalized` and `data`'s input check (row blocks in
+memory, a container's pieces) share. It pins OpenBLAS to one thread, runs
+the loop in the caller and the helper threads at once, joins them and
+re-raises a helper's exception in the caller; the caller's count is
+restored afterwards. A single unit starts no helper. Where numpy's bundled OpenBLAS is missing,
 the caller works alone at its thread count.
 
 Pinning parks OpenBLAS's pool (`blas_thread_shutdown_`, where exported),

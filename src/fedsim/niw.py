@@ -244,15 +244,15 @@ def niw_sample_global(
 
 
 def niw_global_predict(
-    chunks: list[tuple[int, object, np.random.Generator]],
+    chunks: list[tuple[int, int, np.random.Generator]],
     global_post: NiwGlobalPosterior,
     arch: nn.MlpArch,
     sample_count: int,
-    read=None,
+    read,
 ) -> list[np.ndarray]:
-    """Class probabilities of each (first row, x, rng) chunk, averaged over
-    S Student-t backbone draws from the chunk's rng. The chunk's rows are
-    x, or read(first row, x) where read is given.
+    """Class probabilities of each (first row, end row, rng) chunk, averaged
+    over S Student-t backbone draws from the chunk's rng; read(first row,
+    end row) gives the chunk's rows.
 
     The units of work are the (chunk, draw) pairs in order, run by
     `fanout.each`: a thread draws a unit's theta from the chunk's rng in
@@ -276,9 +276,9 @@ def niw_global_predict(
 
     def draw(unit):
         c, s = divmod(unit, sample_count)
-        lo, x, rng = chunks[c]
+        lo, hi, rng = chunks[c]
         if s == 0:
-            held[c] = x if read is None else read(lo, x)
+            held[c] = read(lo, hi)
         rows = held.pop(c) if s == sample_count - 1 else held[c]
         return c, s, rows, niw_sample_global(global_post, rng, sqrt_scale)
 

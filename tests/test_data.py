@@ -430,24 +430,23 @@ class TestContainer:
     @pytest.mark.parametrize("fault,message", [
         ("label", "labels out of range [0, 3): [0, 7]"),
         ("input", "inputs must lie in [0, 1]"),
+        ("non-finite", "inputs contain non-finite values"),
         ("classes", "num_classes must be >= 1, got 0"),
-    ], ids=["label", "input", "classes"])
+    ], ids=["label", "input", "non-finite", "classes"])
     def test_bad_content_names_the_file(self, tmp_path, fault, message):
-        # written byte by byte: save_dataset takes only a valid dataset
         inputs = stream(22, "content").random((20, 5))
         labels, classes = np.arange(20) % 3, 3
         if fault == "label":
             labels[4] = 7
         elif fault == "input":
             inputs[9, 2] = 1.5
+        elif fault == "non-finite":
+            inputs[9, 2] = -np.inf
         else:
             classes = 0
-        path = tmp_path / f"bad-{fault}.bin"
-        header = struct.pack("<IIII", data.CONTAINER_VERSION, 20, 5, classes)
-        path.write_bytes(data.CONTAINER_MAGIC + header + labels.astype("<i8").tobytes()
-                         + inputs.astype("<f8").tobytes())
+        path = write_container(tmp_path / f"bad-{fault}.bin", inputs, labels, classes)
         with pytest.raises(data.IdxFormatError) as info:
-            data.load_dataset(str(path))
+            data.load_dataset(path)
         assert str(info.value) == f"{path}: {message}"
 
     def test_empty_container_round_trips(self, tmp_path):
@@ -457,9 +456,44 @@ class TestContainer:
         back = data.load_dataset(path)
         assert back.rows([]).shape == (0, 3) and back.num_classes == 2
 
+    def test_rows_without_columns_round_trip(self, tmp_path):
+        ds = data.LabeledDataset(np.zeros((4, 0)), np.arange(4) % 2, 2)
+        path = str(tmp_path / "flat.bin")
+        data.save_dataset(path, ds)
+        back = data.load_dataset(path)
+        assert back.source is not None and all_rows(back).shape == (4, 0)
+        assert back.labels.tolist() == [0, 1, 0, 1]
+
+    def test_a_save_holds_a_piece_not_the_inputs_block(self, tmp_path, monkeypatch):
+        n, dim = 600, 1000  # a 4.8 MB block, saved in pieces of 64 rows
+        inputs = stream(25, "save").random((n, dim))
+        ds = data.LabeledDataset(inputs, np.arange(n) % 3, 3)
+        first = tmp_path / "first.bin"
+        data.save_dataset(str(first), ds)
+        monkeypatch.setattr(data, "PIECE", 64 * 8 * dim)
+        for source in (ds, data.load_dataset(str(first))):
+            again = tmp_path / "again.bin"
+            tracemalloc.start()
+            try:
+                data.save_dataset(str(again), source)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert again.read_bytes() == first.read_bytes()
+            assert peak < 2 * data.PIECE, f"peak {peak}, piece {data.PIECE}"
+
 
 def all_rows(ds):
     return ds.rows(np.arange(len(ds)))
+
+
+def write_container(path, inputs, labels, num_classes):
+    """str(path), with the arrays written to it byte by byte as a container:
+    save_dataset takes only a valid dataset."""
+    header = struct.pack("<IIII", data.CONTAINER_VERSION, *inputs.shape, num_classes)
+    path.write_bytes(data.CONTAINER_MAGIC + header + labels.astype("<i8").tobytes()
+                     + inputs.astype("<f8").tobytes())
+    return str(path)
 
 
 def load_whole(path, monkeypatch):
@@ -497,8 +531,8 @@ def streamed(tmp_path, blob):
 
 
 class TestPieces:
-    """The container read and the input check in many pieces, on both
-    threads: every tier-1 dataset is otherwise smaller than one piece."""
+    """The input check in many blocks and a container's in many pieces, on
+    both threads: every tier-1 dataset is otherwise smaller than one."""
 
     def test_blocks_equal_fromfile_and_are_read_only(self, tmp_path, monkeypatch):
         ds, _ = synth(2, 3, 7, 9, 1.0, stream(20, "pieces"))  # 54 rows of 7
@@ -510,7 +544,8 @@ class TestPieces:
         monkeypatch.setattr(np, "empty", lambda shape, dtype: np.full(shape, -7, dtype))
         back, resident = data.load_dataset(path), load_whole(path, monkeypatch)
         n, dim = len(ds), ds.input_dim
-        assert 8 * n > data.PIECE and (8 * n * dim) % data.PIECE  # labels span pieces too
+        # labels longer than a piece, inputs in pieces with a short last one
+        assert 8 * n > data.PIECE and (8 * n * dim) % data.PIECE
         labels = np.fromfile(path, dtype="<i8", count=n, offset=20)
         inputs = np.fromfile(path, dtype="<f8", offset=20 + 8 * n).reshape(n, dim)
         assert back.labels.tobytes() == labels.tobytes() == ds.labels.tobytes()
@@ -520,14 +555,13 @@ class TestPieces:
         for arr in (back.labels, resident.inputs, resident.labels):
             assert not arr.flags.writeable
 
-    def test_labels_then_inputs_from_one_file(self, tmp_path, monkeypatch):
+    def test_labels_then_inputs_from_one_file(self, tmp_path):
         # each block starts where the one before it ended
         path = tmp_path / "two.bin"
         with open(path, "wb") as f:
             f.write(np.arange(11, dtype="<i8").tobytes())
             f.write(np.linspace(0, 1, 11 * 4).astype("<f8").tobytes())
             f.write(b"tail")
-        small_pieces(monkeypatch, 4)
         with open(path, "rb") as f:
             labels = data._read_array(f, (11,), "<i8", str(path), "labels")
             inputs = data._read_array(f, (11, 4), "<f8", str(path), "inputs")
@@ -540,13 +574,41 @@ class TestPieces:
         (-0.0, None),
         (1.5, (ValueError, "inputs must lie in [0, 1]")),
     ])
-    def test_a_fault_in_the_last_row_block_is_seen(self, monkeypatch, value, expected):
+    def test_a_fault_in_the_last_row_block_is_seen(
+        self, tmp_path, monkeypatch, value, expected
+    ):
         inputs = stream(21, "last").random((20, 5))
-        inputs[19, 4] = value  # blocks of three rows: 18 and 19 are the last
+        # blocks of three rows: 18 and 19 are the last; pieces of 17 floats:
+        # the last holds floats 85 to 99
+        inputs[19, 4] = value
         labels = np.zeros(20, dtype=np.int64)
         small_pieces(monkeypatch, 5)
         assert outcome(data.LabeledDataset, inputs, labels, 1) == expected
         assert outcome(oracle_input_check, inputs) == expected
+        path = write_container(tmp_path / "last.bin", inputs, labels, 1)
+        if expected is None:
+            back = data.load_dataset(path)
+            assert back.source is not None and all_rows(back).tobytes() == inputs.tobytes()
+        else:
+            assert outcome(data.load_dataset, path) == (
+                data.IdxFormatError, f"{path}: {expected[1]}"
+            )
+
+    @pytest.mark.parametrize("first,last", [(np.nan, 1.5), (1.5, np.nan)])
+    def test_non_finite_outranks_out_of_range_in_any_block(
+        self, tmp_path, monkeypatch, first, last
+    ):
+        # the faults in the first and the last block and piece, which the
+        # two threads check: the same message whichever thread sees which
+        inputs = stream(21, "both").random((20, 5))
+        inputs[0, 0], inputs[19, 4] = first, last
+        labels = np.zeros(20, dtype=np.int64)
+        small_pieces(monkeypatch, 5)
+        message = "inputs contain non-finite values"
+        assert outcome(oracle_input_check, inputs) == (ValueError, message)
+        assert outcome(data.LabeledDataset, inputs, labels, 1) == (ValueError, message)
+        path = write_container(tmp_path / "both.bin", inputs, labels, 1)
+        assert outcome(data.load_dataset, path) == (data.IdxFormatError, f"{path}: {message}")
 
     def test_short_regular_file_past_the_size_check(self, tmp_path, monkeypatch):
         ds, _ = synth(2, 3, 7, 9, 1.0, stream(20, "pieces"))
@@ -659,13 +721,15 @@ class TestRows:
         assert all_rows(back).tobytes() == ds.inputs.tobytes()
         assert all_rows(data.load_dataset(str(path))).tobytes() == other.inputs.tobytes()
 
-    def test_content_that_fails_the_bit_test_stays_in_memory(self, tmp_path):
+    def test_a_negative_zero_container_stays_in_the_file(self, tmp_path):
         inputs = stream(22, "negzero").random((20, 5))
         inputs[3, 1] = -0.0  # in range, but with the sign bit set
         path = str(tmp_path / "negzero.bin")
         data.save_dataset(path, data.LabeledDataset(inputs, np.arange(20) % 2, 2))
         back = data.load_dataset(path)
-        assert back.source is None and back.inputs.tobytes() == inputs.tobytes()
+        assert back.inputs is None and back.source is not None
+        assert all_rows(back).tobytes() == inputs.tobytes()
+        assert np.signbit(back.rows([3])[0, 1])
 
     def test_a_load_holds_pieces_not_the_inputs_block(self, tmp_path, monkeypatch):
         n, dim = 600, 1000  # a 4.8 MB block, pieces of three rows
@@ -743,6 +807,35 @@ def test_only_data_reads_inputs():
     assert outside_data(
         lambda node: isinstance(node, ast.Attribute) and node.attr == "inputs"
     ) == []
+
+
+def calls_in_fedsim(*names):
+    """module.function of each call of a function or method named one of
+    names in fedsim, by the innermost def around the call."""
+    src = os.path.dirname(data.__file__)
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in names):
+                calls.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{where.split('.')[0]}.{child.name}" if inner else where)
+
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                visit(ast.parse(f.read(), name), name[:-3])
+    return calls
+
+
+def test_one_positional_reader_and_one_sequential_reader():
+    """A block of a file is read in fedsim by `data._pread` (positional
+    reads into a caller's buffer) or by `data._read_array` (one sequential
+    readinto), and by nothing else, so no second block reader grows back."""
+    assert calls_in_fedsim("preadv", "pread", "readv") == ["data._pread"]
+    assert calls_in_fedsim("readinto") == ["data._read_array"]
 
 
 # Reference versions of the Partition and LabeledDataset checks: Python sets

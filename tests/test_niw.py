@@ -353,7 +353,9 @@ class TestSampling:
 
 def predict(x, post, arch, sample_count, rng):
     """niw_global_predict on one chunk, x, drawn from rng."""
-    (probs,) = niw.niw_global_predict([(0, x, rng)], post, arch, sample_count)
+    (probs,) = niw.niw_global_predict(
+        [(0, len(x), rng)], post, arch, sample_count, lambda lo, hi: x[lo:hi]
+    )
     return probs
 
 
@@ -387,8 +389,8 @@ class TestGlobalPredict:
 
     @staticmethod
     def chunked(rows=14, size=5):
-        """A posterior and (first row, rows, stream) chunks of `size` rows,
-        the last one short."""
+        """A posterior, (first row, end row, stream) chunks of `size` rows,
+        the last one short, and a reader of their rows."""
         arch = nn.MlpArch((3, 4, 2))
         d = nn.param_count(arch)
         rng = np.random.default_rng(10)
@@ -401,20 +403,21 @@ class TestGlobalPredict:
         )
         x = rng.normal(size=(rows, 3))
         return arch, post, [
-            (lo, x[lo : lo + size], stream(11, "eval", lo)) for lo in range(0, rows, size)
-        ]
+            (lo, lo + size, stream(11, "eval", lo)) for lo in range(0, rows, size)
+        ], lambda lo, hi: x[lo:hi]
 
     @needs_openblas
     @pytest.mark.parametrize("sample_count", [1, 4])
     def test_in_place_draws_keep_the_bits(self, sample_count, monkeypatch):
         # the serial loop at one BLAS thread, the draws as one expression
         # each, fresh arrays and scale every time
-        arch, post, chunks = self.chunked()
-        assert len(chunks) >= 3 and len(chunks[-1][1]) < len(chunks[0][1])
+        arch, post, chunks, read = self.chunked()
+        assert len(chunks) >= 3 and len(read(*chunks[-1][:2])) < len(read(*chunks[0][:2]))
         before = fanout.blas_threads(1)
         try:
             want = []
-            for lo, x, _ in chunks:
+            for lo, hi, _ in chunks:
+                x = read(lo, hi)
                 draws = stream(11, "eval", lo)
                 w = np.zeros((len(x), 2))
                 for _ in range(sample_count):
@@ -445,7 +448,8 @@ class TestGlobalPredict:
                 monkeypatch.setattr(fanout, "workers", lambda n=threads: n)
                 ran_in.clear()
                 with within(60):
-                    got = niw.niw_global_predict(self.chunked()[2], post, arch, sample_count)
+                    chunks = self.chunked()[2]
+                    got = niw.niw_global_predict(chunks, post, arch, sample_count, read)
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
                 assert len(ran_in) > 1
         finally:
@@ -453,7 +457,7 @@ class TestGlobalPredict:
 
     @needs_openblas
     def test_an_error_names_its_chunk_and_draw_and_leaves_nothing(self, monkeypatch):
-        arch, post, chunks = self.chunked()
+        arch, post, chunks, read = self.chunked()
         monkeypatch.setattr(fanout, "workers", lambda: 2)
         forward, calls, lock = nn.forward, [], threading.Lock()
 
@@ -469,7 +473,7 @@ class TestGlobalPredict:
         try:
             threads = threading.active_count()
             with pytest.raises(FloatingPointError) as err:
-                niw.niw_global_predict(chunks, post, arch, 4)
+                niw.niw_global_predict(chunks, post, arch, 4, read)
             assert threading.active_count() == threads
             assert fanout.blas_threads() == 2
         finally:
@@ -487,7 +491,7 @@ class TestGlobalPredict:
     ):
         # one CPU: the caller alone at one BLAS thread; no bundled OpenBLAS:
         # the caller alone at the host's count, here 2
-        arch, post, chunks = self.chunked()
+        arch, post, chunks, read = self.chunked()
         get, put = fanout._openblas()[:2]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         if not bundled:
@@ -502,7 +506,7 @@ class TestGlobalPredict:
         original = get()
         put(2)
         try:
-            niw.niw_global_predict(chunks, post, arch, 4)
+            niw.niw_global_predict(chunks, post, arch, 4, read)
             assert get() == 2
         finally:
             put(original)
