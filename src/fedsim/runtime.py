@@ -217,9 +217,9 @@ def run_round(run: RunState, evaluate: bool = True) -> RoundRecord:
     results: list[ClientResult] = []
     for cid in ids:  # ascending id order keeps reductions reproducible
         cl = run.clients[cid]
-        inputs = run.train_ds.rows(cl.train_indices)
-        labels = run.train_ds.labels[cl.train_indices]
-        try:
+        try:  # a container changed since it was loaded raises IdxFormatError here
+            inputs = run.train_ds.rows(cl.train_indices)
+            labels = run.train_ds.labels[cl.train_indices]
             res = run.strategy.client_update(
                 run.strategy_state, cid, inputs, labels, run.arch, config, lr, r
             )

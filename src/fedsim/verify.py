@@ -2,18 +2,16 @@
 
 Four suites:
 
-    reductions   the four baseline-equivalence identities at 1e-9
+    reductions   FedProx and FedAvg as special cases of the strategies' own
+                 client updates and aggregates at 784-256-10; the K=1 M-step
     oracles      closed-form server updates vs stationarity of the logged
-                 objective; EM monotonicity; finite-difference gradient
-                 checks
+                 objective; EM monotonicity; finite-difference gradients of
+                 the local objectives `optim.local_train` trains with
     samplers     Student-t and dropout-mask moment checks
     convergence  a seeded 200-round run of `CONVERGENCE_SPEC`, built by
                  `experiment.build_run` as `fedsim run` builds it, whose
                  running-average server objective must be non-increasing
                  after burn-in
-
-The client-side checks evaluate the local objectives that
-`optim.local_train` trains with, by their total gradients.
 
 Each suite returns a machine-readable report dict. A failed check carries
 the first failing case (trial index and sampled sizes) so it can be
@@ -24,11 +22,13 @@ meant for negative-control testing of the harness itself.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from . import experiment, mixture, niw, nn, optim, runtime
+from . import experiment, fanout, mixture, niw, nn, optim, runtime
 from .rng import stream
+from .strategies import STRATEGIES, ClientResult
 
 MUTATIONS = ("niw-v0", "niw-m0")
 
@@ -41,19 +41,6 @@ FD_TOL = 1e-5
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)))
-
-
-def _random_arch(rng, max_params: int = 100) -> nn.MlpArch:
-    while True:
-        arch = nn.MlpArch((rng.integers(2, 5), rng.integers(2, 6), rng.integers(2, 5)))
-        if nn.param_count(arch) <= max_params:
-            return arch
-
-
-def _random_batch(rng, arch: nn.MlpArch, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, labels): n uniform inputs and n uniform class labels."""
-    x = rng.uniform(size=(n, arch.layer_sizes[0]))
-    return x, rng.integers(0, arch.num_classes, size=n)
 
 
 def _result(name: str, trials: int, max_err: float, failing, **extra) -> dict:
@@ -78,13 +65,6 @@ def _check(name: str, trials: int, tol: float, body) -> dict:
         if not err <= tol and failing is None:
             failing = {"trial": t, **case}
     return _result(name, trials, max_err, failing)
-
-
-def _gap(objective_a, objective_b, m, batch) -> float:
-    """Largest difference between two objectives' losses and total gradients."""
-    loss_a, grad_a = optim.total_loss_and_grad(objective_a, m, *batch)
-    loss_b, grad_b = optim.total_loss_and_grad(objective_b, m, *batch)
-    return max(abs(loss_a - loss_b), float(np.max(np.abs(grad_a - grad_b))))
 
 
 def _mixture_post(prototypes, sigma_sq: float, input_dim: int):
@@ -115,65 +95,76 @@ def _k1_mstep(seed: int, tag: str, max_d: int, max_n: int):
 # ---------------------------------------------------------------- reductions
 
 
+# the special cases' client data: RED_ROWS uniform rows at the protocol shape,
+# trained at each (client, round) of RED_PAIRS; the NIW prior counts
+# RED_TOTAL_ROWS rows, as MNIST's train set does
+RED_ARCH = nn.MlpArch((784, 256, 10))
+RED_ROWS = 540
+RED_TOTAL_ROWS = 60_000
+RED_PAIRS = ((3, 7), (41, 2))
+
+
 def _reduction_checks(seed: int) -> list[dict]:
+    """The strategies' own client updates and aggregates at RED_ARCH.
+
+    FedProx is the NIW client update at p_keep = 1 and v0 = 1 in either
+    penalty mode, and the K=1 mixture client update from its prototype:
+    params bit for bit, mean losses within REDUCTION_TOL. FedProx's weight is
+    the closed form, not `niw.penalty_weight`. FedAvg's mean times N/(N+1)
+    is the NIW server mean at full participation, over the params of the
+    client updates before it.
+    """
+    rng = stream(seed, "verify", "red-data")
+    x = rng.uniform(size=(RED_ROWS, RED_ARCH.layer_sizes[0]))
+    y = rng.integers(0, RED_ARCH.num_classes, size=RED_ROWS)
+    init = nn.init_params(RED_ARCH, stream(seed, "verify", "red-init"))
+    base = runtime.FederatedConfig(p_keep=1.0, k_prototypes=1, seed=seed)
+    niw_s = STRATEGIES["niw"]
+    means = []
+
+    def vs_fedprox(name, strategy, config, start, mu):
+        """start(state) is FedProx's starting point and mu(state) its weight."""
+        state = strategy.init_state(RED_ARCH, init, config, RED_TOTAL_ROWS)
+        prox = replace(config, mu_prox=mu(state))
+
+        def body(t):
+            cid, r = RED_PAIRS[t]
+            got = strategy.client_update(state, cid, x, y, RED_ARCH, config, config.lr, r)
+            ref = STRATEGIES["fedprox"].client_update(
+                start(state), cid, x, y, RED_ARCH, prox, config.lr, r
+            )
+            means.append(got.params)
+            param_err = float(np.max(np.abs(got.params - ref.params)))
+            loss_gap = abs(got.loss - ref.loss)
+            # 0.0 for equal params and losses within REDUCTION_TOL; NaN fails
+            err = float(np.maximum(param_err, loss_gap - REDUCTION_TOL))
+            return err, {"client": cid, "round": r, "mu": prox.mu_prox,
+                         "param_err": param_err, "loss_gap": loss_gap}
+
+        return _check(name, len(RED_PAIRS), 0.0, body)
+
     def server_mean(t):
-        rng = stream(seed, "verify", "red-server-mean", t)
-        d = int(rng.integers(1, 101))
-        n = int(rng.integers(1, 11))
-        post = niw.niw_init(d, int(rng.integers(0, 500)))
-        means = [rng.normal(size=d) for _ in range(n)]
-        new = niw.niw_server_update(
-            means, post, n, p_keep=1.0, epsilon=float(rng.uniform(1e-5, 1e-2))
-        )
-        expect = n / (n + 1) * np.mean(means, axis=0)
-        err = float(np.max(np.abs(new.m0 - expect)))
-        return err, {"d": d, "n": n, "err": err}
-
-    def niw_grad(t):
-        rng = stream(seed, "verify", "red-niw-grad", t)
-        arch = _random_arch(rng)
-        d = nn.param_count(arch)
-        batch = _random_batch(rng, arch, int(rng.integers(3, 9)))
-        n_i = int(rng.integers(5, 200))
-        v = float(rng.uniform(0.5, 2.0))
-        post = niw.NiwGlobalPosterior(
-            m0=rng.normal(size=d) * 0.5,
-            v0_diag=np.full(d, v),
-            l0=float(rng.uniform(1.0, 20.0)),
-            n0=float(d + 2 + rng.uniform(1.0, 100.0)),
-            d=d,
-        )
-        m = post.m0 + rng.normal(size=d) * 0.3
-        mu = (post.n0 + d + 1) / (v * n_i)
-        err = _gap(
-            niw.niw_objective(post, arch, n_i, p_keep=1.0),
-            optim.prox_objective(arch, mu, post.m0), m, batch,
-        )
-        return err, {"arch": list(arch.layer_sizes), "err": err}
-
-    def mix_grad(t):
-        rng = stream(seed, "verify", "red-mix-grad", t)
-        arch = _random_arch(rng)
-        d = nn.param_count(arch)
-        batch = _random_batch(rng, arch, int(rng.integers(3, 9)))
-        n_i = int(rng.integers(5, 200))
-        sigma_sq = float(rng.uniform(0.05, 2.0))
-        g = rng.normal(size=d) * 0.5
-        m = g + rng.normal(size=d) * 0.3
-        post = _mixture_post((g,), sigma_sq, arch.layer_sizes[0])
-        err = _gap(
-            mixture.mix_objective(post, arch, n_i),
-            optim.prox_objective(arch, 1.0 / (sigma_sq * n_i), g), m, batch,
-        )
-        return err, {"arch": list(arch.layer_sizes), "err": err}
+        n = len(means)
+        config = replace(base, n_clients=n)
+        results = [ClientResult(params=m, loss=0.0) for m in means]
+        state = niw_s.init_state(RED_ARCH, init, config, RED_TOTAL_ROWS)
+        new, _ = niw_s.aggregate(state, results, config)
+        avg, _ = STRATEGIES["fedavg"].aggregate(init, results, config)
+        err = float(np.max(np.abs(new.m0 - n / (n + 1) * avg)))
+        return err, {"n": n, "err": err}
 
     return [
-        _check("niw-full-participation-server-mean-vs-fedavg", 100, REDUCTION_TOL,
+        vs_fedprox("niw-normalized-client-update-vs-fedprox", niw_s,
+                   replace(base, penalty_mode="normalized"), lambda s: s.m0,
+                   lambda s: 1.0 / RED_ROWS),
+        vs_fedprox("niw-literal-client-update-vs-fedprox", niw_s, base,
+                   lambda s: s.m0, lambda s: (s.n0 + s.d + 1) / RED_ROWS),
+        vs_fedprox("mixture-k1-client-update-vs-fedprox", STRATEGIES["mixture"], base,
+                   lambda s: s.prototypes[0], lambda s: 1.0 / (s.sigma_sq * RED_ROWS)),
+        _check("niw-full-participation-aggregate-vs-fedavg", 1, REDUCTION_TOL,
                server_mean),
-        _check("niw-client-grad-vs-fedprox", 100, REDUCTION_TOL, niw_grad),
         _check("mixture-k1-mstep-vs-shrunk-mean", 100, REDUCTION_TOL,
                _k1_mstep(seed, "red-mix-mstep", 101, 11)),
-        _check("mixture-k1-client-grad-vs-fedprox", 100, REDUCTION_TOL, mix_grad),
     ]
 
 
@@ -243,9 +234,14 @@ def _oracle_checks(seed: int, mutation: str | None) -> list[dict]:
 
     def grad_fd_case(t, which):
         rng = stream(seed, "verify", "oracle-fd", which, t)
-        arch = _random_arch(rng, max_params=60)
-        d = nn.param_count(arch)
-        batch = _random_batch(rng, arch, int(rng.integers(3, 7)))
+        while True:  # a random arch of at most 60 params
+            arch = nn.MlpArch(tuple(rng.integers(2, hi) for hi in (5, 6, 5)))
+            d = nn.param_count(arch)
+            if d <= 60:
+                break
+        n = int(rng.integers(3, 7))
+        x = rng.uniform(size=(n, arch.layer_sizes[0]))
+        batch = x, rng.integers(0, arch.num_classes, size=n)
         m = rng.normal(size=d) * 0.5
         n_i = int(rng.integers(5, 100))
         if which == "ce":
@@ -433,6 +429,7 @@ def run_suite(name: str, seed: int = 0, mutation: str | None = None) -> dict:
         "seed": seed,
         "mutation": mutation,
         "passed": all(c["passed"] for c in checks),
+        "blas_threads": fanout.blas_threads(),
         "elapsed_s": time.perf_counter() - started,
         "checks": checks,
     }
@@ -447,6 +444,7 @@ def run_all(seed: int = 0, mutation: str | None = None) -> dict:
         "seed": seed,
         "mutation": mutation,
         "passed": all(r["passed"] for r in reports),
+        "blas_threads": fanout.blas_threads(),
         "elapsed_s": sum(r["elapsed_s"] for r in reports),
         "suites": reports,
     }

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import data, experiment, verify
+from fedsim import data, experiment, runtime, verify
 from fedsim.runtime import ConfigError
 from fedsim.experiment import (
     SpecError,
@@ -470,6 +470,32 @@ class TestRunExperiment:
         )
         summary = run_experiment(parse_spec_dict(obj))
         assert summary["rounds_completed"] == 2
+
+    def test_a_train_container_rewritten_after_build_names_client_and_round(
+        self, tmp_path
+    ):
+        rng = np.random.default_rng(0)
+        train, _, test, _ = data.synth_train_test(1, 3, 4, 30, 8, 0.5, rng)
+        tr_path, te_path = str(tmp_path / "train.bin"), str(tmp_path / "test.bin")
+        data.save_dataset(tr_path, train)
+        data.save_dataset(te_path, test)
+        obj = tiny_spec_obj(
+            out=str(tmp_path / "out"),
+            dataset={"kind": "container", "train": tr_path, "test": te_path},
+            partition={"kind": "shard", "shards_per_client": 1},
+            federated={"n_clients": 3, "rounds": 2, "batch_size": 10},
+        )
+        run = experiment.build_run(parse_spec_dict(obj))
+        with open(tr_path, "r+b") as f:  # the same length, other values
+            f.seek(4 + 16 + 8 * len(train))
+            f.write(np.full(train.inputs.shape, 0.5).tobytes())
+        with pytest.raises(runtime.ClientUpdateError) as info:
+            runtime.run_round(run)
+        err = info.value
+        assert err.round_index == 1 and err.client_id in range(3)
+        assert str(err).startswith(f"client {err.client_id} failed in round 1: ")
+        assert isinstance(err.__cause__, data.IdxFormatError)
+        assert str(err.__cause__) == f"{tr_path}: changed since it was loaded"
 
     def empty_test_set_spec(self, tmp_path):
         """A container spec whose test file has 0 rows, and that file."""
